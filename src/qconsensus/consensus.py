@@ -13,15 +13,22 @@ conserved; with sum = q*n + r (0 <= r < n) the protocol converges when
 every value lies in {q, q+1}.
 
 One tick = one edge activation: a node chosen uniformly, then one of its
-neighbors uniformly. All steppers draw exactly two uniform floats per tick
-in (node, neighbor) order, so batched and per-step execution follow
-identical trajectories for the same seed.
+neighbors uniformly, from two uniform floats drawn in (node, neighbor)
+order. ``run_to_convergence`` runs one batch kernel per protocol, traced or
+not; the per-tick steppers (``binary_step``/``quantized_step``) are the
+reference it is tested against, tick for tick, for the same seed. Draws
+past the convergence tick are discarded, so the generator's position after
+a run is unspecified.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain, count
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -31,7 +38,8 @@ WEAK_POS = 1
 WEAK_NEG = -1
 OPINION_VALUES = (STRONG_POS, STRONG_NEG, WEAK_POS, WEAK_NEG)
 
-_BATCH_TICKS = 8192
+_FIRST_BATCH = 64
+_MAX_BATCH = 8192
 
 
 def binary_update(a: int, b: int) -> tuple[int, int]:
@@ -79,13 +87,7 @@ class BinaryState:
         for o in opinions:
             if o not in OPINION_VALUES:
                 raise ValueError(f"invalid opinion value {o!r}")
-        return cls(
-            opinions,
-            s_plus=opinions.count(STRONG_POS),
-            s_minus=opinions.count(STRONG_NEG),
-            w_plus=opinions.count(WEAK_POS),
-            w_minus=opinions.count(WEAK_NEG),
-        )
+        return cls(opinions, *map(opinions.count, OPINION_VALUES))
 
     @property
     def n(self) -> int:
@@ -123,13 +125,10 @@ class QuantizedState:
         if not values:
             raise ValueError("quantized state needs at least one node")
         q_sum = sum(values)
-        n = len(values)
-        q, r = divmod(q_sum, n)
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        off = sum(c for v, c in counts.items() if v != q and v != q + 1)
-        return cls(values, q_sum, q, r, 0, min(values), max(values), off, counts)
+        q, r = divmod(q_sum, len(values))
+        s = cls(values, q_sum, q, r)
+        s._recount()
+        return s
 
     @property
     def n(self) -> int:
@@ -138,6 +137,16 @@ class QuantizedState:
     @property
     def spread(self) -> int:
         return self.vmax - self.vmin
+
+    def _recount(self) -> None:
+        """Rebuild the value counts, extrema and ``off_target`` from ``values``."""
+        counts: dict[int, int] = {}
+        for v in self.values:
+            counts[v] = counts.get(v, 0) + 1
+        self._counts = counts
+        self.vmin = min(counts)
+        self.vmax = max(counts)
+        self.off_target = sum(c for v, c in counts.items() if v != self.q and v != self.q + 1)
 
     def copy(self) -> "QuantizedState":
         return QuantizedState(
@@ -275,8 +284,13 @@ def run_to_convergence(protocol: str, g: Graph, state, rng, max_ticks: int,
     Returns the first tick at which the predicate is true, or a result
     flagged non-converged after exactly ``max_ticks`` activations. With
     ``trace_stride`` > 0, metric rows are recorded every that many ticks
-    (plus the first and final tick). The passed state is mutated in place.
+    (plus the first and final tick). The passed state is mutated in place;
+    the generator's position afterwards is unspecified.
     """
+    if max_ticks < 0:
+        raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
+    if trace_stride < 0:
+        raise ValueError(f"trace_stride must be >= 0, got {trace_stride}")
     if protocol == "binary":
         if not isinstance(state, BinaryState):
             raise ValueError("binary protocol requires a BinaryState")
@@ -292,149 +306,133 @@ _BINARY_TRACE_HEADER = ("tick", "s_plus", "s_minus", "w_plus", "w_minus")
 _QUANTIZED_TRACE_HEADER = ("tick", "lyapunov", "value_min", "value_max")
 
 
-def _binary_detail(s: BinaryState, converged: bool) -> str:
-    if not converged:
-        return "timeout"
-    return "all_positive" if s.positive == s.n else "all_negative"
+def _run_kernel(g: Graph, s, rng, max_ticks: int, stride: int, apply, row):
+    """Feed drawn edges to ``apply`` until it reports convergence or ``max_ticks`` pass.
+
+    Edges come through a CSR adjacency in batches growing from _FIRST_BATCH
+    to _MAX_BATCH ticks (split PCG64 draws equal one large draw); truncating
+    a non-negative float64 product equals the steppers' ``int()``.
+    ``apply(us, vs)`` returns how many edges it applied if the run converged
+    on the last of them, else None. With ``stride`` > 0 batches are cut at
+    multiples of ``stride``, and ``row(tick)`` is recorded at the first tick,
+    at each multiple not converged, and at the final tick.
+    """
+    n = g.n
+    deg = np.fromiter(map(len, g.adjacency), np.int64, n)
+    if max_ticks and not deg.all():
+        raise ValueError("every node needs a neighbor to run a protocol")
+    off = np.cumsum(deg) - deg
+    flat = np.fromiter(chain.from_iterable(g.adjacency), np.int64, int(deg.sum()))
+    trace = [row(s.tick)] if stride else []
+    ticks = 0
+    converged = False
+    batch = _FIRST_BATCH
+    while not converged and ticks < max_ticks:
+        m = min(batch, max_ticks - ticks)
+        batch = min(2 * batch, _MAX_BATCH)
+        r = rng.random(2 * m)
+        u = (r[0::2] * n).astype(np.int64)
+        us = u.tolist()
+        vs = flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)].tolist()
+        cuts = [0, *range(stride - ticks % stride, m, stride), m] if stride else [0, m]
+        base = ticks
+        for i, j in zip(cuts, cuts[1:]):
+            k = apply(us[i:j], vs[i:j])
+            converged = k is not None
+            ticks = base + (i + k if converged else j)
+            if converged:
+                break
+            if stride and ticks % stride == 0:
+                trace.append(row(s.tick + ticks))
+    s.tick += ticks
+    if stride and trace[-1][0] != s.tick:
+        trace.append(row(s.tick))
+    return ticks, tuple(trace)
+
+
+@cache
+def _binary_table(n: int) -> tuple:
+    """[a][b] -> (*binary_update(a, b), change in ``_run_binary``'s packed count)."""
+    table = [[None] * 5 for _ in range(5)]
+    for a in OPINION_VALUES:
+        for b in OPINION_VALUES:
+            na, nb = binary_update(a, b)
+            annihilated = a == -b and abs(a) == STRONG_POS
+            table[a][b] = (na, nb, (na > 0) + (nb > 0) - (a > 0) - (b > 0) + (n + 1) * annihilated)
+    return tuple(tuple(r) for r in table)
 
 
 def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> SimResult:
-    if stride > 0:
-        return _run_traced(g, s, rng, max_ticks, stride, "binary")
     n = g.n
     opinions = s.opinions
-    pos = s.s_plus + s.w_plus
-    if pos == 0 or pos == n:
-        return SimResult("binary", n, 0, True, _binary_detail(s, True))
-    adjacency = [list(nbrs) for nbrs in g.adjacency]
-    degs = [len(a) for a in adjacency]
-    ticks = 0
-    converged = False
-    while ticks < max_ticks and not converged:
-        m = min(_BATCH_TICKS, max_ticks - ticks)
-        rs = rng.random(size=2 * m).tolist()
-        for k in range(m):
-            u = int(rs[2 * k] * n)
-            v = adjacency[u][int(rs[2 * k + 1] * degs[u])]
+    s_plus, s_minus = s.s_plus, s.s_minus
+    packed = s_plus + s.w_plus
+    # packed = #positive + (n + 1) * #annihilations, and #positive is in [0, n].
+    # Annihilating a pair of opposite strong opinions is the only update
+    # that changes the strong counts, and a sign has no opinions left exactly
+    # when all its strong ones are annihilated: each consensus is one value.
+    all_negative, all_positive = (n + 1) * s_plus, n + (n + 1) * s_minus
+    table = _binary_table(n)
+
+    def apply(us, vs):
+        nonlocal packed
+        for k, u, v in zip(count(1), us, vs):
             a = opinions[u]
             b = opinions[v]
-            ticks += 1
-            if a == b:
-                continue
-            if a == -b:
-                sa = 1 if a > 0 else -1
-                opinions[u] = -sa
-                opinions[v] = sa
-            elif a == 2 or a == -2:
-                sa = 1 if a > 0 else -1
-                opinions[u] = sa
-                opinions[v] = a
-                if b == -sa:
-                    pos += sa
-            else:
-                sb = 1 if b > 0 else -1
-                opinions[u] = b
-                opinions[v] = sb
-                if a == -sb:
-                    pos += sb
-            if pos == 0 or pos == n:
-                converged = True
-                break
-    s.s_plus = opinions.count(STRONG_POS)
-    s.s_minus = opinions.count(STRONG_NEG)
-    s.w_plus = opinions.count(WEAK_POS)
-    s.w_minus = opinions.count(WEAK_NEG)
-    s.tick += ticks
-    return SimResult("binary", n, ticks, converged, _binary_detail(s, converged))
+            if a != b:
+                opinions[u], opinions[v], d = table[a][b]
+                if d:
+                    packed += d
+                    if packed == all_negative or packed == all_positive:
+                        return k
+        return None
 
+    def counts():
+        annihilations, pos = divmod(packed, n + 1)
+        sp, sm = s_plus - annihilations, s_minus - annihilations
+        return sp, sm, pos - sp, n - pos - sm
 
-def _quantized_detail(s: QuantizedState, converged: bool) -> str:
-    if not converged:
-        return "timeout"
-    return f"q={s.q} r={s.r}"
+    converged = packed in (all_negative, all_positive)
+    ticks, trace = _run_kernel(g, s, rng, 0 if converged else max_ticks, stride, apply,
+                               lambda tick: (tick, *counts()))
+    s.s_plus, s.s_minus, s.w_plus, s.w_minus = counts()
+    converged = packed in (all_negative, all_positive)
+    detail = (("all_positive" if packed == all_positive else "all_negative") if converged
+              else "timeout")
+    header = _BINARY_TRACE_HEADER if stride else ()
+    return SimResult("binary", n, ticks, converged, detail, header, trace)
 
 
 def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int) -> SimResult:
-    if stride > 0:
-        return _run_traced(g, s, rng, max_ticks, stride, "quantized")
-    n = g.n
-    if s.off_target == 0:
-        return SimResult("quantized", n, 0, True, _quantized_detail(s, True))
     values = s.values
     q = s.q
     qp1 = q + 1
     off = s.off_target
-    adjacency = [list(nbrs) for nbrs in g.adjacency]
-    degs = [len(a) for a in adjacency]
-    ticks = 0
-    converged = False
-    while ticks < max_ticks and not converged:
-        m = min(_BATCH_TICKS, max_ticks - ticks)
-        rs = rng.random(size=2 * m).tolist()
-        for k in range(m):
-            u = int(rs[2 * k] * n)
-            v = adjacency[u][int(rs[2 * k + 1] * degs[u])]
+
+    def apply(us, vs):
+        nonlocal off
+        for k, u, v in zip(count(1), us, vs):
             a = values[u]
             b = values[v]
-            ticks += 1
-            diff = a - b
-            if diff >= 2:
-                na = a - 1
-                nb = b + 1
-            elif diff <= -2:
-                na = a + 1
-                nb = b - 1
-            else:
+            if -2 < a - b < 2:
                 values[u] = b
                 values[v] = a
                 continue
-            values[u] = na
-            values[v] = nb
-            off += (
-                (a == q or a == qp1) - (na == q or na == qp1)
-                + (b == q or b == qp1) - (nb == q or nb == qp1)
-            )
+            d = 1 if a > b else -1
+            values[u] = na = a - d
+            values[v] = nb = b + d
+            off += (q <= a <= qp1) - (q <= na <= qp1) + (q <= b <= qp1) - (q <= nb <= qp1)
             if off == 0:
-                converged = True
-                break
-    # Rebuild caches from the final values.
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    s._counts = counts
-    s.vmin = min(counts)
-    s.vmax = max(counts)
-    s.off_target = off
-    s.tick += ticks
-    return SimResult("quantized", n, ticks, converged, _quantized_detail(s, converged))
+                return k
+        return None
 
-
-def _run_traced(g: Graph, s, rng, max_ticks: int, stride: int, protocol: str) -> SimResult:
-    binary = protocol == "binary"
-    header = _BINARY_TRACE_HEADER if binary else _QUANTIZED_TRACE_HEADER
-    step = binary_step if binary else quantized_step
-    predicate = binary_converged if binary else quantized_converged
-
-    def row():
-        if binary:
-            return (s.tick, s.s_plus, s.s_minus, s.w_plus, s.w_minus)
-        return (s.tick, lyapunov(s), s.vmin, s.vmax)
-
-    trace = [row()]
-    last_tick = s.tick
-    ticks = 0
-    converged = predicate(s)
-    while not converged and ticks < max_ticks:
-        step(s, g, rng)
-        ticks += 1
-        converged = predicate(s)
-        if ticks % stride == 0 and not converged:
-            trace.append(row())
-            last_tick = s.tick
-    if s.tick != last_tick:
-        trace.append(row())
-    detail = _binary_detail(s, converged) if binary else _quantized_detail(s, converged)
-    return SimResult(protocol, g.n, ticks, converged, detail, header, tuple(trace))
+    ticks, trace = _run_kernel(g, s, rng, max_ticks if off else 0, stride, apply,
+                               lambda tick: (tick, lyapunov(s), min(values), max(values)))
+    s._recount()
+    converged = off == 0
+    detail = f"q={q} r={s.r}" if converged else "timeout"
+    header = _QUANTIZED_TRACE_HEADER if stride else ()
+    return SimResult("quantized", g.n, ticks, converged, detail, header, trace)
 
 
 def read_binary_votes(path) -> list:

@@ -121,6 +121,8 @@ class SweepConfig:
             raise ValueError("quantized sweeps use a q_setting init")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.max_ticks is not None and self.max_ticks < 0:
+            raise ValueError(f"max_ticks must be >= 0, got {self.max_ticks}")
         if not self.n_values:
             raise ValueError("n_values must not be empty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):

@@ -69,6 +69,33 @@ def test_simulate_trace_requires_out(capsys):
     assert code == EXIT_USAGE
 
 
+def test_simulate_rejects_negative_trace_stride(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    code = run_cli("simulate", "--topo", "line", "--n", "7", "--protocol", "binary",
+                   "--trace-stride", "-5", "--trace-out", str(trace))
+    assert code == EXIT_USAGE
+    assert "trace_stride must be >= 0" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+def test_simulate_rejects_negative_max_ticks(capsys):
+    code = run_cli("simulate", "--topo", "line", "--n", "7", "--protocol", "binary",
+                   "--max-ticks", "-3")
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "max_ticks must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_rejects_negative_max_ticks(capsys):
+    code = run_cli("sweep", "--topo", "star", "--protocol", "binary",
+                   "--n-values", "5", "--rounds", "1", "--max-ticks", "-1")
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "max_ticks must be >= 0" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_init_file(tmp_path, capsys):
     init = tmp_path / "values.txt"
     init.write_text("4\n4\n4\n")

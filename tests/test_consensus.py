@@ -7,6 +7,8 @@ from qconsensus.consensus import (
     STRONG_POS,
     WEAK_NEG,
     WEAK_POS,
+    _FIRST_BATCH,
+    _MAX_BATCH,
     BinaryState,
     QuantizedState,
     apply_binary_edge,
@@ -24,7 +26,14 @@ from qconsensus.consensus import (
     run_to_convergence,
     write_trace_csv,
 )
-from qconsensus.graphs import TopologySpec, build_graph, er_probability, line_graph, star_graph
+from qconsensus.graphs import (
+    Graph,
+    TopologySpec,
+    build_graph,
+    er_probability,
+    line_graph,
+    star_graph,
+)
 
 from conftest import connected_graphs
 
@@ -456,6 +465,180 @@ def test_traced_binary_counts_columns(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tick,s_plus,s_minus,w_plus,w_minus"
     assert len(lines) == len(res.trace) + 1
+
+
+# ------------------------------------------- batch kernel vs reference stepper
+
+def _reference_run(protocol, g, s, rng, max_ticks, stride):
+    """``run_to_convergence`` rebuilt from the per-tick stepper and its caches."""
+    binary = protocol == "binary"
+    step, done = (binary_step, binary_converged) if binary else (quantized_step, quantized_converged)
+
+    def row():
+        return (s.tick, *s.counts) if binary else (s.tick, lyapunov(s), s.vmin, s.vmax)
+
+    rows = [row()]
+    ticks = 0
+    while not done(s) and ticks < max_ticks:
+        step(s, g, rng)
+        ticks += 1
+        if stride and ticks % stride == 0 and not done(s):
+            rows.append(row())
+    if rows[-1][0] != s.tick:
+        rows.append(row())
+    converged = done(s)
+    if not converged:
+        detail = "timeout"
+    elif binary:
+        detail = "all_positive" if s.positive == s.n else "all_negative"
+    else:
+        detail = f"q={s.q} r={s.r}"
+    return ticks, converged, detail, tuple(rows) if stride else ()
+
+
+def _random_state(protocol, n, seed):
+    rng = np.random.default_rng([seed, n])
+    if protocol == "binary":
+        return BinaryState.from_opinions(rng.choice(OPINIONS, size=n).tolist())
+    return QuantizedState.from_values(rng.integers(-5, 15, size=n).tolist())
+
+
+def _assert_kernel_matches_stepper(protocol, g, seed, budget, stride):
+    fast = _random_state(protocol, g.n, seed)
+    slow = _random_state(protocol, g.n, seed)
+    res = run_to_convergence(protocol, g, fast, np.random.default_rng(seed), budget, stride)
+    ticks, converged, detail, rows = _reference_run(
+        protocol, g, slow, np.random.default_rng(seed), budget, stride)
+    assert (res.ticks, res.converged, res.detail) == (ticks, converged, detail)
+    assert res.trace == rows
+    assert bool(res.trace_header) == bool(stride)
+    assert fast.tick == slow.tick == ticks
+    if protocol == "binary":
+        assert fast.opinions == slow.opinions
+        assert fast.counts == slow.counts
+    else:
+        assert fast.values == slow.values
+        assert (fast.vmin, fast.vmax, fast.off_target) == (slow.vmin, slow.vmax, slow.off_target)
+        assert fast._counts == slow._counts
+
+
+# Budgets end at 0, mid-batch, and exactly on the batch edges 64, 192 and 448.
+KERNEL_BUDGETS = (0, 1, 37, 64, 65, 192, 300, 448, 449, 3000)
+
+
+@given(connected_graphs(min_n=3, max_n=10), st.sampled_from(("binary", "quantized")),
+       st.integers(0, 2**31), st.sampled_from(KERNEL_BUDGETS),
+       st.sampled_from((0, 1, 7, 64, 100)))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_stepper(g, protocol, seed, budget, stride):
+    _assert_kernel_matches_stepper(protocol, g, seed, budget, stride)
+
+
+def test_kernel_batch_draws_equal_one_draw():
+    sizes = [2 * min(_FIRST_BATCH << i, _MAX_BATCH) for i in range(10)]
+    for seed in (0, 1, 2**31 - 1):
+        split = np.random.default_rng(seed)
+        parts = np.concatenate([split.random(k) for k in sizes])
+        assert np.array_equal(parts, np.random.default_rng(seed).random(sum(sizes)))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(np.concatenate([a.random(37), a.random(91)]), b.random(128))
+
+
+def test_kernel_truncation_equals_int():
+    just_below_one = np.nextafter(1.0, 0.0)
+    rs = np.array([0.0, 0.5, 1 - 2**-52, just_below_one] + np.random.default_rng(0).random(8).tolist())
+    for k in (1, 2, 3, 7, 64, 1000, 2**20 - 1, 999_983, 10**6):
+        got = (rs * k).astype(np.int64).tolist()
+        assert got == [int(r * k) for r in rs.tolist()]
+        assert max(got) == k - 1
+
+
+def _expected_rows(ticks, stride):
+    return 1 if ticks == 0 else 2 + (ticks - 1) // stride
+
+
+def test_trace_convergence_on_stride_multiple():
+    g = line_graph(9)
+    for protocol in ("binary", "quantized"):
+        slow = _random_state(protocol, 9, 4)
+        ticks, converged, _, _ = _reference_run(protocol, g, slow, np.random.default_rng(4),
+                                                10**5, 0)
+        assert converged and ticks > 1
+        divisors = [d for d in range(1, ticks + 1) if ticks % d == 0]
+        for stride in (divisors[len(divisors) // 2], ticks):
+            _assert_kernel_matches_stepper(protocol, g, 4, 10**5, stride)
+            res = run_to_convergence(protocol, g, _random_state(protocol, 9, 4),
+                                     np.random.default_rng(4), 10**5, stride)
+            assert len(res.trace) == _expected_rows(ticks, stride)
+            assert [r[0] for r in res.trace] == sorted({r[0] for r in res.trace})
+
+
+def test_trace_timeout_on_stride_multiple():
+    g = line_graph(9)
+    s = QuantizedState.from_values([90, 0, 0, 0, 0, 0, 0, 0, 0])
+    res = run_to_convergence("quantized", g, s, np.random.default_rng(5), 30, trace_stride=10)
+    assert not res.converged and res.ticks == 30
+    assert [row[0] for row in res.trace] == [0, 10, 20, 30]
+    _assert_kernel_matches_stepper("quantized", g, 5, 30, 10)
+
+
+def test_trace_rows_across_batch_edges():
+    # Weak opinions only: the run never converges, so every stride row is due.
+    g = line_graph(9)
+    s = BinaryState.from_opinions([WEAK_POS, WEAK_NEG] * 4 + [WEAK_POS])
+    res = run_to_convergence("binary", g, s, np.random.default_rng(3), 1000, trace_stride=7)
+    assert [row[0] for row in res.trace] == list(range(0, 1000, 7)) + [1000]
+    for stride in (7, 100, 448):
+        _assert_kernel_matches_stepper("binary", g, 3, 1000, stride)
+        _assert_kernel_matches_stepper("quantized", g, 3, 1000, stride)
+
+
+def test_trace_stride_one_records_every_tick():
+    g = star_graph(7)
+    for protocol in ("binary", "quantized"):
+        s = _random_state(protocol, 7, 8)
+        res = run_to_convergence(protocol, g, s, np.random.default_rng(8), 500, trace_stride=1)
+        assert [row[0] for row in res.trace] == list(range(res.ticks + 1))
+        _assert_kernel_matches_stepper(protocol, g, 8, 500, 1)
+
+
+def test_trace_already_converged_start_is_one_row():
+    g = star_graph(5)
+    s = BinaryState.from_opinions([STRONG_POS, WEAK_POS, WEAK_POS, STRONG_POS, WEAK_POS])
+    s.tick = 17
+    res = run_to_convergence("binary", g, s, np.random.default_rng(0), 100, trace_stride=3)
+    assert res.ticks == 0 and res.converged
+    assert res.trace == ((17, 2, 0, 3, 0),)
+    q = QuantizedState.from_values([4, 5, 4, 4, 5])
+    res = run_to_convergence("quantized", g, q, np.random.default_rng(0), 100, trace_stride=3)
+    assert res.ticks == 0 and res.converged
+    assert res.trace == ((0, lyapunov(q), 4, 5),)
+
+
+def test_trace_budget_below_stride():
+    g = line_graph(9)
+    s = QuantizedState.from_values([90, 0, 0, 0, 0, 0, 0, 0, 0])
+    res = run_to_convergence("quantized", g, s, np.random.default_rng(2), 5, trace_stride=10)
+    assert [row[0] for row in res.trace] == [0, 5]
+    assert len(res.trace) == _expected_rows(5, 10)
+    _assert_kernel_matches_stepper("quantized", g, 2, 5, 10)
+
+
+def test_run_rejects_negative_budget_and_stride():
+    g = line_graph(3)
+    s = QuantizedState.from_values([3, 0, 0])
+    with pytest.raises(ValueError, match="max_ticks"):
+        run_to_convergence("quantized", g, s, np.random.default_rng(0), -3)
+    with pytest.raises(ValueError, match="trace_stride"):
+        run_to_convergence("quantized", g, s, np.random.default_rng(0), 10, trace_stride=-5)
+    assert s.values == [3, 0, 0] and s.tick == 0
+
+
+def test_run_rejects_isolated_node():
+    g = Graph.from_edges(3, [(0, 1)])
+    s = QuantizedState.from_values([3, 0, 0])
+    with pytest.raises(ValueError, match="neighbor"):
+        run_to_convergence("quantized", g, s, np.random.default_rng(0), 10)
 
 
 # ------------------------------------------------------------------ file IO

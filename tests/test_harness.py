@@ -113,6 +113,8 @@ def test_sweep_config_validation():
         SweepConfig("star", (9,), "quantized", "majority_one", 2, 1)
     with pytest.raises(ValueError, match="protocol"):
         SweepConfig("star", (9,), "ternary", "majority_one", 2, 1)
+    with pytest.raises(ValueError, match="max_ticks"):
+        SweepConfig("star", (9,), "binary", "majority_one", 2, 1, max_ticks=-1)
 
 
 def test_spec_for_lollipop_uses_extremal_clique():
