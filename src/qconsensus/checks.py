@@ -1,28 +1,43 @@
-"""Self-contained invariant suite behind the ``check`` CLI subcommand.
+"""The invariants of the walk analysis and the two protocols, one function each.
 
-Every structural invariant of the walk analysis and the two protocols is
-exercised here: exact identities at their stated tolerances, Monte Carlo
-estimates against 3-sigma bands, and long instrumented protocol runs with
-per-tick conservation checks. ``quick=True`` shrinks the Monte Carlo and
-tick budgets for smoke testing; the default budgets match the full suite.
+``qconsensus check`` (through ``run_all_checks``) and the acceptance gate in
+``tests/test_acceptance.py`` call the same functions; each caller passes its
+own graphs, Monte Carlo runs or ticks, and seeds. Exact identities are held
+to the module tolerances, Monte Carlo estimates to 3-sigma bands, and long
+protocol runs are re-verified tick by tick against independently tracked
+quantities.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import consensus as cons
 from . import walks
-from .graphs import Graph, build_graph, er_probability, shortest_path, TopologySpec
+from .graphs import Graph, build_graph, er_probability, path_degree_sum, TopologySpec
 from .harness import init_majority_one, init_q_setting2, lollipop_clique_size
 
 COMMUTE_REL_TOL = 1e-6
 CYCLE_REL_TOL = 1e-6
 CLOSED_FORM_REL_TOL = 1e-6
 UNIFORM_TOL = 1e-10
+MC_SIGMAS = 3  # Monte Carlo means must lie within this many standard errors
+
+# Hand-enumerated oracle for the four pairwise voting rules:
+#   1. equal opinions stay put;
+#   2. a strong opinion flips an opposing weak one and moves across;
+#   3. a strong opinion swaps with an agreeing weak one;
+#   4. exact opposites both turn weak, exchanging signs.
+BINARY_UPDATE_TABLE = {
+    (2, 2): (2, 2), (1, 1): (1, 1), (-1, -1): (-1, -1), (-2, -2): (-2, -2),
+    (2, -2): (-1, 1), (-2, 2): (1, -1), (1, -1): (-1, 1), (-1, 1): (1, -1),
+    (2, 1): (1, 2), (1, 2): (2, 1), (-2, -1): (-1, -2), (-1, -2): (-2, -1),
+    (2, -1): (1, 2), (-1, 2): (2, 1), (-2, 1): (-1, -2), (1, -2): (-2, -1),
+}
 
 
 @dataclass(frozen=True)
@@ -32,19 +47,27 @@ class CheckResult:
     detail: str
 
 
+def named_graph(kind: str, n: int, seed: int = 0) -> tuple[str, Graph]:
+    """star(n) or line(n), or er(n) with p = er_probability(n) and graph seed ``seed``."""
+    if kind == "erdos_renyi":
+        return f"er({n})", build_graph(TopologySpec(kind, n, p=er_probability(n), seed=seed))
+    return f"{kind}({n})", build_graph(TopologySpec(kind, n))
+
+
+def extremal_lollipop(n: int) -> tuple[str, Graph]:
+    """The lollipop with the extremal clique size floor((2n+1)/3), named."""
+    m = lollipop_clique_size(n)
+    return f"lollipop({n},{m})", build_graph(TopologySpec("lollipop", n, m=m))
+
+
 def small_graph_suite(max_n: int = 12, seed: int = 20260808) -> list[tuple[str, Graph]]:
     """star, line, lollipop and one ER instance per size up to max_n."""
     suite = []
     for n in range(3, max_n + 1):
-        suite.append((f"star({n})", build_graph(TopologySpec("star", n))))
-        suite.append((f"line({n})", build_graph(TopologySpec("line", n))))
-        m = lollipop_clique_size(n)
-        if m >= 3:
-            suite.append((f"lollipop({n},{m})", build_graph(TopologySpec("lollipop", n, m=m))))
-        p = er_probability(n)
-        suite.append(
-            (f"er({n},p={p:.3f})", build_graph(TopologySpec("erdos_renyi", n, p=p, seed=seed + n)))
-        )
+        suite += [named_graph("star", n), named_graph("line", n)]
+        if lollipop_clique_size(n) >= 3:
+            suite.append(extremal_lollipop(n))
+        suite.append(named_graph("erdos_renyi", n, seed=seed + n))
     return suite
 
 
@@ -72,7 +95,7 @@ def check_detailed_balance(suite) -> CheckResult:
         m = walks.transition_matrix(g, "biased")
         pi = walks.stationary_distribution(m)
         worst = max(worst, float(np.max(np.abs(pi - 1.0 / g.n))))
-    ok = worst <= UNIFORM_TOL
+    ok = worst < UNIFORM_TOL
     return CheckResult("uniform_stationary", ok, f"max deviation from 1/n: {worst:.3e}")
 
 
@@ -88,26 +111,25 @@ def check_commute_identity(suite) -> CheckResult:
                 commute = table.h[x, y] + table.h[y, x]
                 rel = abs(commute - g.n * r[x, y]) / max(1.0, commute)
                 worst = max(worst, rel)
-    ok = worst <= COMMUTE_REL_TOL
+    ok = worst < COMMUTE_REL_TOL
     return CheckResult("commute_identity", ok, f"max relative gap {worst:.3e}")
 
 
 def check_cycle_identity(suite) -> CheckResult:
+    """The cycle identity over all ordered triples, O(n^3) per graph."""
     worst = 0.0
     for name, g in suite:
-        if g.n > 10:
-            continue
         table = walks.hitting_table(walks.transition_matrix(g, "biased"))
         scale = max(1.0, table.max_hitting())
         for x in range(g.n):
             for y in range(g.n):
                 for z in range(g.n):
                     worst = max(worst, walks.cycle_identity_gap(table, x, y, z) / scale)
-    ok = worst <= CYCLE_REL_TOL
+    ok = worst < CYCLE_REL_TOL
     return CheckResult("cycle_identity", ok, f"max relative gap {worst:.3e}")
 
 
-def check_closed_forms(sizes=(3, 5, 9, 17)) -> CheckResult:
+def check_closed_forms(sizes) -> CheckResult:
     worst = 0.0
     for n in sizes:
         star = build_graph(TopologySpec("star", n))
@@ -117,15 +139,12 @@ def check_closed_forms(sizes=(3, 5, 9, 17)) -> CheckResult:
         h = walks.hitting_times(walks.transition_matrix(line, "biased"), n - 1)
         expected = 0.5 * n * (n * n - 5.0 * n / 3.0)
         worst = max(worst, abs(h[0] - expected) / expected)
-    ok = worst <= CLOSED_FORM_REL_TOL
+    ok = worst < CLOSED_FORM_REL_TOL
     return CheckResult("closed_forms", ok, f"max relative error {worst:.3e}")
 
 
-def check_hitting_bound(suite, lollipop_max: int = 30) -> CheckResult:
-    graphs = list(suite)
-    for n in range(5, lollipop_max + 1):
-        m = lollipop_clique_size(n)
-        graphs.append((f"lollipop({n},{m})", build_graph(TopologySpec("lollipop", n, m=m))))
+def check_hitting_bound(graphs) -> CheckResult:
+    """H < 3n^3, exact <= path-refined <= general bound, and path degree sums < 3n."""
     violations = []
     for name, g in graphs:
         table = walks.hitting_table(walks.transition_matrix(g, "biased"))
@@ -142,7 +161,7 @@ def check_hitting_bound(suite, lollipop_max: int = 30) -> CheckResult:
                     break
         for x in range(g.n):
             for y in range(g.n):
-                if sum(g.degree(q) for q in shortest_path(g, x, y)) >= 3 * g.n:
+                if path_degree_sum(g, x, y) >= 3 * g.n:
                     violations.append(f"{name}: path degree sum >= 3n at ({x},{y})")
                     break
     ok = not violations
@@ -150,162 +169,172 @@ def check_hitting_bound(suite, lollipop_max: int = 30) -> CheckResult:
                        f"H < 3n^3 on {len(graphs)} graphs, all pairs")
 
 
-def check_mc_hitting(quick: bool, seed: int = 11) -> CheckResult:
-    runs = 2000 if quick else 100_000
+def check_mc_hitting(cases, runs: int, seed: int) -> CheckResult:
+    """Monte Carlo hitting means against the exact solve, per (name, graph, x, y) case."""
     details = []
     ok = True
-    for kind, x, y in (("star", 1, 2), ("line", 0, 4)):
-        g = build_graph(TopologySpec(kind, 5))
+    for name, g, x, y in cases:
         exact = float(walks.hitting_times(walks.transition_matrix(g, "biased"), y)[x])
         sample = walks.sample_hitting(g, x, y, seed, runs)
         se = float(sample.std(ddof=1)) / math.sqrt(runs)
         gap = abs(float(sample.mean()) - exact)
-        ok = ok and gap <= 3 * se
-        details.append(f"{kind}(5): |{sample.mean():.3f}-{exact:.3f}|={gap:.3f} vs 3se={3*se:.3f}")
+        ok = ok and gap <= MC_SIGMAS * se
+        details.append(f"{name}: |{sample.mean():.3f}-{exact:.3f}|={gap:.3f} "
+                       f"vs {MC_SIGMAS}se={MC_SIGMAS * se:.3f}")
     return CheckResult("mc_hitting_vs_exact", ok, "; ".join(details))
 
 
-def check_meeting_bounds(quick: bool, seed: int = 12) -> CheckResult:
-    runs = 1000 if quick else 10_000
+def check_meeting_bounds(cases, coupled, runs: int, seed: int) -> CheckResult:
+    """Mean meeting time below 4 H_max per (name, graph, x, y) case; X <= 2 X' on ``coupled``."""
     details = []
     ok = True
-    for kind, n, x, y in (("star", 11, 1, 2), ("line", 9, 0, 8)):
-        g = build_graph(TopologySpec(kind, n))
+    for name, g, x, y in cases:
         hmax = walks.hitting_table(walks.transition_matrix(g, "biased")).max_hitting()
         sample = walks.sample_pair_meetings(g, x, y, seed, runs)
         mean = float(sample.mean())
         se = float(sample.std(ddof=1)) / math.sqrt(runs)
-        ok = ok and mean + 3 * se <= 4 * hmax
-        details.append(f"{kind}({n}): mean+3se={mean + 3 * se:.1f} vs 4H={4 * hmax:.1f}")
-    g = build_graph(TopologySpec("line", 9))
-    sx = walks.sample_pair_meetings(g, 0, 8, seed + 1, runs)
-    sp = walks.sample_pair_meetings(g, 0, 8, seed + 2, runs, "Xprime")
-    slack = 3 * math.sqrt(sx.var(ddof=1) / runs + 4 * sp.var(ddof=1) / runs)
+        upper = mean + MC_SIGMAS * se
+        ok = ok and upper <= 4 * hmax
+        details.append(f"{name}: mean+{MC_SIGMAS}se={upper:.1f} vs 4H={4 * hmax:.1f}")
+    name, g, x, y = coupled
+    sx = walks.sample_pair_meetings(g, x, y, seed + 1, runs)
+    sp = walks.sample_pair_meetings(g, x, y, seed + 2, runs, "Xprime")
+    slack = MC_SIGMAS * math.sqrt(sx.var(ddof=1) / runs + 4 * sp.var(ddof=1) / runs)
     ok = ok and float(sx.mean()) <= 2 * float(sp.mean()) + slack
-    details.append(f"line(9): X={sx.mean():.1f} vs 2*Xprime={2 * sp.mean():.1f} (+{slack:.1f})")
+    details.append(f"{name}: X={sx.mean():.1f} vs 2*Xprime={2 * sp.mean():.1f} (+{slack:.1f})")
     return CheckResult("meeting_bounds", ok, "; ".join(details))
 
 
-def check_binary_conservation(quick: bool, seed: int = 13) -> CheckResult:
-    ticks = 10_000 if quick else 1_000_000
-    g = build_graph(TopologySpec("erdos_renyi", 51, p=er_probability(51), seed=51))
-    rng = np.random.default_rng(seed)
-    state = init_majority_one(g.n, rng)
-    surplus = state.s_plus - state.s_minus
-    strong = state.s_plus + state.s_minus
-    for _ in range(ticks):
-        u = int(rng.random() * g.n)
-        nbrs = g.adjacency[u]
-        v = nbrs[int(rng.random() * len(nbrs))]
-        cons.apply_binary_edge(state, u, v)
-        if state.s_plus - state.s_minus != surplus:
-            return CheckResult("binary_conservation", False, "signed strong surplus changed")
-        new_strong = state.s_plus + state.s_minus
-        if new_strong > strong or (strong - new_strong) % 2 != 0:
-            return CheckResult("binary_conservation", False, "strong count did not step down by 2")
-        strong = new_strong
-    return CheckResult("binary_conservation", True,
-                       f"surplus constant over {ticks} ticks on er(51)")
-
-
-def check_quantized_conservation(quick: bool, seed: int = 14) -> CheckResult:
-    ticks = 10_000 if quick else 1_000_000
-    g = build_graph(TopologySpec("erdos_renyi", 100, p=er_probability(100), seed=100))
-    rng = np.random.default_rng(seed)
-    state = init_q_setting2(g.n, rng)
+def check_binary_conservation(graph, ticks: int, seed: int) -> CheckResult:
+    """Binary voting from a majority-one start: every update matches the hand table,
+    and the strong surplus and count, tracked from the opinions, hold (surplus
+    constant, count down by 0 or 2) and agree with the cached counts at the end."""
+    name, g = graph
     n = g.n
-    total = state.q_sum
-    spread = state.spread
-    drops = 0
-    for _ in range(ticks):
+    rng = np.random.default_rng(seed)
+    state = init_majority_one(n, rng)
+    opinions = state.opinions
+    strong_sign = {2: 1, -2: -1, 1: 0, -1: 0}
+    surplus = tracked = sum(map(strong_sign.get, opinions))
+    strong = sum(abs(o) == 2 for o in opinions)
+
+    def fail(what: str) -> CheckResult:
+        return CheckResult("binary_conservation", False, f"{what} on {name}")
+
+    for tick in range(1, ticks + 1):
         u = int(rng.random() * n)
         nbrs = g.adjacency[u]
         v = nbrs[int(rng.random() * len(nbrs))]
-        a, b = state.values[u], state.values[v]
+        a, b = opinions[u], opinions[v]
+        cons.apply_binary_edge(state, u, v)
+        na, nb = opinions[u], opinions[v]
+        if (na, nb) != BINARY_UPDATE_TABLE[a, b]:
+            return fail(f"update table broken at tick {tick}")
+        tracked += strong_sign[na] + strong_sign[nb] - strong_sign[a] - strong_sign[b]
+        if tracked != surplus:
+            return fail(f"signed strong surplus changed at tick {tick}")
+        drop = (abs(a) == 2) + (abs(b) == 2) - (abs(na) == 2) - (abs(nb) == 2)
+        if drop not in (0, 2):
+            return fail(f"strong count did not step down by 2 at tick {tick}")
+        strong -= drop
+    if (state.counts != tuple(map(opinions.count, cons.OPINION_VALUES))
+            or (state.s_plus - state.s_minus, state.s_plus + state.s_minus) != (tracked, strong)):
+        return fail("cached counts disagree with the opinions")
+    return CheckResult("binary_conservation", True,
+                       f"surplus constant over {ticks} ticks on {name}")
+
+
+def check_quantized_conservation(graph, ticks: int, seed: int) -> CheckResult:
+    """Quantized averaging from uniform [1, 100] values: every exchange conserves
+    the pair sum and drops the Lyapunov value by >= 2 (non-trivial) or 0; the value
+    counts and min/max, tracked here, never widen and agree with the caches at the end."""
+    name, g = graph
+    n = g.n
+    rng = np.random.default_rng(seed)
+    state = init_q_setting2(n, rng)
+    values = state.values
+    total = sum(values)
+    counts = Counter(values)
+    vmin, vmax = min(values), max(values)
+    drops = 0
+
+    def fail(what: str) -> CheckResult:
+        return CheckResult("quantized_conservation", False, f"{what} on {name}")
+
+    for tick in range(1, ticks + 1):
+        u = int(rng.random() * n)
+        nbrs = g.adjacency[u]
+        v = nbrs[int(rng.random() * len(nbrs))]
+        a, b = values[u], values[v]
         cons.apply_quantized_edge(state, u, v)
-        na, nb = state.values[u], state.values[v]
-        if sum(state.values) != total:
-            return CheckResult("quantized_conservation", False, "value sum changed")
+        na, nb = values[u], values[v]
+        if na + nb != a + b:
+            return fail(f"value sum changed at tick {tick}")
         # n^2-scaled per-tick Lyapunov drop, exact in integer arithmetic.
         delta = ((n * a - total) ** 2 + (n * b - total) ** 2
                  - (n * na - total) ** 2 - (n * nb - total) ** 2)
-        if delta < 0:
-            return CheckResult("quantized_conservation", False, "Lyapunov increased")
-        if abs(a - b) >= 2:
-            if delta < 2 * n * n:
-                return CheckResult("quantized_conservation", False,
-                                   "non-trivial exchange dropped Lyapunov by < 2")
-            drops += 1
-        elif delta != 0:
-            return CheckResult("quantized_conservation", False,
-                               "trivial exchange changed the Lyapunov value")
-        if state.spread > spread:
-            return CheckResult("quantized_conservation", False, "max-min increased")
-        spread = state.spread
+        if abs(a - b) < 2:
+            if delta != 0:
+                return fail(f"trivial exchange changed the Lyapunov value at tick {tick}")
+            continue
+        drops += 1
+        if delta < 2 * n * n:
+            return fail(f"non-trivial exchange dropped Lyapunov by < 2 at tick {tick}")
+        counts.subtract((a, b))
+        counts.update((na, nb))
+        counts = +counts
+        if min(counts) < vmin or max(counts) > vmax:
+            return fail(f"max-min increased at tick {tick}")
+        vmin, vmax = min(counts), max(counts)
+    if counts != Counter(values) or (state.q_sum, state.vmin, state.vmax) != (total, vmin, vmax):
+        return fail("cached sum or extrema disagree with the values")
     return CheckResult("quantized_conservation", True,
                        f"sum/Lyapunov/spread invariants held over {ticks} ticks "
-                       f"({drops} non-trivial exchanges) on er(100)")
+                       f"({drops} non-trivial exchanges) on {name}")
 
 
-def check_majority_outcome(quick: bool, seed: int = 15) -> CheckResult:
-    runs = 30 if quick else 1000
-    cases = [
-        ("star", build_graph(TopologySpec("star", 7))),
-        ("line", build_graph(TopologySpec("line", 7))),
-        ("er", build_graph(TopologySpec("erdos_renyi", 21, p=er_probability(21), seed=21))),
-    ]
-    for name, g in cases:
+def _check_outcomes(check: str, protocol: str, init, wrong_end, graphs, runs: int,
+                    seed: int, ok_detail: str) -> CheckResult:
+    """Runs from ``init(n, rng)`` to convergence, run ri on graph gi on stream (seed, gi, ri);
+    ``wrong_end(start, end)`` says what is wrong with a final state, or None."""
+    for gi, (name, g) in enumerate(graphs):
         for ri in range(runs):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, g.n, ri]))
-            state = init_majority_one(g.n, rng)
-            majority = 1 if state.s_plus > state.s_minus else -1
-            result = cons.run_to_convergence("binary", g, state, rng, 150 * g.n**3)
-            if not result.converged:
-                return CheckResult("binary_majority_outcome", False,
-                                   f"{name}({g.n}) run {ri} timed out")
-            final = 1 if state.positive == g.n else -1
-            if final != majority:
-                return CheckResult("binary_majority_outcome", False,
-                                   f"{name}({g.n}) run {ri} converged to the minority sign")
-    return CheckResult("binary_majority_outcome", True,
-                       f"{runs} runs each on star(7), line(7), er(21): all majority")
+            rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ri]))
+            state = init(g.n, rng)
+            start = state.copy()
+            result = cons.run_to_convergence(protocol, g, state, rng, 150 * g.n**3)
+            wrong = wrong_end(start, state) if result.converged else "timed out"
+            if wrong:
+                return CheckResult(check, False, f"{name} run {ri} {wrong}")
+    names = ", ".join(name for name, _ in graphs)
+    return CheckResult(check, True, f"{runs} runs each on {names}: {ok_detail}")
 
 
-def check_quantized_final_state(quick: bool, seed: int = 16) -> CheckResult:
-    runs = 30 if quick else 1000
-    cases = [
-        ("star", build_graph(TopologySpec("star", 7))),
-        ("line", build_graph(TopologySpec("line", 7))),
-        ("er", build_graph(TopologySpec("erdos_renyi", 21, p=er_probability(21), seed=21))),
-    ]
-    for name, g in cases:
-        for ri in range(runs):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, g.n, ri]))
-            state = init_q_setting2(g.n, rng)
-            result = cons.run_to_convergence("quantized", g, state, rng, 150 * g.n**3)
-            if not result.converged:
-                return CheckResult("quantized_final_state", False,
-                                   f"{name}({g.n}) run {ri} timed out")
-            q, r = state.q, state.r
-            if any(v not in (q, q + 1) for v in state.values):
-                return CheckResult("quantized_final_state", False,
-                                   f"{name}({g.n}) run {ri} has a value outside {{q, q+1}}")
-            if state.values.count(q + 1) != r:
-                return CheckResult("quantized_final_state", False,
-                                   f"{name}({g.n}) run {ri} has wrong multiplicity of q+1")
-    return CheckResult("quantized_final_state", True,
-                       f"{runs} runs each on star(7), line(7), er(21): all in {{q,q+1}} with r copies of q+1")
+def check_majority_outcome(graphs, runs: int, seed: int) -> CheckResult:
+    """Binary runs from majority-one starts must end on the initial majority sign."""
+    def wrong_end(start, end):
+        if (end.positive == end.n) != (start.s_plus > start.s_minus):
+            return "converged to the minority sign"
+    return _check_outcomes("binary_majority_outcome", "binary", init_majority_one, wrong_end,
+                           graphs, runs, seed, "all majority")
+
+
+def check_quantized_final_state(graphs, runs: int, seed: int) -> CheckResult:
+    """Quantized runs must end with every value in {q, q+1} and r copies of q+1."""
+    def wrong_end(start, end):
+        q = end.q
+        if any(v not in (q, q + 1) for v in end.values):
+            return "has a value outside {q, q+1}"
+        if end.values.count(q + 1) != end.r:
+            return "has wrong multiplicity of q+1"
+    return _check_outcomes("quantized_final_state", "quantized", init_q_setting2, wrong_end,
+                           graphs, runs, seed, "all in {q,q+1} with r copies of q+1")
 
 
 def check_update_table() -> CheckResult:
-    table = {
-        (2, 2): (2, 2), (1, 1): (1, 1), (-1, -1): (-1, -1), (-2, -2): (-2, -2),
-        (2, -2): (-1, 1), (-2, 2): (1, -1), (1, -1): (-1, 1), (-1, 1): (1, -1),
-        (2, 1): (1, 2), (1, 2): (2, 1), (-2, -1): (-1, -2), (-1, -2): (-2, -1),
-        (2, -1): (1, 2), (-1, 2): (2, 1), (-2, 1): (-1, -2), (1, -2): (-2, -1),
-    }
     bad = [
-        pair for pair, expected in table.items() if cons.binary_update(*pair) != expected
+        pair for pair, expected in BINARY_UPDATE_TABLE.items()
+        if cons.binary_update(*pair) != expected
     ]
     ok = not bad
     return CheckResult("binary_update_table", ok,
@@ -313,20 +342,28 @@ def check_update_table() -> CheckResult:
 
 
 def run_all_checks(quick: bool = False, seed: int = 2026) -> list[CheckResult]:
+    """Every check at the ``check`` subcommand's budgets (smoke budgets when ``quick``)."""
+    mc_runs, meet_runs, ticks, outcome_runs = (
+        (2000, 1000, 10_000, 30) if quick else (100_000, 10_000, 1_000_000, 1000)
+    )
     suite = small_graph_suite()
+    line9 = (*named_graph("line", 9), 0, 8)
+    outcome_graphs = [named_graph("star", 7), named_graph("line", 7),
+                      named_graph("erdos_renyi", 21, seed=21)]
     return [
         check_row_stochastic(suite),
         check_biased_symmetry(suite),
         check_detailed_balance(suite),
         check_commute_identity(suite),
-        check_cycle_identity(suite),
-        check_closed_forms(),
-        check_hitting_bound(suite),
+        check_cycle_identity([(name, g) for name, g in suite if g.n <= 10]),
+        check_closed_forms((3, 5, 9, 17)),
+        check_hitting_bound(suite + [extremal_lollipop(n) for n in range(5, 31)]),
         check_update_table(),
-        check_mc_hitting(quick, seed + 1),
-        check_meeting_bounds(quick, seed + 2),
-        check_binary_conservation(quick, seed + 3),
-        check_quantized_conservation(quick, seed + 4),
-        check_majority_outcome(quick, seed + 5),
-        check_quantized_final_state(quick, seed + 6),
+        check_mc_hitting([(*named_graph("star", 5), 1, 2), (*named_graph("line", 5), 0, 4)],
+                         mc_runs, seed + 1),
+        check_meeting_bounds([(*named_graph("star", 11), 1, 2), line9], line9, meet_runs, seed + 2),
+        check_binary_conservation(named_graph("erdos_renyi", 51, seed=51), ticks, seed + 3),
+        check_quantized_conservation(named_graph("erdos_renyi", 100, seed=100), ticks, seed + 4),
+        check_majority_outcome(outcome_graphs, outcome_runs, seed + 5),
+        check_quantized_final_state(outcome_graphs, outcome_runs, seed + 6),
     ]

@@ -21,16 +21,17 @@ from . import consensus as cons
 from . import walks
 from .graphs import TopologySpec, build_graph, read_edge_list
 from .harness import (
+    DEFAULT_INIT,
     SweepConfig,
     default_n_values,
     fit_scaling,
-    init_majority_one,
-    init_q_setting1,
-    init_q_setting2,
+    initial_state,
     iter_sweep,
     sweep_csv_row,
+    topology_spec,
     write_curves_csv,
     write_rounds_csv,
+    write_sweep_rows,
     SWEEP_CSV_HEADER,
 )
 
@@ -88,10 +89,7 @@ def _emit_matrix(args, matrix) -> None:
             ))
             fh.write("\n")
         else:
-            writer = csv.writer(fh)
-            writer.writerow(["node"] + list(range(n)))
-            for i in range(n):
-                writer.writerow([i] + [repr(float(v)) for v in matrix[i]])
+            walks.write_matrix_rows(fh, matrix)
 
 
 def _add_topology_flags(p: argparse.ArgumentParser) -> None:
@@ -103,10 +101,7 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", help="edge-list file for --topo edge_list")
 
 
-def _topology_spec(args, seed: int) -> TopologySpec:
-    from .harness import lollipop_clique_size
-    from .graphs import er_probability
-
+def _topology_spec(args) -> TopologySpec:
     if args.topo == "edge_list":
         if not args.edges:
             raise UsageError("--topo edge_list requires --edges FILE")
@@ -114,42 +109,7 @@ def _topology_spec(args, seed: int) -> TopologySpec:
         return TopologySpec("edge_list", g.n, edges=tuple(g.edges()))
     if args.n is None:
         raise UsageError("--n is required")
-    if args.topo == "lollipop":
-        m = args.m if args.m is not None else lollipop_clique_size(args.n)
-        return TopologySpec("lollipop", args.n, m=m)
-    if args.topo == "erdos_renyi":
-        p = args.p if args.p is not None else er_probability(args.n)
-        graph_seed = int(np.random.SeedSequence([seed, args.n]).generate_state(1)[0])
-        return TopologySpec("erdos_renyi", args.n, p=p, seed=graph_seed)
-    return TopologySpec(args.topo, args.n)
-
-
-def _initial_state(args, g, rng):
-    protocol = args.protocol
-    init = args.init
-    if init is None:
-        init = "majority_one" if protocol == "binary" else "q_setting2"
-    if protocol == "binary":
-        if init == "majority_one":
-            if g.n % 2 == 0:
-                raise UsageError(f"odd N required for the majority_one init, got {g.n}")
-            return init, init_majority_one(g.n, rng)
-        if init == "file":
-            if not args.init_file:
-                raise UsageError("--init file requires --init-file PATH")
-            votes = cons.read_binary_votes(args.init_file)
-            return init, cons.binary_init(g, votes, rng)
-        raise UsageError(f"binary protocol cannot use init {init!r}")
-    if init == "q_setting1":
-        exclude = (0,) if args.topo == "star" else ()
-        return init, init_q_setting1(g, rng, exclude)
-    if init == "q_setting2":
-        return init, init_q_setting2(g.n, rng, args.lo, args.hi)
-    if init == "file":
-        if not args.init_file:
-            raise UsageError("--init file requires --init-file PATH")
-        return init, cons.QuantizedState.from_values(cons.read_quantized_values(args.init_file))
-    raise UsageError(f"quantized protocol cannot use init {init!r}")
+    return topology_spec(args.topo, args.n, args.seed, args.m, args.p)
 
 
 SIM_HEADER = ("topology", "protocol", "init", "n", "seed", "max_ticks",
@@ -157,10 +117,11 @@ SIM_HEADER = ("topology", "protocol", "init", "n", "seed", "max_ticks",
 
 
 def cmd_simulate(args) -> int:
-    spec = _topology_spec(args, args.seed)
-    g = build_graph(spec)
+    g = build_graph(_topology_spec(args))
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    init_name, state = _initial_state(args, g, rng)
+    init = args.init or DEFAULT_INIT[args.protocol]
+    state = initial_state(args.protocol, init, g, rng, args.topo, args.lo, args.hi,
+                          args.init_file)
     max_ticks = args.max_ticks if args.max_ticks is not None else 150 * g.n**3
     if args.trace_stride and not args.trace_out:
         raise UsageError("--trace-stride requires --trace-out PATH")
@@ -168,7 +129,7 @@ def cmd_simulate(args) -> int:
                                      args.trace_stride or 0)
     if args.trace_out:
         cons.write_trace_csv(result, _resolve_out(args.trace_out))
-    row = (args.topo, args.protocol, init_name, g.n, args.seed, max_ticks,
+    row = (args.topo, args.protocol, init, g.n, args.seed, max_ticks,
            result.ticks, int(result.converged), result.detail)
     _emit_rows(args, SIM_HEADER, [row])
     return EXIT_OK if result.converged else EXIT_TIMEOUT
@@ -182,33 +143,21 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"bad --n-values: {exc}") from exc
     else:
         n_values = default_n_values(args.topo, args.full_grid)
-    init = args.init
-    if init is None:
-        init = "majority_one" if args.protocol == "binary" else "q_setting2"
     try:
         cfg = SweepConfig(
-            kind=args.topo, n_values=n_values, protocol=args.protocol, init=init,
+            kind=args.topo, n_values=n_values, protocol=args.protocol,
+            init=args.init or DEFAULT_INIT[args.protocol],
             rounds=args.rounds, master_seed=args.seed, m=args.m, p=args.p,
             lo=args.lo, hi=args.hi, max_ticks=args.max_ticks,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    records = []
-    with _open_out(args.out) as fh:
-        if args.format == "json":
-            for rec in iter_sweep(cfg):
-                records.append(rec)
-            fh.write(json.dumps(
-                [dict(zip(SWEEP_CSV_HEADER, sweep_csv_row(cfg, r))) for r in records], indent=2))
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_CSV_HEADER)
-            fh.flush()
-            for rec in iter_sweep(cfg):
-                records.append(rec)
-                writer.writerow(sweep_csv_row(cfg, rec))
-                fh.flush()
+    if args.format == "json":
+        records = list(iter_sweep(cfg))
+        _emit_rows(args, SWEEP_CSV_HEADER, [sweep_csv_row(cfg, r) for r in records])
+    else:
+        with _open_out(args.out) as fh:
+            records = write_sweep_rows(fh, cfg, iter_sweep(cfg))
     if args.rounds_out:
         write_rounds_csv(records, _resolve_out(args.rounds_out))
     if args.curves_out:
@@ -222,7 +171,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    g = build_graph(_topology_spec(args, args.seed))
+    g = build_graph(_topology_spec(args))
     pairs = []
     if args.all_pairs:
         pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
@@ -246,7 +195,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_resistance(args) -> int:
-    g = build_graph(_topology_spec(args, args.seed))
+    g = build_graph(_topology_spec(args))
     wg = walks.edge_weights(g)
     if args.x is not None or args.y is not None:
         if args.x is None or args.y is None:
@@ -259,7 +208,7 @@ def cmd_resistance(args) -> int:
 
 
 def cmd_hitting(args) -> int:
-    g = build_graph(_topology_spec(args, args.seed))
+    g = build_graph(_topology_spec(args))
     m = walks.transition_matrix(g, args.walk)
     if args.target is not None:
         h = walks.hitting_times(m, args.target)
@@ -271,7 +220,7 @@ def cmd_hitting(args) -> int:
 
 
 def cmd_meet(args) -> int:
-    g = build_graph(_topology_spec(args, args.seed))
+    g = build_graph(_topology_spec(args))
     if args.x is None or args.y is None:
         raise UsageError("--x and --y are required")
     max_ticks = args.max_ticks if args.max_ticks is not None else walks.DEFAULT_TICK_BUDGET

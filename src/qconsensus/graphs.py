@@ -198,6 +198,13 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
+def check_nodes(n: int, *nodes: int) -> None:
+    """Raise ValueError unless every node lies in 0..n-1."""
+    for node in nodes:
+        if not 0 <= node < n:
+            raise ValueError(f"nodes must be in 0..{n - 1}")
+
+
 def shortest_path(g: Graph, x: int, y: int) -> list[int]:
     """Minimum-hop path from x to y, inclusive of both endpoints.
 
@@ -205,8 +212,7 @@ def shortest_path(g: Graph, x: int, y: int) -> list[int]:
     ascending node order, so every node is claimed by its lexicographically
     smallest same-level predecessor.
     """
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"nodes must be in 0..{g.n - 1}")
+    check_nodes(g.n, x, y)
     if x == y:
         return [x]
     parent = [-1] * g.n

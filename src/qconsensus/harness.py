@@ -21,12 +21,16 @@ from .consensus import (
     STRONG_POS,
     BinaryState,
     QuantizedState,
+    binary_init,
+    read_binary_votes,
+    read_quantized_values,
     run_to_convergence,
 )
 from .graphs import Graph, TopologySpec, build_graph, er_probability
 
 PROTOCOLS = ("binary", "quantized")
 INITS = ("majority_one", "q_setting1", "q_setting2")
+DEFAULT_INIT = {"binary": "majority_one", "quantized": "q_setting2"}
 
 # Desk-scale sweep grids (the full-scale grid runs 21..481 step 20).
 DESK_N_VALUES = {
@@ -56,7 +60,7 @@ def init_majority_one(n: int, rng) -> BinaryState:
     be odd for the convergence guarantee to apply.
     """
     if n % 2 == 0:
-        raise ValueError(f"majority-one init requires odd n, got {n}")
+        raise ValueError(f"odd N required for the majority_one init, got {n}")
     opinions = [STRONG_NEG] * n
     for i in rng.permutation(n)[: (n + 1) // 2]:
         opinions[i] = STRONG_POS
@@ -87,6 +91,45 @@ def init_q_setting2(n: int, rng, lo: int = 1, hi: int = 100) -> QuantizedState:
     if lo > hi:
         raise ValueError(f"setting-2 init requires lo <= hi, got {lo} > {hi}")
     return QuantizedState.from_values(rng.integers(lo, hi + 1, size=n).tolist())
+
+
+def topology_spec(kind: str, n: int, seed: int, m: int | None = None,
+                  p: float | None = None) -> TopologySpec:
+    """The graph spec of one size of a topology family, for master seed ``seed``.
+
+    m = None is the extremal lollipop clique size floor((2n+1)/3); p = None
+    is min(1, 5 ln n / n); an ER graph's sampling seed is derived from
+    (seed, n).
+    """
+    if kind == "lollipop":
+        return TopologySpec(kind, n, m=m if m is not None else lollipop_clique_size(n))
+    if kind == "erdos_renyi":
+        graph_seed = int(np.random.SeedSequence([seed, n]).generate_state(1)[0])
+        return TopologySpec(kind, n, p=p if p is not None else er_probability(n), seed=graph_seed)
+    return TopologySpec(kind, n)
+
+
+def initial_state(protocol: str, init: str, g: Graph, rng, kind: str = "",
+                  lo: int = 1, hi: int = 100, init_file=None):
+    """The initial state of one run of ``protocol`` on ``g`` from ``init``.
+
+    q_setting1 keeps the hub of a star (``kind`` "star") at 1, q_setting2
+    draws from [lo, hi], and "file" reads the binary votes or quantized
+    values in ``init_file``.
+    """
+    if init == "file":
+        if not init_file:
+            raise ValueError("init 'file' requires an initial-state file")
+        if protocol == "binary":
+            return binary_init(g, read_binary_votes(init_file), rng)
+        return QuantizedState.from_values(read_quantized_values(init_file))
+    if protocol == "binary" and init == "majority_one":
+        return init_majority_one(g.n, rng)
+    if protocol == "quantized" and init == "q_setting1":
+        return init_q_setting1(g, rng, (0,) if kind == "star" else ())
+    if protocol == "quantized" and init == "q_setting2":
+        return init_q_setting2(g.n, rng, lo, hi)
+    raise ValueError(f"{protocol} protocol cannot use init {init!r}")
 
 
 @dataclass(frozen=True)
@@ -133,14 +176,7 @@ class SweepConfig:
                 raise ValueError(f"majority_one requires odd n, got {even}")
 
     def spec_for(self, n: int) -> TopologySpec:
-        if self.kind == "lollipop":
-            m = self.m if self.m is not None else lollipop_clique_size(n)
-            return TopologySpec("lollipop", n, m=m)
-        if self.kind == "erdos_renyi":
-            p = self.p if self.p is not None else er_probability(n)
-            seed = int(np.random.SeedSequence([self.master_seed, n]).generate_state(1)[0])
-            return TopologySpec("erdos_renyi", n, p=p, seed=seed)
-        return TopologySpec(self.kind, n)
+        return topology_spec(self.kind, n, self.master_seed, self.m, self.p)
 
     def max_ticks_for(self, n: int) -> int:
         if self.max_ticks is not None:
@@ -165,15 +201,6 @@ def round_rng(master_seed: int, n: int, round_index: int):
     return np.random.default_rng(np.random.SeedSequence([master_seed, n, round_index]))
 
 
-def _initial_state(cfg: SweepConfig, g: Graph, rng):
-    if cfg.init == "majority_one":
-        return init_majority_one(g.n, rng)
-    if cfg.init == "q_setting1":
-        exclude = (0,) if cfg.kind == "star" else ()
-        return init_q_setting1(g, rng, exclude)
-    return init_q_setting2(g.n, rng, cfg.lo, cfg.hi)
-
-
 def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRecord]:
     """Yield one record per n as soon as its rounds finish."""
     for n in cfg.n_values:
@@ -182,7 +209,7 @@ def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRecord]:
         rounds = []
         for ri in range(cfg.rounds):
             rng = round_rng(cfg.master_seed, n, ri)
-            state = _initial_state(cfg, g, rng)
+            state = initial_state(cfg.protocol, cfg.init, g, rng, cfg.kind, cfg.lo, cfg.hi)
             result = run_to_convergence(cfg.protocol, g, state, rng, budget)
             rounds.append((ri, result.ticks, result.converged))
         ticks = [t for _, t, ok in rounds if ok]
@@ -282,12 +309,25 @@ def sweep_csv_row(cfg: SweepConfig, rec: SweepRecord) -> list:
     ]
 
 
+def write_sweep_rows(fh, cfg: SweepConfig, records) -> list[SweepRecord]:
+    """Write the sweep CSV to ``fh``, flushing each row as its record arrives.
+
+    Returns the records written, so a caller can pass ``iter_sweep(cfg)``.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(SWEEP_CSV_HEADER)
+    fh.flush()
+    written = []
+    for rec in records:
+        writer.writerow(sweep_csv_row(cfg, rec))
+        fh.flush()
+        written.append(rec)
+    return written
+
+
 def write_sweep_csv(cfg: SweepConfig, records, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for rec in records:
-            writer.writerow(sweep_csv_row(cfg, rec))
+        write_sweep_rows(fh, cfg, records)
 
 
 def write_rounds_csv(records, path) -> None:

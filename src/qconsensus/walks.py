@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, shortest_path
+from .graphs import Graph, check_nodes, shortest_path
 
 WALK_KINDS = ("simple", "natural", "biased")
 
@@ -92,21 +92,6 @@ class WeightedGraph:
 
     def edge_weight(self, i: int, j: int) -> float:
         return float(self.w[i, j])
-
-    def self_weight(self, i: int) -> float:
-        return float(self.w[i, i])
-
-    def node_weight(self, i: int) -> float:
-        return float(self.w[i].sum())
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.w.sum())
-
-    def resistance(self, i: int, j: int) -> float:
-        """Direct edge resistance 1/w_ij (infinite off edges)."""
-        wij = self.w[i, j]
-        return float("inf") if wij == 0.0 else 1.0 / float(wij)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +203,7 @@ def effective_resistance(wg: WeightedGraph, x: int, y: int) -> float:
     solved with the sink ``y`` grounded, for a unit current injection at ``x``.
     """
     n = wg.n
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError(f"nodes must be in 0..{n - 1}")
+    check_nodes(n, x, y)
     if x == y:
         return 0.0
     cond = wg.w - np.diag(np.diag(wg.w))
@@ -363,6 +347,8 @@ class _EdgeSampler:
 
 def _spawn_run_rngs(seed, runs: int):
     """Independent per-run generators derived from (master seed, run index)."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
@@ -373,6 +359,7 @@ def _spawn_run_rngs(seed, runs: int):
 def simulate_hitting(g: Graph, x: int, y: int, rng, max_ticks: int = DEFAULT_TICK_BUDGET,
                      sampler: _EdgeSampler | None = None) -> int:
     """Ticks until a token started at x first sits on y, one Monte Carlo run."""
+    check_nodes(g.n, x, y)
     if sampler is None:
         sampler = _EdgeSampler(g)
     if x == y:
@@ -411,6 +398,7 @@ def simulate_pair_meeting(g: Graph, x: int, y: int, rng, coupling: str = "X",
     """
     if coupling not in ("X", "Xprime"):
         raise ValueError(f"unknown coupling {coupling!r}")
+    check_nodes(g.n, x, y)
     if sampler is None:
         sampler = _EdgeSampler(g)
     if x == y:
@@ -469,6 +457,7 @@ def simulate_meet_all(g: Graph, start: int, others: Iterable[int], rng,
     when they cross an activated edge (or would land on each other).
     """
     others = list(others)
+    check_nodes(g.n, start, *others)
     if len(set(others) | {start}) != len(others) + 1:
         raise ValueError("tokens must start on distinct nodes")
     if not others:
@@ -512,11 +501,14 @@ def sample_meet_all(g: Graph, start: int, others: Iterable[int], seed, runs: int
     )
 
 
-def write_matrix_csv(path, matrix: np.ndarray, corner: str = "node") -> None:
+def write_matrix_rows(fh, matrix: np.ndarray) -> None:
     """Write a square node-by-node table with node ids as header row and column."""
-    n = matrix.shape[0]
+    writer = csv.writer(fh)
+    writer.writerow(["node"] + list(range(matrix.shape[0])))
+    for i, row in enumerate(matrix):
+        writer.writerow([i] + [repr(float(v)) for v in row])
+
+
+def write_matrix_csv(path, matrix: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([corner] + list(range(n)))
-        for i in range(n):
-            writer.writerow([i] + [repr(float(v)) for v in matrix[i]])
+        write_matrix_rows(fh, matrix)

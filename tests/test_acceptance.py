@@ -1,55 +1,62 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
-Each test prints one `ACCEPTANCE <k>: PASS/FAIL - detail` line (run pytest
-with -s to see them live). The Monte Carlo budgets and time limits are the
-contractual ones; expect the whole module to take a few minutes.
+Criteria 1-7 and the hitting half of criterion 10 call the invariant checks
+of ``qconsensus.checks``, the functions behind ``qconsensus check``, with
+the contractual graphs, seeds, Monte Carlo budgets and time limits below;
+the tolerances are the module constants of ``checks``. Each test prints one
+`ACCEPTANCE <k>: PASS/FAIL - detail` line (run pytest with -s to see them
+live). Expect the whole module to take about a minute.
 """
 
 import math
 import time
 
-import numpy as np
-import pytest
-
-from qconsensus.consensus import (
-    QuantizedState,
-    apply_binary_edge,
-    apply_quantized_edge,
-    run_to_convergence,
+from qconsensus.checks import (
+    CheckResult,
+    check_binary_conservation,
+    check_closed_forms,
+    check_commute_identity,
+    check_cycle_identity,
+    check_detailed_balance,
+    check_hitting_bound,
+    check_majority_outcome,
+    check_mc_hitting,
+    check_meeting_bounds,
+    check_quantized_conservation,
+    check_quantized_final_state,
+    extremal_lollipop,
+    named_graph,
+    small_graph_suite,
 )
-from qconsensus.graphs import TopologySpec, build_graph, er_probability
+from qconsensus.graphs import TopologySpec, build_graph
 from qconsensus.harness import (
     SweepConfig,
     default_n_values,
     fit_scaling,
-    init_majority_one,
-    init_q_setting2,
-    lollipop_clique_size,
     run_sweep,
 )
-from qconsensus.walks import (
-    cycle_identity_gap,
-    edge_weights,
-    hitting_table,
-    hitting_times,
-    resistance_matrix,
-    sample_hitting,
-    sample_meet_all,
-    sample_pair_meetings,
-    stationary_distribution,
-    transition_matrix,
-)
+from qconsensus.walks import sample_meet_all, sample_pair_meetings
 
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
 
 
+def accept(num: int, results, t0: float, time_limit: float = math.inf) -> None:
+    """Report and assert a criterion: every check passed within ``time_limit`` s of ``t0``."""
+    elapsed = time.perf_counter() - t0
+    ok = all(res.ok for res in results)
+    detail = "; ".join(f"{res.name}: {res.detail}" for res in results)
+    report(num, ok and elapsed < time_limit, f"{detail} ({elapsed:.2f}s)")
+    assert ok, detail
+    assert elapsed < time_limit
+
+
 def pair_suite():
     """Graphs for the exact-identity criteria."""
     return [
-        ("star(9)", build_graph(TopologySpec("star", 9))),
-        ("line(9)", build_graph(TopologySpec("line", 9))),
+        named_graph("star", 9),
+        named_graph("line", 9),
         ("lollipop(12,7)", build_graph(TopologySpec("lollipop", 12, m=7))),
         ("er(12)", build_graph(TopologySpec("erdos_renyi", 12, p=0.45, seed=2026))),
     ]
@@ -57,239 +64,48 @@ def pair_suite():
 
 def test_criterion_1_closed_forms():
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (3, 5, 9, 17, 33):
-        star = build_graph(TopologySpec("star", n))
-        h = hitting_times(transition_matrix(star, "biased"), 2)
-        worst = max(worst, abs(h[1] - n * (n - 1)) / (n * (n - 1)))
-        line = build_graph(TopologySpec("line", n))
-        h = hitting_times(transition_matrix(line, "biased"), n - 1)
-        expected = 0.5 * n * (n * n - 5.0 * n / 3.0)
-        worst = max(worst, abs(h[0] - expected) / expected)
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and elapsed < 1.0
-    report(1, ok, f"star n(n-1) and line closed forms, n up to 33: "
-                  f"max rel err {worst:.2e} in {elapsed:.2f}s")
-    assert worst < 1e-6
-    assert elapsed < 1.0
+    accept(1, [check_closed_forms((3, 5, 9, 17, 33))], t0, 1.0)
 
 
 def test_criterion_2_commute_identity():
     t0 = time.perf_counter()
-    worst = 0.0
-    for name, g in pair_suite():
-        table = hitting_table(transition_matrix(g, "biased"))
-        r = resistance_matrix(edge_weights(g))
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                commute = table.h[x, y] + table.h[y, x]
-                worst = max(worst, abs(commute - g.n * r[x, y]) / max(1.0, commute))
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and elapsed < 5.0
-    report(2, ok, f"commute = n*r' on star(9), line(9), lollipop(12,7), er(12): "
-                  f"max rel err {worst:.2e} in {elapsed:.2f}s")
-    assert worst < 1e-6
-    assert elapsed < 5.0
+    accept(2, [check_commute_identity(pair_suite())], t0, 5.0)
 
 
 def test_criterion_3_general_hitting_bound():
     t0 = time.perf_counter()
-    graphs = []
-    for n in range(3, 13):
-        graphs.append(build_graph(TopologySpec("star", n)))
-        graphs.append(build_graph(TopologySpec("line", n)))
-        m = lollipop_clique_size(n)
-        if m >= 3:
-            graphs.append(build_graph(TopologySpec("lollipop", n, m=m)))
-        graphs.append(build_graph(TopologySpec("erdos_renyi", n, p=er_probability(n), seed=n)))
-    for n in range(4, 31):
-        graphs.append(build_graph(TopologySpec("lollipop", n, m=lollipop_clique_size(n))))
-    violations = 0
-    checked = 0
-    for g in graphs:
-        table = hitting_table(transition_matrix(g, "biased"))
-        checked += g.n * (g.n - 1)
-        if not table.max_hitting() < 3 * g.n**3:
-            violations += 1
-    elapsed = time.perf_counter() - t0
-    ok = violations == 0 and elapsed < 30.0
-    report(3, ok, f"H(x,y) < 3n^3 on {len(graphs)} graphs / {checked} pairs "
-                  f"(incl. extremal lollipops to n=30): {violations} violations in {elapsed:.1f}s")
-    assert violations == 0
-    assert elapsed < 30.0
+    # star, line, extremal lollipop and er(n) with graph seed n, for n = 3..12
+    graphs = small_graph_suite(12, seed=0) + [extremal_lollipop(n) for n in range(4, 31)]
+    accept(3, [check_hitting_bound(graphs)], t0, 30.0)
 
 
 def test_criterion_4_uniform_stationary_and_cycle_identity():
-    worst_pi = 0.0
-    worst_cycle = 0.0
-    for name, g in pair_suite():
-        m = transition_matrix(g, "biased")
-        pi = stationary_distribution(m)
-        worst_pi = max(worst_pi, float(np.max(np.abs(pi - 1.0 / g.n))))
-        table = hitting_table(m)
-        scale = max(1.0, table.max_hitting())
-        for x in range(g.n):
-            for y in range(g.n):
-                for z in range(g.n):
-                    worst_cycle = max(worst_cycle, cycle_identity_gap(table, x, y, z) / scale)
-    ok = worst_pi < 1e-10 and worst_cycle < 1e-6
-    report(4, ok, f"uniform stationary (max dev {worst_pi:.2e}) and cycle identity "
-                  f"over all triples (max rel gap {worst_cycle:.2e})")
-    assert worst_pi < 1e-10
-    assert worst_cycle < 1e-6
+    t0 = time.perf_counter()
+    suite = pair_suite()
+    accept(4, [check_detailed_balance(suite), check_cycle_identity(suite)], t0)
 
 
 def test_criterion_5_meeting_time_bound():
     t0 = time.perf_counter()
-    runs = 10_000
-    details = []
-    ok = True
-    for kind, n, x, y in (("star", 11, 1, 2), ("line", 9, 0, 8)):
-        g = build_graph(TopologySpec(kind, n))
-        hmax = hitting_table(transition_matrix(g, "biased")).max_hitting()
-        sample = sample_pair_meetings(g, x, y, seed=505, runs=runs)
-        mean = float(sample.mean())
-        upper = mean + 3 * float(sample.std(ddof=1)) / math.sqrt(runs)
-        ok = ok and upper <= 4 * hmax
-        details.append(f"{kind}({n}): mean={mean:.1f}, 3-sigma upper {upper:.1f} <= {4 * hmax:.1f}")
-    elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 60.0
-    report(5, ok, "; ".join(details) + f" ({runs} runs each, {elapsed:.1f}s)")
-    assert ok
-
-
-UPDATE_TABLE = {
-    (2, 2): (2, 2), (1, 1): (1, 1), (-1, -1): (-1, -1), (-2, -2): (-2, -2),
-    (2, -2): (-1, 1), (-2, 2): (1, -1), (1, -1): (-1, 1), (-1, 1): (1, -1),
-    (2, 1): (1, 2), (1, 2): (2, 1), (-2, -1): (-1, -2), (-1, -2): (-2, -1),
-    (2, -1): (1, 2), (-1, 2): (2, 1), (-2, 1): (-1, -2), (1, -2): (-2, -1),
-}
+    line9 = (*named_graph("line", 9), 0, 8)
+    cases = [(*named_graph("star", 11), 1, 2), line9]
+    accept(5, [check_meeting_bounds(cases, line9, runs=10_000, seed=505)], t0, 60.0)
 
 
 def test_criterion_6_protocol_invariants_under_load():
     t0 = time.perf_counter()
     ticks = 1_000_000
-
-    # Binary on er(51): every tick re-verified against the hand table, with
-    # the signed strong surplus and the strong-count parity tracked here.
-    g = build_graph(TopologySpec("erdos_renyi", 51, p=er_probability(51), seed=51))
-    rng = np.random.default_rng(606)
-    state = init_majority_one(51, rng)
-    opinions = state.opinions
-    surplus = sum(1 for o in opinions if o == 2) - sum(1 for o in opinions if o == -2)
-    strong = sum(1 for o in opinions if abs(o) == 2)
-    adjacency = [list(a) for a in g.adjacency]
-    binary_violations = 0
-    for _ in range(ticks):
-        u = int(rng.random() * 51)
-        nbrs = adjacency[u]
-        v = nbrs[int(rng.random() * len(nbrs))]
-        a, b = opinions[u], opinions[v]
-        apply_binary_edge(state, u, v)
-        na, nb = opinions[u], opinions[v]
-        if (na, nb) != UPDATE_TABLE[(a, b)]:
-            binary_violations += 1
-        surplus += (na == 2) - (na == -2) + (nb == 2) - (nb == -2) \
-            - (a == 2) + (a == -2) - (b == 2) + (b == -2)
-        if surplus != 1:
-            binary_violations += 1
-        new_strong = strong - (abs(a) == 2) - (abs(b) == 2) + (abs(na) == 2) + (abs(nb) == 2)
-        if new_strong > strong or (strong - new_strong) % 2:
-            binary_violations += 1
-        strong = new_strong
-    if state.counts != (opinions.count(2), opinions.count(-2),
-                        opinions.count(1), opinions.count(-1)):
-        binary_violations += 1
-
-    # Quantized on er(100): sum, spread and the scaled-integer Lyapunov drop
-    # are all tracked independently of the package caches.
-    g = build_graph(TopologySpec("erdos_renyi", 100, p=er_probability(100), seed=100))
-    rng = np.random.default_rng(607)
-    state = QuantizedState.from_values(rng.integers(1, 101, size=100).tolist())
-    values = state.values
-    n = 100
-    total = sum(values)
-    vmin, vmax = min(values), max(values)
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    adjacency = [list(a) for a in g.adjacency]
-    quantized_violations = 0
-    nontrivial = 0
-    for _ in range(ticks):
-        u = int(rng.random() * n)
-        nbrs = adjacency[u]
-        v = nbrs[int(rng.random() * len(nbrs))]
-        a, b = values[u], values[v]
-        apply_quantized_edge(state, u, v)
-        na, nb = values[u], values[v]
-        if na + nb != a + b:
-            quantized_violations += 1
-        delta = ((n * a - total) ** 2 + (n * b - total) ** 2
-                 - (n * na - total) ** 2 - (n * nb - total) ** 2)
-        if abs(a - b) >= 2:
-            nontrivial += 1
-            if delta < 2 * n * n:
-                quantized_violations += 1
-            counts[a] -= 1
-            counts[b] -= 1
-            counts[na] = counts.get(na, 0) + 1
-            counts[nb] = counts.get(nb, 0) + 1
-            if counts[a] == 0:
-                del counts[a]
-            if b in counts and counts[b] == 0:
-                del counts[b]
-            new_min, new_max = min(counts), max(counts)
-            if new_min < vmin or new_max > vmax:
-                quantized_violations += 1
-            vmin, vmax = new_min, new_max
-        elif delta != 0:
-            quantized_violations += 1
-    if sum(values) != total:
-        quantized_violations += 1
-    elapsed = time.perf_counter() - t0
-    ok = binary_violations == 0 and quantized_violations == 0 and elapsed < 60.0
-    report(6, ok, f"{ticks} ticks each: binary er(51) violations={binary_violations}, "
-                  f"quantized er(100) violations={quantized_violations} "
-                  f"({nontrivial} non-trivial exchanges) in {elapsed:.1f}s")
-    assert binary_violations == 0
-    assert quantized_violations == 0
-    assert elapsed < 60.0
+    er51, er100 = named_graph("erdos_renyi", 51, seed=51), named_graph("erdos_renyi", 100, seed=100)
+    accept(6, [check_binary_conservation(er51, ticks, seed=606),
+               check_quantized_conservation(er100, ticks, seed=607)], t0, 60.0)
 
 
 def test_criterion_7_correct_outcomes():
-    graphs = [
-        ("star(7)", build_graph(TopologySpec("star", 7))),
-        ("line(7)", build_graph(TopologySpec("line", 7))),
-        ("er(21)", build_graph(TopologySpec("erdos_renyi", 21, p=er_probability(21), seed=21))),
-    ]
-    runs = 1000
-    binary_wrong = 0
-    quantized_wrong = 0
-    for gi, (name, g) in enumerate(graphs):
-        budget = 150 * g.n**3
-        for ri in range(runs):
-            rng = np.random.default_rng(np.random.SeedSequence([707, gi, ri]))
-            state = init_majority_one(g.n, rng)
-            result = run_to_convergence("binary", g, state, rng, budget)
-            if not (result.converged and state.positive == g.n):
-                binary_wrong += 1
-            rng = np.random.default_rng(np.random.SeedSequence([708, gi, ri]))
-            qstate = init_q_setting2(g.n, rng)
-            q, r = qstate.q, qstate.r
-            result = run_to_convergence("quantized", g, qstate, rng, budget)
-            final_ok = (
-                result.converged
-                and all(v in (q, q + 1) for v in qstate.values)
-                and qstate.values.count(q + 1) == r
-            )
-            if not final_ok:
-                quantized_wrong += 1
-    ok = binary_wrong == 0 and quantized_wrong == 0
-    report(7, ok, f"{runs} runs x 3 graphs: binary majority failures={binary_wrong}, "
-                  f"quantized end-state failures={quantized_wrong}")
-    assert binary_wrong == 0
-    assert quantized_wrong == 0
+    t0 = time.perf_counter()
+    graphs = [named_graph("star", 7), named_graph("line", 7),
+              named_graph("erdos_renyi", 21, seed=21)]
+    accept(7, [check_majority_outcome(graphs, runs=1000, seed=707),
+               check_quantized_final_state(graphs, runs=1000, seed=708)], t0)
 
 
 def test_criterion_8_scaling_exponents():
@@ -330,17 +146,9 @@ def test_criterion_9_star_constant_band():
 
 
 def test_criterion_10_oracle_cross_checks():
-    runs = 100_000
-    details = []
-    ok = True
-    for kind, x, y in (("star", 1, 2), ("line", 0, 4)):
-        g = build_graph(TopologySpec(kind, 5))
-        exact = float(hitting_times(transition_matrix(g, "biased"), y)[x])
-        sample = sample_hitting(g, x, y, seed=1010, runs=runs)
-        se = float(sample.std(ddof=1)) / math.sqrt(runs)
-        gap = abs(float(sample.mean()) - exact)
-        ok = ok and gap <= 3 * se
-        details.append(f"{kind}(5): |MC-exact|={gap:.3f} <= 3se={3 * se:.3f}")
+    t0 = time.perf_counter()
+    cases = [(*named_graph("star", 5), 1, 2), (*named_graph("line", 5), 0, 4)]
+    hitting = check_mc_hitting(cases, runs=100_000, seed=1010)
 
     pair_runs = 6000
     g = build_graph(TopologySpec("star", 9))
@@ -348,7 +156,6 @@ def test_criterion_10_oracle_cross_checks():
     merged = sample_meet_all(g, 1, [2], seed=1012, runs=pair_runs)
     gap = abs(float(pair.mean()) - float(merged.mean()))
     se = math.sqrt(pair.var(ddof=1) / pair_runs + merged.var(ddof=1) / pair_runs)
-    ok = ok and gap <= 3 * se
-    details.append(f"meet-all(1 token) vs pair on star(9): |diff|={gap:.2f} <= 3se={3 * se:.2f}")
-    report(10, ok, "; ".join(details))
-    assert ok
+    meet_all = CheckResult("meet_all_vs_pair", gap <= 3 * se,
+                           f"1 token vs pair on star(9): |diff|={gap:.2f} <= 3se={3 * se:.2f}")
+    accept(10, [hitting, meet_all], t0)

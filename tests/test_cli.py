@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from qconsensus.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
+from qconsensus.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, _topology_spec, build_parser, main
+from qconsensus.harness import SweepConfig
 
 
 def run_cli(*argv):
@@ -218,6 +220,26 @@ def test_meet_timeout_exit(capsys):
     assert "ticks elapsed: 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--topo", "star", "--n", "5", "--x", "7", "--y", "1"), "nodes must be in 0..4"),
+    (("--topo", "line", "--n", "5", "--x", "0", "--y", "-1"), "nodes must be in 0..4"),
+    (("--topo", "line", "--n", "5", "--x", "0", "--y", "4", "--runs", "0"), "runs must be >= 1"),
+])
+def test_meet_rejects_bad_nodes_and_runs(argv, message, capsys):
+    assert run_cli("meet", *argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["erdos_renyi", "lollipop"])
+def test_simulate_and_sweep_resolve_the_same_spec(kind):
+    args = build_parser().parse_args(["simulate", "--topo", kind, "--n", "13", "--seed", "17",
+                                      "--protocol", "quantized"])
+    cfg = SweepConfig(kind, (13,), "quantized", "q_setting2", rounds=1, master_seed=17)
+    assert _topology_spec(args) == cfg.spec_for(13)
+
+
 def test_edge_list_topology(tmp_path, capsys):
     edges = tmp_path / "g.txt"
     edges.write_text("0 1\n1 2\n2 3\n")
@@ -244,3 +266,48 @@ def test_check_quick(capsys):
     for name in ("commute_identity", "hitting_bound", "binary_majority_outcome",
                  "quantized_conservation"):
         assert any(name in l for l in lines)
+
+
+# SHA-256 of each output, recorded before `cli` and `harness` shared one
+# spec -> (graph, state) factory and one CSV writer per table. Every field
+# is an integer, a mean of integers or a numpy standard deviation, so no
+# digest depends on LAPACK.
+GOLDEN_DIGESTS = {
+    "simulate_binary": "d6c81aaa4a98a6d0a6af425b57b87d178279cd7c4858b17050d42b1c868fc6cd",
+    "simulate_quantized": "657c9498b106992c5f3f8b62db7ee7503c83a0cbf3e237c89aa5ed82e29963c4",
+    "simulate_json": "722f94567a5f4b8c47169af33025e4d69fab1d5309d0dfea3d80faa8aedfe1f2",
+    "sweep_json": "8b9df5a8eb945a8bcd5051d54779ae3b93098ba5a8b092d4fb5da79cf174ddba",
+    "meet": "ed0b9762b674466dbe6a66e52934403d5e5457de556a550c64ed2cdf4affcee9",
+    "trace_binary": "a569f343a419af811b154b65bd21d2ee07e492cdad287156eddf664b12568dce",
+    "sweep_csv": "76e5dbd26dfd8ffc4d2bdfa5c71ec711611061892ea960fed662c4f51c8418b0",
+    "rounds_csv": "474649a941a991d4071b5be4efa29295084463e922b8bbe85501b32ca1e81d83",
+}
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, capsys):
+    def stdout(*argv):
+        assert run_cli(*argv) == EXIT_OK
+        return capsys.readouterr().out.encode()
+
+    trace, sweep, rounds = tmp_path / "trace.csv", tmp_path / "sweep.csv", tmp_path / "rounds.csv"
+    sweep_args = ("sweep", "--topo", "erdos_renyi", "--protocol", "quantized",
+                  "--n-values", "9,11", "--rounds", "3", "--seed", "5")
+    outputs = {
+        "simulate_binary": stdout("simulate", "--topo", "star", "--n", "21", "--protocol",
+                                  "binary", "--seed", "1", "--trace-stride", "50",
+                                  "--trace-out", str(trace)),
+        "simulate_quantized": stdout("simulate", "--topo", "erdos_renyi", "--n", "15",
+                                     "--protocol", "quantized", "--seed", "9"),
+        "simulate_json": stdout("simulate", "--topo", "lollipop", "--n", "10", "--protocol",
+                                "quantized", "--init", "q_setting1", "--seed", "2",
+                                "--format", "json"),
+        "sweep_json": stdout(*sweep_args, "--format", "json"),
+        "meet": stdout("meet", "--topo", "line", "--n", "7", "--x", "0", "--y", "6",
+                       "--runs", "200", "--seed", "3"),
+    }
+    assert run_cli(*sweep_args, "--out", str(sweep), "--rounds-out", str(rounds)) == EXIT_OK
+    outputs["trace_binary"] = trace.read_bytes()
+    outputs["sweep_csv"] = sweep.read_bytes()
+    outputs["rounds_csv"] = rounds.read_bytes()
+    assert {name: hashlib.sha256(out).hexdigest() for name, out in outputs.items()} \
+        == GOLDEN_DIGESTS

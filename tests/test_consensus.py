@@ -26,11 +26,16 @@ from qconsensus.consensus import (
     run_to_convergence,
     write_trace_csv,
 )
+from qconsensus.checks import (
+    check_binary_conservation,
+    check_quantized_conservation,
+    check_update_table,
+    named_graph,
+)
 from qconsensus.graphs import (
     Graph,
     TopologySpec,
     build_graph,
-    er_probability,
     line_graph,
     star_graph,
 )
@@ -38,37 +43,12 @@ from qconsensus.graphs import (
 from conftest import connected_graphs
 
 
-# Hand-enumerated oracle for the four pairwise voting rules:
-#   1. equal opinions stay put;
-#   2. a strong opinion flips an opposing weak one and moves across;
-#   3. a strong opinion swaps with an agreeing weak one;
-#   4. exact opposites both turn weak, exchanging signs.
-UPDATE_TABLE = {
-    (2, 2): (2, 2),
-    (1, 1): (1, 1),
-    (-1, -1): (-1, -1),
-    (-2, -2): (-2, -2),
-    (2, -2): (-1, 1),
-    (-2, 2): (1, -1),
-    (1, -1): (-1, 1),
-    (-1, 1): (1, -1),
-    (2, 1): (1, 2),
-    (1, 2): (2, 1),
-    (-2, -1): (-1, -2),
-    (-1, -2): (-2, -1),
-    (2, -1): (1, 2),
-    (-1, 2): (2, 1),
-    (-2, 1): (-1, -2),
-    (1, -2): (-2, -1),
-}
-
 OPINIONS = (2, 1, -1, -2)
 
 
 def test_binary_update_matches_table_on_all_16_pairs():
-    for a in OPINIONS:
-        for b in OPINIONS:
-            assert binary_update(a, b) == UPDATE_TABLE[(a, b)], (a, b)
+    res = check_update_table()
+    assert res.ok, res.detail
 
 
 def test_binary_update_symmetric_in_argument_order():
@@ -178,23 +158,8 @@ def test_binary_forced_edge_strong_moves():
 
 
 def test_binary_conservation_over_random_ticks():
-    g = build_graph(TopologySpec("erdos_renyi", 51, p=er_probability(51), seed=51))
-    rng = np.random.default_rng(9)
-    opinions = [STRONG_POS] * 26 + [STRONG_NEG] * 25
-    rng.shuffle(opinions)
-    s = BinaryState.from_opinions(list(opinions))
-    surplus = s.s_plus - s.s_minus
-    strong = s.s_plus + s.s_minus
-    for _ in range(20_000):
-        binary_step(s, g, rng)
-        assert s.s_plus - s.s_minus == surplus
-        now = s.s_plus + s.s_minus
-        assert now <= strong and (strong - now) % 2 == 0
-        strong = now
-    assert s.counts == (
-        s.opinions.count(2), s.opinions.count(-2),
-        s.opinions.count(1), s.opinions.count(-1),
-    )
+    res = check_binary_conservation(named_graph("erdos_renyi", 51, seed=51), 20_000, seed=9)
+    assert res.ok, res.detail
 
 
 def test_binary_converged_cases():
@@ -240,17 +205,8 @@ def test_quantized_step_uniform_state_swaps_only():
 
 
 def test_quantized_sum_conserved_over_random_ticks():
-    g = build_graph(TopologySpec("erdos_renyi", 100, p=er_probability(100), seed=100))
-    rng = np.random.default_rng(10)
-    s = QuantizedState.from_values(rng.integers(1, 101, size=100).tolist())
-    total = s.q_sum
-    spread = s.spread
-    for _ in range(20_000):
-        quantized_step(s, g, rng)
-        assert s.spread <= spread
-        spread = s.spread
-    assert sum(s.values) == total
-    assert s.vmin == min(s.values) and s.vmax == max(s.values)
+    res = check_quantized_conservation(named_graph("erdos_renyi", 100, seed=100), 20_000, seed=10)
+    assert res.ok, res.detail
 
 
 def test_quantized_converged_cases():

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qconsensus.consensus import quantized_converged, run_to_convergence
-from qconsensus.graphs import line_graph, star_graph
+from qconsensus.consensus import (
+    QuantizedState,
+    binary_init,
+    quantized_converged,
+    read_binary_votes,
+    read_quantized_values,
+    run_to_convergence,
+)
+from qconsensus.graphs import TopologySpec, build_graph, line_graph, star_graph
 from qconsensus.harness import (
     REFERENCE_CURVES,
     SWEEP_CSV_HEADER,
@@ -16,6 +23,7 @@ from qconsensus.harness import (
     init_majority_one,
     init_q_setting1,
     init_q_setting2,
+    initial_state,
     lollipop_clique_size,
     round_rng,
     run_sweep,
@@ -98,6 +106,37 @@ def test_q_setting2_rejects_bad_range():
         init_q_setting2(5, np.random.default_rng(0), lo=7, hi=3)
 
 
+@pytest.mark.parametrize("protocol, init, kind, direct", [
+    ("binary", "majority_one", "line", lambda g, rng, path: init_majority_one(g.n, rng)),
+    ("binary", "file", "line",
+     lambda g, rng, path: binary_init(g, read_binary_votes(path / "votes"), rng)),
+    ("quantized", "q_setting1", "star", lambda g, rng, path: init_q_setting1(g, rng, (0,))),
+    ("quantized", "q_setting1", "line", lambda g, rng, path: init_q_setting1(g, rng)),
+    ("quantized", "q_setting2", "line", lambda g, rng, path: init_q_setting2(g.n, rng, 3, 9)),
+    ("quantized", "file", "star",
+     lambda g, rng, path: QuantizedState.from_values(read_quantized_values(path / "values"))),
+])
+def test_initial_state_matches_the_init_functions(protocol, init, kind, direct, tmp_path):
+    (tmp_path / "votes").write_text("+\n.\n-\n.\n+\n.\n-\n.\n+\n")
+    (tmp_path / "values").write_text("\n".join(map(str, range(9))))
+    init_file = tmp_path / ("votes" if protocol == "binary" else "values")
+    g = build_graph(TopologySpec(kind, 9))
+    rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+    state = initial_state(protocol, init, g, rng, kind, 3, 9, init_file)
+    assert state == direct(g, reference, tmp_path)
+    assert rng.random() == reference.random()  # the run continues on the same stream
+
+
+def test_initial_state_rejects_an_init_of_the_other_protocol():
+    g = build_graph(TopologySpec("line", 9))
+    with pytest.raises(ValueError, match="binary protocol cannot use init 'q_setting2'"):
+        initial_state("binary", "q_setting2", g, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="quantized protocol cannot use init 'majority_one'"):
+        initial_state("quantized", "majority_one", g, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="requires an initial-state file"):
+        initial_state("quantized", "file", g, np.random.default_rng(0))
+
+
 # ------------------------------------------------------------------ config
 
 def test_sweep_config_validation():
@@ -172,13 +211,10 @@ def test_sweep_rounds_are_order_independent():
     cfg = SweepConfig("line", (9,), "quantized", "q_setting2", 4, master_seed=3)
     rec = run_sweep(cfg)[0]
     # re-running any single round from its derived seed reproduces its ticks
-    from qconsensus.graphs import build_graph
-    from qconsensus.harness import _initial_state
-
     g = build_graph(cfg.spec_for(9))
     for ri, ticks, ok in rec.round_ticks[::-1]:
         rng = round_rng(cfg.master_seed, 9, ri)
-        state = _initial_state(cfg, g, rng)
+        state = initial_state(cfg.protocol, cfg.init, g, rng, cfg.kind, cfg.lo, cfg.hi)
         res = run_to_convergence(cfg.protocol, g, state, rng, cfg.max_ticks_for(9))
         assert (res.ticks, res.converged) == (ticks, ok)
 

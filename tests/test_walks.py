@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qconsensus.checks import (
+    check_commute_identity,
+    check_cycle_identity,
+    check_hitting_bound,
+    extremal_lollipop,
+)
 from qconsensus.graphs import (
     Graph,
     TopologySpec,
@@ -20,7 +26,6 @@ from qconsensus.walks import (
     TickBudgetError,
     WalkMatrix,
     commute_time,
-    cycle_identity_gap,
     edge_weights,
     effective_resistance,
     hidden_vertex,
@@ -32,6 +37,7 @@ from qconsensus.walks import (
     sample_hitting,
     sample_meet_all,
     sample_pair_meetings,
+    simulate_hitting,
     simulate_meet_all,
     simulate_pair_meeting,
     stationary_distribution,
@@ -70,14 +76,14 @@ def test_node_weights_are_one_and_total_is_n():
     for g in SMALL_GRAPHS:
         wg = edge_weights(g)
         for i in range(g.n):
-            assert wg.node_weight(i) == pytest.approx(1.0, abs=1e-12)
-            assert wg.self_weight(i) >= 0.0
-        assert wg.total_weight == pytest.approx(g.n, abs=1e-9)
+            assert wg.w[i].sum() == pytest.approx(1.0, abs=1e-12)
+            assert wg.w[i, i] >= 0.0
+        assert wg.w.sum() == pytest.approx(g.n, abs=1e-9)
 
 
 def test_star_hub_self_weight_is_zero():
     wg = edge_weights(star_graph(7))
-    assert wg.self_weight(0) == pytest.approx(0.0, abs=1e-15)
+    assert wg.w[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 # ------------------------------------------------------ transition matrices
@@ -254,23 +260,15 @@ def test_commute_detects_mismatched_inputs():
 
 
 def test_commute_identity_all_pairs_small_suite():
-    for g in (star_graph(9), line_graph(9), lollipop_graph(12, 7)):
-        table = hitting_table(transition_matrix(g, "biased"))
-        r = resistance_matrix(edge_weights(g))
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                commute = table.h[x, y] + table.h[y, x]
-                assert commute == pytest.approx(g.n * r[x, y], rel=1e-6)
+    graphs = (star_graph(9), line_graph(9), lollipop_graph(12, 7))
+    res = check_commute_identity([(f"g{i}", g) for i, g in enumerate(graphs)])
+    assert res.ok, res.detail
 
 
 def test_cycle_identity_small_suite():
-    for g in (star_graph(7), line_graph(8), lollipop_graph(9, 6), complete_graph(6)):
-        table = hitting_table(transition_matrix(g, "biased"))
-        scale = max(1.0, table.max_hitting())
-        for x in range(g.n):
-            for y in range(g.n):
-                for z in range(g.n):
-                    assert cycle_identity_gap(table, x, y, z) / scale < 1e-6
+    graphs = (star_graph(7), line_graph(8), lollipop_graph(9, 6), complete_graph(6))
+    res = check_cycle_identity([(f"g{i}", g) for i, g in enumerate(graphs)])
+    assert res.ok, res.detail
 
 
 # ------------------------------------------------------------- hitting bounds
@@ -281,15 +279,8 @@ def test_hitting_bound_general_is_3n3():
 
 
 def test_hitting_bounds_sandwich_exact():
-    for g in SMALL_GRAPHS:
-        table = hitting_table(transition_matrix(g, "biased"))
-        for x in range(g.n):
-            for y in range(g.n):
-                if x == y:
-                    continue
-                general, refined = hitting_bound(g, x, y)
-                assert table.h[x, y] <= refined <= general
-                assert table.h[x, y] < general
+    res = check_hitting_bound([(f"g{i}", g) for i, g in enumerate(SMALL_GRAPHS)])
+    assert res.ok, res.detail
 
 
 def test_star5_path_refined_bound_exceeds_exact_20():
@@ -303,11 +294,8 @@ def test_star5_path_refined_bound_exceeds_exact_20():
 
 
 def test_cubic_bound_on_extremal_lollipops():
-    for n in range(5, 31):
-        m = (2 * n + 1) // 3
-        g = lollipop_graph(n, m)
-        table = hitting_table(transition_matrix(g, "biased"))
-        assert table.max_hitting() < 3 * n**3
+    res = check_hitting_bound([extremal_lollipop(n) for n in range(5, 31)])
+    assert res.ok, res.detail
 
 
 # -------------------------------------------------------------- hidden vertex
@@ -433,6 +421,27 @@ def test_meet_all_rejects_shared_start():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         simulate_meet_all(star_graph(5), 1, [1, 2], rng)
+
+
+def test_token_runs_reject_nodes_outside_the_graph_and_no_runs():
+    g = star_graph(5)
+    rng = np.random.default_rng(3)
+    calls = (
+        lambda: sample_hitting(g, 1, -1, 0, 5),
+        lambda: sample_pair_meetings(g, 7, 1, 0, 5),
+        lambda: sample_meet_all(g, 1, [2, 5], 0, 5),
+        lambda: simulate_hitting(g, 5, 1, rng),
+        lambda: simulate_pair_meeting(g, 0, -1, rng),
+        lambda: simulate_meet_all(g, -2, [1], rng),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"nodes must be in 0\.\.4"):
+            call()
+    for sample in (sample_hitting, sample_pair_meetings):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            sample(g, 1, 2, 0, 0)
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        sample_meet_all(g, 1, [2], 0, -1)
 
 
 def test_meet_all_single_other_matches_pair_meeting():
