@@ -68,14 +68,31 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def load_before(rev: str) -> types.ModuleType:
-    """consensus.py at ``rev`` as the module ``qconsensus.consensus_before``."""
-    source = git("show", f"{rev}:src/qconsensus/consensus.py")
-    module = types.ModuleType("qconsensus.consensus_before")
+def before_revision() -> str:
+    """HEAD when ``src/`` has uncommitted changes, else HEAD~1."""
+    return "HEAD" if git("status", "--porcelain", "src") else "HEAD~1"
+
+
+def load_before(rev: str, name: str) -> types.ModuleType:
+    """``src/qconsensus/<name>.py`` at ``rev`` as the module ``qconsensus.<name>_before``."""
+    source = git("show", f"{rev}:src/qconsensus/{name}.py")
+    module = types.ModuleType(f"qconsensus.{name}_before")
     module.__package__ = "qconsensus"
     sys.modules[module.__name__] = module
-    exec(compile(source, f"{rev}:consensus.py", "exec"), module.__dict__)
+    exec(compile(source, f"{rev}:{name}.py", "exec"), module.__dict__)
     return module
+
+
+def machine() -> dict:
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "platform": platform.platform()}
+
+
+def revisions(before_rev: str) -> dict:
+    after_rev = git("rev-parse", "HEAD")
+    if before_rev == "HEAD":
+        after_rev += " + working tree"
+    return {"before": git("rev-parse", before_rev), "after": after_rev}
 
 
 def initial_state(mod, init: str, g, rng):
@@ -148,9 +165,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_2.json")
     args = parser.parse_args(argv)
-    dirty = bool(git("status", "--porcelain", "src"))
-    before_rev = "HEAD" if dirty else "HEAD~1"
-    before = load_before(before_rev)
+    before_rev = before_revision()
+    before = load_before(before_rev, "consensus")
     cases = []
     for protocol, init in (("binary", "majority_one"), ("quantized", "q_setting2")):
         for topo, spec in TOPOLOGIES:
@@ -172,10 +188,8 @@ def main(argv=None) -> int:
     record = {
         "benchmark": "paired protocol-kernel before/after, one process",
         "command": "python3 scripts/bench_kernel.py " + " ".join(argv or sys.argv[1:]),
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "platform": platform.platform()},
-        "revision": {"before": git("rev-parse", before_rev),
-                     "after": git("rev-parse", "HEAD") + (" + working tree" if dirty else "")},
+        "machine": machine(),
+        "revision": revisions(before_rev),
         "repeats": REPEATS,
         "ticks_per_case": TICKS_PER_CASE,
         "small_stride_ticks": SMALL_STRIDE_TICKS,

@@ -8,7 +8,9 @@ nodes 0..m-1 and hangs the tail off node m-1.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -35,18 +37,36 @@ class Graph:
         if len(self.adjacency) != self.n:
             raise GraphConstructionError("adjacency length must equal node count")
         for i, nbrs in enumerate(self.adjacency):
-            if any(j < 0 or j >= self.n for j in nbrs):
+            if not nbrs:
+                continue
+            increasing = all(map(operator.lt, nbrs, nbrs[1:]))
+            # a strictly increasing row has its extremes at its ends
+            lo, hi = (nbrs[0], nbrs[-1]) if increasing else (min(nbrs), max(nbrs))
+            if lo < 0 or hi >= self.n:
                 raise GraphConstructionError(f"node {i} has a neighbor outside 0..{self.n - 1}")
             if i in nbrs:
                 raise GraphConstructionError(f"self-loop at node {i}")
-            if len(set(nbrs)) != len(nbrs):
-                raise GraphConstructionError(f"duplicate neighbor at node {i}")
-            if tuple(sorted(nbrs)) != tuple(nbrs):
+            if not increasing:
+                if len(set(nbrs)) != len(nbrs):
+                    raise GraphConstructionError(f"duplicate neighbor at node {i}")
                 raise GraphConstructionError(f"adjacency of node {i} is not sorted")
+        # Symmetry in O(E) time and O(n) memory. Each entry j < i of row i
+        # must match the next unread entry above the diagonal of row j: rows
+        # are visited in ascending order, so a symmetric graph consumes each
+        # row's upper part in order, and every upper entry must be consumed.
+        nxt = [bisect.bisect(row, j) for j, row in enumerate(self.adjacency)]
         for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if i not in self.adjacency[j]:
+            for j in nbrs[:bisect.bisect(nbrs, i)]:
+                row = self.adjacency[j]
+                k = nxt[j]
+                if k < len(row) and row[k] < i:
+                    raise GraphConstructionError(f"edge ({j},{row[k]}) is not symmetric")
+                if k == len(row) or row[k] != i:
                     raise GraphConstructionError(f"edge ({i},{j}) is not symmetric")
+                nxt[j] = k + 1
+        for j, row in enumerate(self.adjacency):
+            if nxt[j] < len(row):
+                raise GraphConstructionError(f"edge ({j},{row[nxt[j]]}) is not symmetric")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -166,6 +166,8 @@ class SweepConfig:
             raise ValueError("rounds must be >= 1")
         if self.max_ticks is not None and self.max_ticks < 0:
             raise ValueError(f"max_ticks must be >= 0, got {self.max_ticks}")
+        if self.lo > self.hi:
+            raise ValueError(f"lo must be <= hi, got lo={self.lo}, hi={self.hi}")
         if not self.n_values:
             raise ValueError("n_values must not be empty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):

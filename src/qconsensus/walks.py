@@ -14,9 +14,12 @@ w_ij = (1/n)(1/deg(i) + 1/deg(j)), node weight 1 and total weight n, which
 ties hitting times to the electric network with conductance w_ij per edge:
 commute(x, y) = n * r'(x, y) with r' the effective resistance.
 
-Exact quantities come from dense linear solves; the simulate_* functions
-estimate the same quantities (and the two-token meeting times) by Monte
-Carlo under the tick-level dynamics.
+Exact tables cost O(n^3) each: all-pairs hitting times come from one
+fundamental matrix and all-pairs resistances from one Laplacian
+pseudo-inverse. The per-target solves (hitting_times, effective_resistance,
+commute_time) are independent O(n^3)-per-call oracles for them. The
+simulate_* functions estimate the same quantities (and the two-token
+meeting times) by Monte Carlo under the tick-level dynamics.
 """
 
 from __future__ import annotations
@@ -188,11 +191,56 @@ def hitting_times(m: WalkMatrix, target: int) -> np.ndarray:
     return h
 
 
+def _strongly_connected(support: np.ndarray) -> bool:
+    """True iff every node reaches every other along the True entries of ``support``.
+
+    A reducible walk makes the fundamental matrix singular, but the solve can
+    still return huge entries whose residuals are small relative to their
+    columns (natural walk on a triangle plus a star), so hitting_table
+    checks reachability first.
+    """
+    for s in (support, support.T):
+        seen = np.zeros(len(s), dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = s[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
+
+
 def hitting_table(m: WalkMatrix) -> HittingTable:
+    """All-pairs hitting times from the fundamental matrix, O(n^3).
+
+    H[x][y] = (Z[y][y] - Z[x][y]) / pi[y] with Z = (I - P + 1 pi^T)^-1
+    (Aldous & Fill, Reversible Markov Chains and Random Walks on Graphs,
+    ch. 2), for any irreducible walk kind. hitting_times is the per-target
+    oracle. A reducible walk raises SolverError, and so does a residual of
+    (I - P) H = 1 off the diagonal above HITTING_TOL, relative to each
+    column's largest entry. Errors scale with that largest entry too: the
+    difference Z[y][y] - Z[x][y] cancels, so small entries of large
+    slow-mixing walks lose relative accuracy (2e-9 on H = 2405 in the
+    extremal lollipop(481)), where hitting_times does not.
+    """
     n = m.n
-    h = np.zeros((n, n))
-    for target in range(n):
-        h[:, target] = hitting_times(m, target)
+    if not _strongly_connected(m.p > 0):
+        raise SolverError("walk matrix is reducible (disconnected graph?)")
+    pi = stationary_distribution(m)
+    a = np.eye(n) - m.p + pi
+    try:
+        z = np.linalg.solve(a, np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"fundamental matrix is singular (disconnected graph?): {exc}") from exc
+    h = (np.diag(z) - z) / pi
+    np.fill_diagonal(h, 0.0)
+    residual = np.abs(h - m.p @ h - 1.0)
+    np.fill_diagonal(residual, 0.0)
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=0))
+    worst = float(np.max(residual.max(axis=0) / scale))
+    if not worst <= HITTING_TOL:
+        raise SolverError(f"hitting-table residual {worst:.3e} exceeds tolerance")
     return HittingTable(m.kind, h)
 
 
@@ -222,11 +270,29 @@ def effective_resistance(wg: WeightedGraph, x: int, y: int) -> float:
 
 
 def resistance_matrix(wg: WeightedGraph) -> np.ndarray:
+    """All-pairs resistances from one Laplacian pseudo-inverse, O(n^3).
+
+    R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+ (Klein & Randic, "Resistance
+    distance", 1993) with L+ = (L + J/n)^-1 - J/n, L the Laplacian of the
+    conductances w_ij (self-weights excluded) and J the all-ones matrix.
+    effective_resistance is the two-terminal oracle. The residual of
+    L L+ = I - J/n is checked.
+    """
     n = wg.n
-    r = np.zeros((n, n))
-    for x in range(n):
-        for y in range(x + 1, n):
-            r[x, y] = r[y, x] = effective_resistance(wg, x, y)
+    cond = wg.w - np.diag(np.diag(wg.w))
+    lap = np.diag(cond.sum(axis=1)) - cond
+    mean = np.full((n, n), 1.0 / n)
+    try:
+        lplus = np.linalg.solve(lap + mean, np.eye(n)) - mean
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Laplacian inverse failed (disconnected network?): {exc}") from exc
+    residual = float(np.max(np.abs(lap @ lplus - (np.eye(n) - mean))))
+    if not residual <= RESISTANCE_TOL:
+        raise SolverError(f"Laplacian pseudo-inverse residual {residual:.3e} exceeds tolerance")
+    lplus = 0.5 * (lplus + lplus.T)  # symmetric in exact arithmetic; keep R[x][y] == R[y][x]
+    d = np.diag(lplus)
+    r = d[:, None] + d[None, :] - 2.0 * lplus
+    np.fill_diagonal(r, 0.0)
     return r
 
 
@@ -345,6 +411,11 @@ class _EdgeSampler:
         return self.neighbors[u][k]
 
 
+def _check_budget(max_ticks: int) -> None:
+    if max_ticks < 0:
+        raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
+
+
 def _spawn_run_rngs(seed, runs: int):
     """Independent per-run generators derived from (master seed, run index)."""
     if runs < 1:
@@ -360,6 +431,7 @@ def simulate_hitting(g: Graph, x: int, y: int, rng, max_ticks: int = DEFAULT_TIC
                      sampler: _EdgeSampler | None = None) -> int:
     """Ticks until a token started at x first sits on y, one Monte Carlo run."""
     check_nodes(g.n, x, y)
+    _check_budget(max_ticks)
     if sampler is None:
         sampler = _EdgeSampler(g)
     if x == y:
@@ -399,6 +471,7 @@ def simulate_pair_meeting(g: Graph, x: int, y: int, rng, coupling: str = "X",
     if coupling not in ("X", "Xprime"):
         raise ValueError(f"unknown coupling {coupling!r}")
     check_nodes(g.n, x, y)
+    _check_budget(max_ticks)
     if sampler is None:
         sampler = _EdgeSampler(g)
     if x == y:
@@ -458,6 +531,7 @@ def simulate_meet_all(g: Graph, start: int, others: Iterable[int], rng,
     """
     others = list(others)
     check_nodes(g.n, start, *others)
+    _check_budget(max_ticks)
     if len(set(others) | {start}) != len(others) + 1:
         raise ValueError("tokens must start on distinct nodes")
     if not others:

@@ -98,6 +98,15 @@ def test_sweep_rejects_negative_max_ticks(capsys):
     assert captured.out == ""
 
 
+def test_sweep_rejects_lo_above_hi(capsys):
+    code = run_cli("sweep", "--topo", "star", "--protocol", "quantized",
+                   "--n-values", "5", "--rounds", "1", "--lo", "9", "--hi", "3")
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "lo must be <= hi" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_init_file(tmp_path, capsys):
     init = tmp_path / "values.txt"
     init.write_text("4\n4\n4\n")
@@ -224,6 +233,8 @@ def test_meet_timeout_exit(capsys):
     (("--topo", "star", "--n", "5", "--x", "7", "--y", "1"), "nodes must be in 0..4"),
     (("--topo", "line", "--n", "5", "--x", "0", "--y", "-1"), "nodes must be in 0..4"),
     (("--topo", "line", "--n", "5", "--x", "0", "--y", "4", "--runs", "0"), "runs must be >= 1"),
+    (("--topo", "line", "--n", "5", "--x", "0", "--y", "4", "--runs", "3", "--max-ticks", "-1"),
+     "max_ticks must be >= 0"),
 ])
 def test_meet_rejects_bad_nodes_and_runs(argv, message, capsys):
     assert run_cli("meet", *argv) == EXIT_USAGE

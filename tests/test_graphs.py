@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,20 +125,65 @@ def test_path_degree_sum_below_3n():
 
 
 def test_graph_rejects_self_loop():
-    with pytest.raises(GraphConstructionError):
+    with pytest.raises(GraphConstructionError, match="self-loop at node 0"):
         Graph(2, ((0, 1), (0,)))
 
 
 def test_graph_rejects_asymmetry():
-    with pytest.raises(GraphConstructionError):
-        Graph(3, ((1,), (0, 2), ()))
+    cases = (
+        (((1,), (0, 2), ()), "(1,2)"),
+        # every degree count balances; only the direction of the cycle is wrong
+        (((1,), (2,), (3,), (0,)), "(0,1)"),
+        (((1, 2), (0,), ()), "(0,2)"),
+        (((), (2,), (0, 1)), "(2,0)"),
+        (((3,), (0,), (), (0,)), "(1,0)"),
+    )
+    for adjacency, edge in cases:
+        with pytest.raises(GraphConstructionError, match=re.escape(f"edge {edge} is not symmetric")):
+            Graph(len(adjacency), adjacency)
 
 
 def test_graph_rejects_duplicates():
-    with pytest.raises(GraphConstructionError):
+    with pytest.raises(GraphConstructionError, match="duplicate neighbor at node 0"):
         Graph(2, ((1, 1), (0,)))
+    with pytest.raises(GraphConstructionError, match="duplicate neighbor at node 0"):
+        Graph(4, ((2, 1, 2), (0,), (0,), ()))
     # the edge builder normalizes repeated edges instead
     assert Graph.from_edges(2, [(0, 1), (1, 0)]).edge_count() == 1
+
+
+def test_graph_rejects_bad_shapes_unsorted_rows_and_outside_neighbors():
+    with pytest.raises(GraphConstructionError, match="node count must be >= 1"):
+        Graph(0, ())
+    with pytest.raises(GraphConstructionError, match="adjacency length must equal node count"):
+        Graph(3, ((1,), (0,)))
+    with pytest.raises(GraphConstructionError, match=r"adjacency of node 0 is not sorted"):
+        Graph(3, ((2, 1), (0,), (0,)))
+    with pytest.raises(GraphConstructionError, match=r"node 1 has a neighbor outside 0\.\.2"):
+        Graph(3, ((1,), (0, 3), ()))
+    with pytest.raises(GraphConstructionError, match=r"node 0 has a neighbor outside 0\.\.2"):
+        Graph(3, ((-1, 1), (0,), ()))
+    # an unsorted row is reported by its first fault in the order above
+    with pytest.raises(GraphConstructionError, match="outside"):
+        Graph(3, ((5, 1), (0,), ()))
+    with pytest.raises(GraphConstructionError, match="self-loop"):
+        Graph(3, ((1, 0), (0,), ()))
+
+
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=200)
+def test_graph_accepts_exactly_the_symmetric_adjacencies(n, data):
+    # A symmetric graph with up to two directed entries toggled; reference:
+    # the set of directed pairs must equal its reverse.
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.sets(pairs))
+    arcs = (edges | {(v, u) for u, v in edges}) ^ data.draw(st.sets(pairs, max_size=2))
+    rows = tuple(tuple(sorted(v for u, v in arcs if u == i)) for i in range(n))
+    if arcs == {(v, u) for u, v in arcs}:
+        assert Graph(n, rows).edge_count() == len(arcs) // 2
+    else:
+        with pytest.raises(GraphConstructionError, match="is not symmetric"):
+            Graph(n, rows)
 
 
 def test_spec_validation_errors():

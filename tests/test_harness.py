@@ -154,6 +154,8 @@ def test_sweep_config_validation():
         SweepConfig("star", (9,), "ternary", "majority_one", 2, 1)
     with pytest.raises(ValueError, match="max_ticks"):
         SweepConfig("star", (9,), "binary", "majority_one", 2, 1, max_ticks=-1)
+    with pytest.raises(ValueError, match="lo must be <= hi"):
+        SweepConfig("star", (9,), "quantized", "q_setting2", 2, 1, lo=9, hi=3)
 
 
 def test_spec_for_lollipop_uses_extremal_clique():

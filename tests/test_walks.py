@@ -19,6 +19,8 @@ from qconsensus.graphs import (
     lollipop_graph,
     star_graph,
 )
+from qconsensus import walks
+from qconsensus.harness import lollipop_clique_size
 from qconsensus.walks import (
     ConsistencyError,
     ROW_SUM_TOL,
@@ -199,6 +201,72 @@ def test_hitting_singular_on_disconnected():
         hitting_times(WalkMatrix("simple", p), 0)
 
 
+def _relabelled_lollipop(n: int, seed: int) -> Graph:
+    _, g = extremal_lollipop(n)
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _assert_hitting_table_matches_per_target_solves(g):
+    for kind in ("simple", "natural", "biased"):
+        m = transition_matrix(g, kind)
+        oracle = np.column_stack([hitting_times(m, y) for y in range(g.n)])
+        np.testing.assert_allclose(hitting_table(m).h, oracle, rtol=1e-9, atol=0)
+
+
+@given(connected_graphs(max_n=10))
+@settings(max_examples=30, deadline=None)
+def test_hitting_table_matches_per_target_solves(g):
+    _assert_hitting_table_matches_per_target_solves(g)
+
+
+def test_hitting_table_matches_per_target_solves_on_relabelled_lollipop():
+    _assert_hitting_table_matches_per_target_solves(_relabelled_lollipop(40, 11))
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(4, [(0, 1), (2, 3)]),
+    Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (4, 6)]),
+])
+def test_exact_tables_reject_a_disconnected_graph(g):
+    for kind in ("simple", "natural", "biased"):
+        with pytest.raises(SolverError):
+            hitting_table(transition_matrix(g, kind))
+    with pytest.raises(SolverError):
+        resistance_matrix(edge_weights(g))
+
+
+def test_exact_tables_check_their_residuals(monkeypatch):
+    # No residual is below a negative tolerance, so each check must fire.
+    g = lollipop_graph(10, 7)
+    monkeypatch.setattr(walks, "HITTING_TOL", -1.0)
+    with pytest.raises(SolverError, match="hitting-table residual"):
+        hitting_table(transition_matrix(g, "biased"))
+    monkeypatch.setattr(walks, "RESISTANCE_TOL", -1.0)
+    with pytest.raises(SolverError, match="pseudo-inverse residual"):
+        resistance_matrix(edge_weights(g))
+
+
+def test_hitting_table_on_extremal_lollipop_481():
+    name, g = extremal_lollipop(481)
+    m = transition_matrix(g, "biased")
+    table = hitting_table(m)
+    assert table.max_hitting() < 3 * g.n**3
+    # a clique node, the junction and the tail end; errors are bounded
+    # relative to the column's largest entry, as the residual check does
+    for y in (0, lollipop_clique_size(g.n) - 1, g.n - 1):
+        oracle = hitting_times(m, y)
+        np.testing.assert_allclose(table.h[:, y], oracle, rtol=0, atol=1e-9 * oracle.max())
+
+
+def test_commute_identity_between_tables_on_lollipop_200():
+    _, g = extremal_lollipop(200)
+    h = hitting_table(transition_matrix(g, "biased")).h
+    r = resistance_matrix(edge_weights(g))
+    commute = h + h.T
+    assert np.max(np.abs(commute - g.n * r) / np.maximum(1.0, commute)) < 1e-6
+
+
 # ------------------------------------------------------- effective resistance
 
 def test_star_resistance_closed_form():
@@ -223,6 +291,22 @@ def test_resistance_matrix_symmetric():
     r = resistance_matrix(wg)
     assert np.allclose(r, r.T)
     assert np.allclose(np.diag(r), 0.0)
+
+
+def _assert_resistance_matrix_matches_pairwise_solves(g):
+    wg = edge_weights(g)
+    oracle = np.array([[effective_resistance(wg, x, y) for y in range(g.n)] for x in range(g.n)])
+    np.testing.assert_allclose(resistance_matrix(wg), oracle, rtol=1e-9, atol=0)
+
+
+@given(connected_graphs(max_n=10))
+@settings(max_examples=30, deadline=None)
+def test_resistance_matrix_matches_pairwise_solves(g):
+    _assert_resistance_matrix_matches_pairwise_solves(g)
+
+
+def test_resistance_matrix_matches_pairwise_solves_on_relabelled_lollipop():
+    _assert_resistance_matrix_matches_pairwise_solves(_relabelled_lollipop(40, 12))
 
 
 # ------------------------------------------------------------- commute times
@@ -442,6 +526,23 @@ def test_token_runs_reject_nodes_outside_the_graph_and_no_runs():
             sample(g, 1, 2, 0, 0)
     with pytest.raises(ValueError, match="runs must be >= 1"):
         sample_meet_all(g, 1, [2], 0, -1)
+
+
+def test_token_runs_reject_a_negative_tick_budget():
+    g = star_graph(5)
+    rng = np.random.default_rng(4)
+    calls = (
+        lambda: sample_hitting(g, 1, 2, 0, 5, max_ticks=-1),
+        lambda: sample_pair_meetings(g, 1, 2, 0, 5, max_ticks=-1),
+        lambda: sample_meet_all(g, 1, [2], 0, 5, max_ticks=-1),
+        lambda: simulate_hitting(g, 1, 1, rng, max_ticks=-5),
+        lambda: simulate_pair_meeting(g, 1, 1, rng, max_ticks=-5),
+        lambda: simulate_meet_all(g, 1, [], rng, max_ticks=-5),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="max_ticks must be >= 0"):
+            call()
+    assert simulate_hitting(g, 1, 1, rng, max_ticks=0) == 0
 
 
 def test_meet_all_single_other_matches_pair_meeting():
