@@ -152,10 +152,11 @@ def check_hitting_bound(graphs) -> CheckResult:
         if table.max_hitting() >= bound:
             violations.append(f"{name}: H={table.max_hitting():.1f} >= {bound:.1f}")
         for x in range(g.n):
+            bounds = walks.hitting_bounds_from(g, x)
             for y in range(g.n):
                 if x == y:
                     continue
-                general, refined = walks.hitting_bound(g, x, y)
+                general, refined = bounds[y]
                 if not (table.h[x, y] <= refined <= general):
                     violations.append(f"{name}: bound ordering broken at ({x},{y})")
                     break

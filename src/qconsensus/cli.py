@@ -19,7 +19,7 @@ import numpy as np
 from . import checks as checks_mod
 from . import consensus as cons
 from . import walks
-from .graphs import TopologySpec, build_graph, read_edge_list
+from .graphs import TopologySpec, build_graph, check_nodes, read_edge_list
 from .harness import (
     DEFAULT_INIT,
     SweepConfig,
@@ -178,14 +178,18 @@ def cmd_bound(args) -> int:
     else:
         if args.x is None or args.y is None:
             raise UsageError("--x and --y are required without --all-pairs")
+        check_nodes(g.n, args.x, args.y)
         pairs = [(args.x, args.y)]
     exact = None
     if args.exact:
         exact = walks.hitting_table(walks.transition_matrix(g, "biased"))
     header = ["x", "y", "general", "path_refined"] + (["exact"] if args.exact else [])
     rows = []
+    bounds = {}
     for x, y in pairs:
-        general, refined = walks.hitting_bound(g, x, y)
+        if x not in bounds:
+            bounds[x] = walks.hitting_bounds_from(g, x)
+        general, refined = bounds[x][y]
         row = [x, y, general, refined]
         if args.exact:
             row.append(float(exact.h[x, y]))

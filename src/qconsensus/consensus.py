@@ -26,11 +26,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, csr
 
 STRONG_POS = 2
 STRONG_NEG = -2
@@ -318,11 +318,9 @@ def _run_kernel(g: Graph, s, rng, max_ticks: int, stride: int, apply, row):
     at each multiple not converged, and at the final tick.
     """
     n = g.n
-    deg = np.fromiter(map(len, g.adjacency), np.int64, n)
+    deg, off, flat = csr(g)
     if max_ticks and not deg.all():
         raise ValueError("every node needs a neighbor to run a protocol")
-    off = np.cumsum(deg) - deg
-    flat = np.fromiter(chain.from_iterable(g.adjacency), np.int64, int(deg.sum()))
     trace = [row(s.tick)] if stride else []
     ticks = 0
     converged = False

@@ -13,6 +13,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -225,18 +226,25 @@ def check_nodes(n: int, *nodes: int) -> None:
             raise ValueError(f"nodes must be in 0..{n - 1}")
 
 
-def shortest_path(g: Graph, x: int, y: int) -> list[int]:
-    """Minimum-hop path from x to y, inclusive of both endpoints.
+def csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees, row offsets and the concatenated adjacency rows, as int64 arrays."""
+    deg = np.fromiter(map(len, g.adjacency), np.int64, g.n)
+    off = np.cumsum(deg) - deg
+    flat = np.fromiter(chain.from_iterable(g.adjacency), np.int64, int(deg.sum()))
+    return deg, off, flat
 
-    Ties are broken deterministically: each BFS level is processed in
-    ascending node order, so every node is claimed by its lexicographically
-    smallest same-level predecessor.
+
+def bfs_tree(g: Graph, x: int) -> tuple[list[int], list[int]]:
+    """Breadth-first visiting order from x, and each node's parent (-1 if unreached).
+
+    Each level is processed in ascending node order, so every node is
+    claimed by its lexicographically smallest same-level predecessor; the
+    source is its own parent.
     """
-    check_nodes(g.n, x, y)
-    if x == y:
-        return [x]
+    check_nodes(g.n, x)
     parent = [-1] * g.n
     parent[x] = x
+    order = [x]
     frontier = [x]
     while frontier:
         nxt = []
@@ -245,9 +253,15 @@ def shortest_path(g: Graph, x: int, y: int) -> list[int]:
                 if parent[v] < 0:
                     parent[v] = u
                     nxt.append(v)
-        if parent[y] >= 0:
-            break
         frontier = sorted(nxt)
+        order += frontier
+    return order, parent
+
+
+def shortest_path(g: Graph, x: int, y: int) -> list[int]:
+    """Minimum-hop path from x to y, inclusive of both endpoints, along bfs_tree(g, x)."""
+    check_nodes(g.n, x, y)
+    parent = bfs_tree(g, x)[1]
     if parent[y] < 0:
         raise ValueError(f"node {y} is unreachable from node {x}")
     path = [y]

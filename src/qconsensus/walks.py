@@ -18,7 +18,7 @@ Exact tables cost O(n^3) each: all-pairs hitting times come from one
 fundamental matrix and all-pairs resistances from one Laplacian
 pseudo-inverse. The per-target solves (hitting_times, effective_resistance,
 commute_time) are independent O(n^3)-per-call oracles for them. The
-simulate_* functions estimate the same quantities (and the two-token
+sample_* functions estimate the same quantities (and the two-token
 meeting times) by Monte Carlo under the tick-level dynamics.
 """
 
@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, check_nodes, shortest_path
+from .graphs import Graph, bfs_tree, check_nodes, csr
 
 WALK_KINDS = ("simple", "natural", "biased")
 
@@ -116,14 +116,11 @@ class HittingTable:
 def edge_weights(g: Graph) -> WeightedGraph:
     """Weights w_ij = (1/n)(1/deg(i) + 1/deg(j)) with self-weights filling each row to 1."""
     n = g.n
-    inv_deg = np.array([1.0 / g.degree(i) for i in range(n)])
+    moves = _Moves(g)
     w = np.zeros((n, n))
-    for i in range(n):
-        for j in g.adjacency[i]:
-            w[i, j] = (inv_deg[i] + inv_deg[j]) / n
-    for i in range(n):
-        # exact value is >= 0; clamp float-summation roundup
-        w[i, i] = max(0.0, 1.0 - w[i].sum())
+    w.flat[moves.key] = moves.p
+    # exact value is >= 0; clamp float-summation roundup
+    np.fill_diagonal(w, np.maximum(0.0, 1.0 - w.sum(axis=1)))
     return WeightedGraph(n, w)
 
 
@@ -150,8 +147,27 @@ def transition_matrix(g: Graph, kind: str) -> WalkMatrix:
     return WalkMatrix(kind, p)
 
 
+def _require_irreducible(m: WalkMatrix) -> None:
+    """Raise SolverError unless every node reaches every other along P > 0.
+
+    On a reducible walk the solves can return garbage with small residuals
+    (1.8e16 hitting times, negative pi entries on a triangle plus a star).
+    """
+    support = m.p > 0
+    for s in (support, support.T):
+        seen = np.zeros(len(s), dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = s[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            raise SolverError("walk matrix is reducible (disconnected graph?)")
+
+
 def stationary_distribution(m: WalkMatrix) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 by a direct dense solve."""
+    """Solve pi P = pi, sum(pi) = 1 by a direct dense solve; SolverError if reducible."""
+    _require_irreducible(m)
     n = m.n
     a = m.p.T - np.eye(n)
     a[-1, :] = 1.0
@@ -171,10 +187,12 @@ def hitting_times(m: WalkMatrix, target: int) -> np.ndarray:
     """Expected ticks to first reach ``target`` from every node.
 
     Solves h[x] = 1 + sum_j P[x][j] h[j] for x != target, h[target] = 0.
+    A reducible walk raises SolverError.
     """
     n = m.n
     if not (0 <= target < n):
         raise ValueError(f"target must be in 0..{n - 1}")
+    _require_irreducible(m)
     idx = [i for i in range(n) if i != target]
     sub = m.p[np.ix_(idx, idx)]
     a = np.eye(n - 1) - sub
@@ -191,26 +209,6 @@ def hitting_times(m: WalkMatrix, target: int) -> np.ndarray:
     return h
 
 
-def _strongly_connected(support: np.ndarray) -> bool:
-    """True iff every node reaches every other along the True entries of ``support``.
-
-    A reducible walk makes the fundamental matrix singular, but the solve can
-    still return huge entries whose residuals are small relative to their
-    columns (natural walk on a triangle plus a star), so hitting_table
-    checks reachability first.
-    """
-    for s in (support, support.T):
-        seen = np.zeros(len(s), dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = s[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        if not seen.all():
-            return False
-    return True
-
-
 def hitting_table(m: WalkMatrix) -> HittingTable:
     """All-pairs hitting times from the fundamental matrix, O(n^3).
 
@@ -225,8 +223,6 @@ def hitting_table(m: WalkMatrix) -> HittingTable:
     extremal lollipop(481)), where hitting_times does not.
     """
     n = m.n
-    if not _strongly_connected(m.p > 0):
-        raise SolverError("walk matrix is reducible (disconnected graph?)")
     pi = stationary_distribution(m)
     a = np.eye(n) - m.p + pi
     try:
@@ -325,13 +321,21 @@ def hitting_bound(g: Graph, x: int, y: int) -> HittingBound:
     i.e. total weight times the resistance bound obtained by chaining the
     per-edge bound r_ij < n * min(deg_i, deg_j) along the shortest path.
     """
+    check_nodes(g.n, y)
+    return hitting_bounds_from(g, x)[y]
+
+
+def hitting_bounds_from(g: Graph, x: int) -> list[HittingBound]:
+    """hitting_bound(g, x, y) for every node y, along one breadth-first tree."""
     n = g.n
+    order, parent = bfs_tree(g, x)
+    if len(order) < n:
+        raise ValueError(f"node {parent.index(-1)} is unreachable from node {x}")
+    r_bound = [0] * n
+    for v in order[1:]:
+        r_bound[v] = r_bound[parent[v]] + n * min(g.degree(parent[v]), g.degree(v))
     general = 3.0 * n**3
-    path = shortest_path(g, x, y)
-    r_bound = sum(
-        n * min(g.degree(path[k]), g.degree(path[k + 1])) for k in range(len(path) - 1)
-    )
-    return HittingBound(general, float(n * r_bound))
+    return [HittingBound(general, float(n * r)) for r in r_bound]
 
 
 def hidden_vertex(h: HittingTable) -> int:
@@ -370,209 +374,204 @@ def cycle_identity_gap(h: HittingTable, x: int, y: int, z: int) -> float:
 # Monte Carlo simulation of tokens under the tick-level exchange dynamics.
 #
 # One tick activates an edge by picking a node uniformly and then a neighbor
-# uniformly, so edge {u, v} fires with probability (1/n)(1/deg u + 1/deg v)
-# per tick and the values at its endpoints swap. A tracked token therefore
-# moves only on ticks whose activated edge is incident to it; the number of
-# idle ticks between moves is geometric, which lets the simulators skip
-# ahead without changing the tick-level law.
+# uniformly, so edge {u, v} fires with probability p_uv = w_uv per tick and
+# the values at its endpoints swap. A tracked token at u moves on a tick
+# with probability r_u = sum_v p_uv, so the idle ticks before its next move
+# are one geometric draw; meet-all runs move every token, one edge per tick.
+#
+# All runs of one sample_* call advance in lockstep on one generator,
+# np.random.default_rng(seed): each step draws the next event of every
+# active run at once, and a run leaves the active set when it finishes. A
+# sample of k runs is a function of (seed, k), not a prefix of a larger one.
 # ---------------------------------------------------------------------------
 
 
-class _EdgeSampler:
-    """Per-node move rates and cumulative neighbor laws for token simulation."""
+class _Moves:
+    """CSR move tables, O(E) arrays: entry k of row u is the edge (u, nbr[k]).
+
+    ``key`` is sorted, ``p[k]`` is p_uv, ``rev[k]`` is the entry of (v, u),
+    and entry k owns [start[k], start[k + 1]) of the running sum of p, so a
+    uniform point in row u picks v with probability p_uv / r_u.
+    """
 
     def __init__(self, g: Graph):
-        self.g = g
-        n = g.n
-        inv_deg = [1.0 / g.degree(i) for i in range(n)]
-        self.neighbors = [list(nbrs) for nbrs in g.adjacency]
-        # pb[u][k]: activation probability of edge (u, neighbors[u][k]) per tick
-        self.pb = [
-            [(inv_deg[u] + inv_deg[v]) / n for v in g.adjacency[u]] for u in range(n)
-        ]
-        # move_rate[u]: probability per tick that some edge at u fires; the
-        # exact value never exceeds 1, so clamp float-summation roundup.
-        self.move_rate = [min(1.0, sum(row)) for row in self.pb]
-        self.cum = [np.cumsum(row) for row in self.pb]
+        self.deg, self.off, self.nbr = csr(g)
+        if not self.deg.all():
+            raise ValueError("every node needs a neighbor")
+        src = np.repeat(np.arange(g.n), self.deg)
+        self.p = (1.0 / self.deg[src] + 1.0 / self.deg[self.nbr]) / g.n
+        self.key = src * g.n + self.nbr  # the entry's index in a flat n x n array
+        self.rev = np.searchsorted(self.key, self.nbr * g.n + src)
+        # np.cumsum adds in order, so start[k + 1] == start[k] + p[k] in floats
+        self.start = np.concatenate(([0.0], np.cumsum(self.p)))
+        self.last = self.off + self.deg - 1
+        # r_u; the exact value never exceeds 1
+        self.rate = np.minimum(1.0, self.start[self.last + 1] - self.start[self.off])
 
-    def edge_prob(self, u: int, v: int) -> float:
-        try:
-            k = self.neighbors[u].index(v)
-        except ValueError:
-            return 0.0
-        return self.pb[u][k]
+    def pick(self, u, r, skip=None, p_skip=0.0) -> np.ndarray:
+        """A neighbor of each u[i] with probability p_uv / r_u, from uniforms r.
 
-    def pick_neighbor(self, rng, u: int) -> int:
-        """Neighbor v of u drawn with probability proportional to pb[u][v]."""
-        r = rng.random() * self.move_rate[u]
-        k = int(np.searchsorted(self.cum[u], r, side="right"))
-        if k >= len(self.neighbors[u]):
-            k = len(self.neighbors[u]) - 1
-        return self.neighbors[u][k]
+        Entry skip[i] of row u[i], of mass p_skip[i] > 0 (0 skips nothing),
+        is cut out: a point at or past its start moves up by its mass, which
+        is at or past its end since float addition is monotone, and the
+        clamp to the row's last entry stops short of a skipped last entry.
+        """
+        point = self.start[self.off[u]] + r * (self.rate[u] - p_skip)
+        last = self.last[u]
+        if skip is not None:
+            point = np.where(point >= self.start[skip], point + p_skip, point)
+            last = last - ((skip == last) & (p_skip > 0))
+        return self.nbr[np.minimum(np.searchsorted(self.start[1:], point, side="right"), last)]
 
 
-def _check_budget(max_ticks: int) -> None:
+def _check_runs(g: Graph, nodes, runs: int, max_ticks: int) -> None:
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    check_nodes(g.n, *nodes)
     if max_ticks < 0:
         raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
 
 
-def _spawn_run_rngs(seed, runs: int):
-    """Independent per-run generators derived from (master seed, run index)."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(runs)]
+def _lockstep(runs: int, state: tuple, step, max_ticks: int, what: str) -> np.ndarray:
+    """Advance ``runs`` runs together until each finishes; return their ticks.
 
-
-def simulate_hitting(g: Graph, x: int, y: int, rng, max_ticks: int = DEFAULT_TICK_BUDGET,
-                     sampler: _EdgeSampler | None = None) -> int:
-    """Ticks until a token started at x first sits on y, one Monte Carlo run."""
-    check_nodes(g.n, x, y)
-    _check_budget(max_ticks)
-    if sampler is None:
-        sampler = _EdgeSampler(g)
-    if x == y:
-        return 0
-    pos = x
-    ticks = 0
-    geometric = rng.geometric
-    while True:
-        ticks += int(geometric(sampler.move_rate[pos]))
-        if ticks > max_ticks:
-            raise TickBudgetError(f"hitting run exceeded {max_ticks} ticks", max_ticks)
-        pos = sampler.pick_neighbor(rng, pos)
-        if pos == y:
-            return ticks
+    ``state`` holds arrays whose first axis is the active run. ``step(*state)``
+    returns the next state, the ticks each run spent reaching its next event
+    and which runs finished at it. A run past ``max_ticks`` raises.
+    """
+    out = np.zeros(runs, dtype=np.int64)
+    active = np.arange(runs)
+    ticks = np.zeros(runs, dtype=np.int64)
+    while active.size:
+        state, elapsed, done = step(*state)
+        ticks += elapsed
+        if ticks.max() > max_ticks:
+            raise TickBudgetError(f"{what} run exceeded {max_ticks} ticks", max_ticks)
+        if done.any():
+            out[active[done]] = ticks[done]
+            keep = ~done
+            active, ticks = active[keep], ticks[keep]
+            state = tuple(a[keep] for a in state)
+    return out
 
 
 def sample_hitting(g: Graph, x: int, y: int, seed, runs: int,
                    max_ticks: int = DEFAULT_TICK_BUDGET) -> np.ndarray:
-    sampler = _EdgeSampler(g)
-    return np.array(
-        [simulate_hitting(g, x, y, rng, max_ticks, sampler) for rng in _spawn_run_rngs(seed, runs)]
-    )
-
-
-def simulate_pair_meeting(g: Graph, x: int, y: int, rng, coupling: str = "X",
-                          max_ticks: int = DEFAULT_TICK_BUDGET,
-                          sampler: _EdgeSampler | None = None) -> int:
-    """Ticks until two tokens started at x and y meet, one Monte Carlo run.
-
-    coupling "X" is the exchange process itself: the tokens meet when the
-    edge joining them fires (they cross) or when one lands on the other.
-    coupling "Xprime" meets with twice the crossing probability, the extra
-    mass taken from the both-stay event (capped by the stay mass available,
-    so the per-tick law stays stochastic on every graph); single-token
-    moves are unchanged.
-    """
-    if coupling not in ("X", "Xprime"):
-        raise ValueError(f"unknown coupling {coupling!r}")
-    check_nodes(g.n, x, y)
-    _check_budget(max_ticks)
-    if sampler is None:
-        sampler = _EdgeSampler(g)
+    """Ticks until a token started at x first sits on y, for each of ``runs`` runs."""
+    _check_runs(g, (x, y), runs, max_ticks)
     if x == y:
-        return 0
-    ticks = 0
-    random = rng.random
-    geometric = rng.geometric
-    prime = coupling == "Xprime"
-    while True:
-        rx = sampler.move_rate[x]
-        ry = sampler.move_rate[y]
-        adjacent = g.has_edge(x, y)
-        p_join = sampler.edge_prob(x, y) if adjacent else 0.0
-        mx = rx - p_join  # x moves somewhere other than y
-        my = ry - p_join
-        if prime:
-            rate = min(1.0, rx + ry)
-        else:
-            rate = min(1.0, rx + ry - p_join)
-        meet_mass = rate - mx - my  # p_join for X, up to 2*p_join for Xprime
-        ticks += int(geometric(rate))
-        if ticks > max_ticks:
-            raise TickBudgetError(f"meeting run exceeded {max_ticks} ticks", max_ticks)
-        r = random() * rate
-        if adjacent and r < meet_mass:
-            return ticks
-        if r < meet_mass + mx:
-            nxt = sampler.pick_neighbor(rng, x)
-            while adjacent and nxt == y:
-                nxt = sampler.pick_neighbor(rng, x)
-            x = nxt
-        else:
-            nxt = sampler.pick_neighbor(rng, y)
-            while adjacent and nxt == x:
-                nxt = sampler.pick_neighbor(rng, y)
-            y = nxt
-        if x == y:  # cannot occur under swap dynamics; defensive
-            return ticks
+        return np.zeros(runs, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    moves = _Moves(g)
+
+    def step(pos):
+        elapsed = rng.geometric(moves.rate[pos])
+        pos = moves.pick(pos, rng.random(pos.size))
+        return (pos,), elapsed, pos == y
+
+    return _lockstep(runs, (np.full(runs, x),), step, max_ticks, "hitting")
 
 
 def sample_pair_meetings(g: Graph, x: int, y: int, seed, runs: int, coupling: str = "X",
                          max_ticks: int = DEFAULT_TICK_BUDGET) -> np.ndarray:
-    sampler = _EdgeSampler(g)
-    return np.array(
-        [simulate_pair_meeting(g, x, y, rng, coupling, max_ticks, sampler)
-         for rng in _spawn_run_rngs(seed, runs)]
-    )
+    """Ticks until two tokens started at x and y meet, for each of ``runs`` runs.
 
-
-def simulate_meet_all(g: Graph, start: int, others: Iterable[int], rng,
-                      max_ticks: int = DEFAULT_TICK_BUDGET) -> int:
-    """Ticks until the token started at ``start`` has met every other token.
-
-    All tokens ride the exchange dynamics: each tick activates one edge and
-    the occupants of its endpoints swap. The designated token meets another
-    when they cross an activated edge (or would land on each other).
+    Per tick, with p = p_xy (0 unless adjacent), the tokens meet with
+    probability m, x moves with probability r_x - p, to v != y with p_xv,
+    y moves with probability r_y - p, to w != x with p_yw, and both stay
+    otherwise. Coupling "X" is the exchange process itself, m = p: the
+    tokens meet when the edge joining them fires. "Xprime" doubles the
+    crossing mass, taking it from the both-stay event and capped by it:
+    m = min(1, r_x + r_y) - r_x - r_y + 2p.
     """
-    others = list(others)
-    check_nodes(g.n, start, *others)
-    _check_budget(max_ticks)
-    if len(set(others) | {start}) != len(others) + 1:
-        raise ValueError("tokens must start on distinct nodes")
-    if not others:
-        return 0
+    if coupling not in ("X", "Xprime"):
+        raise ValueError(f"unknown coupling {coupling!r}")
+    _check_runs(g, (x, y), runs, max_ticks)
+    if x == y:
+        return np.zeros(runs, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    moves = _Moves(g)
     n = g.n
-    occupant = [-1] * n  # token index at each node, -1 if none; 0 is tracked
-    occupant[start] = 0
-    for k, node in enumerate(others, start=1):
-        occupant[node] = k
-    unmet = set(range(1, len(others) + 1))
-    adjacency = [list(nbrs) for nbrs in g.adjacency]
-    degs = [len(a) for a in adjacency]
-    ticks = 0
-    chunk = 4096
-    while True:
-        us = rng.integers(0, n, size=chunk).tolist()
-        rs = rng.random(size=chunk).tolist()
-        for u, r in zip(us, rs):
-            ticks += 1
-            if ticks > max_ticks:
-                raise TickBudgetError(f"meet-all run exceeded {max_ticks} ticks", max_ticks)
-            v = adjacency[u][int(r * degs[u])]
-            tu = occupant[u]
-            tv = occupant[v]
-            if tu < 0 and tv < 0:
-                continue
-            occupant[u], occupant[v] = tv, tu
-            if tu == 0 and tv > 0:
-                unmet.discard(tv)
-            elif tv == 0 and tu > 0:
-                unmet.discard(tu)
-            if not unmet:
-                return ticks
+    prime = coupling == "Xprime"
+
+    def step(xs, ys):
+        query = xs * n + ys
+        k = np.minimum(np.searchsorted(moves.key, query), moves.key.size - 1)
+        adjacent = moves.key[k] == query
+        p_join = np.where(adjacent, moves.p[k], 0.0)
+        rx, ry = moves.rate[xs], moves.rate[ys]
+        mx, my = rx - p_join, ry - p_join
+        rate = np.minimum(1.0, rx + ry if prime else rx + ry - p_join)
+        meet = rate - mx - my
+        elapsed = rng.geometric(rate)
+        r = rng.random(xs.size) * rate
+        # [0, meet) meets, [meet, meet + mx) moves x, the rest moves y; a
+        # mover needs a move left, and non-adjacent tokens never meet
+        move_y = (r >= meet + mx) & (my > 0)
+        move_x = ~move_y & ((r >= meet) | ~adjacent) & (mx > 0)
+        skip = np.where(move_y, moves.rev[k], k)
+        new = moves.pick(np.where(move_y, ys, xs), rng.random(xs.size), skip, p_join)
+        xs = np.where(move_x, new, xs)
+        ys = np.where(move_y, new, ys)
+        return (xs, ys), elapsed, ~(move_x | move_y)
+
+    return _lockstep(runs, (np.full(runs, x), np.full(runs, y)), step, max_ticks, "meeting")
 
 
 def sample_meet_all(g: Graph, start: int, others: Iterable[int], seed, runs: int,
                     max_ticks: int = DEFAULT_TICK_BUDGET) -> np.ndarray:
+    """Ticks until the token started at ``start`` has met every other token, per run.
+
+    Each tick activates one edge and the occupants of its endpoints swap;
+    the designated token meets another when they cross an activated edge.
+    """
     others = list(others)
-    return np.array(
-        [simulate_meet_all(g, start, others, rng, max_ticks) for rng in _spawn_run_rngs(seed, runs)]
-    )
+    _check_runs(g, (start, *others), runs, max_ticks)
+    if len(set(others) | {start}) != len(others) + 1:
+        raise ValueError("tokens must start on distinct nodes")
+    if not others:
+        return np.zeros(runs, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    moves = _Moves(g)
+    n = g.n
+    # occupant[run, node]: 0 for none, 1 for the designated token, 2.. for
+    # the others; unmet[run, token] stays False for tokens 0 and 1
+    occupant = np.zeros((runs, n), dtype=np.int64)
+    occupant[:, start] = 1
+    occupant[:, others] = np.arange(2, len(others) + 2)
+    unmet = np.tile(np.arange(len(others) + 2) >= 2, (runs, 1))
+
+    def step(occupant, unmet, left):
+        rows = np.arange(left.size)
+        r = rng.random(2 * left.size)
+        u = (r[0::2] * n).astype(np.int64)
+        v = moves.nbr[moves.off[u] + (r[1::2] * moves.deg[u]).astype(np.int64)]
+        tu, tv = occupant[rows, u], occupant[rows, v]
+        occupant[rows, u], occupant[rows, v] = tv, tu
+        met = np.where(tu == 1, tv, np.where(tv == 1, tu, 0))
+        left = left - unmet[rows, met]
+        unmet[rows, met] = False
+        return (occupant, unmet, left), 1, left == 0
+
+    return _lockstep(runs, (occupant, unmet, np.full(runs, len(others))), step, max_ticks,
+                     "meet-all")
+
+
+def simulate_hitting(g: Graph, x: int, y: int, rng, max_ticks: int = DEFAULT_TICK_BUDGET) -> int:
+    """One run of sample_hitting on the generator ``rng``."""
+    return int(sample_hitting(g, x, y, rng, 1, max_ticks)[0])
+
+
+def simulate_pair_meeting(g: Graph, x: int, y: int, rng, coupling: str = "X",
+                          max_ticks: int = DEFAULT_TICK_BUDGET) -> int:
+    """One run of sample_pair_meetings on the generator ``rng``."""
+    return int(sample_pair_meetings(g, x, y, rng, 1, coupling, max_ticks)[0])
+
+
+def simulate_meet_all(g: Graph, start: int, others: Iterable[int], rng,
+                      max_ticks: int = DEFAULT_TICK_BUDGET) -> int:
+    """One run of sample_meet_all on the generator ``rng``."""
+    return int(sample_meet_all(g, start, others, rng, 1, max_ticks)[0])
 
 
 def write_matrix_rows(fh, matrix: np.ndarray) -> None:

@@ -288,7 +288,7 @@ GOLDEN_DIGESTS = {
     "simulate_quantized": "657c9498b106992c5f3f8b62db7ee7503c83a0cbf3e237c89aa5ed82e29963c4",
     "simulate_json": "722f94567a5f4b8c47169af33025e4d69fab1d5309d0dfea3d80faa8aedfe1f2",
     "sweep_json": "8b9df5a8eb945a8bcd5051d54779ae3b93098ba5a8b092d4fb5da79cf174ddba",
-    "meet": "ed0b9762b674466dbe6a66e52934403d5e5457de556a550c64ed2cdf4affcee9",
+    "meet": "67b9904abdc2df026ff2b985e9e4cdc3f4be46c5245b4ec454cda0a59f16d8ff",
     "trace_binary": "a569f343a419af811b154b65bd21d2ee07e492cdad287156eddf664b12568dce",
     "sweep_csv": "76e5dbd26dfd8ffc4d2bdfa5c71ec711611061892ea960fed662c4f51c8418b0",
     "rounds_csv": "474649a941a991d4071b5be4efa29295084463e922b8bbe85501b32ca1e81d83",

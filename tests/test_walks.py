@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from qconsensus.checks import (
+    MC_SIGMAS,
     check_commute_identity,
     check_cycle_identity,
     check_hitting_bound,
@@ -17,6 +18,7 @@ from qconsensus.graphs import (
     complete_graph,
     line_graph,
     lollipop_graph,
+    shortest_path,
     star_graph,
 )
 from qconsensus import walks
@@ -32,6 +34,7 @@ from qconsensus.walks import (
     effective_resistance,
     hidden_vertex,
     hitting_bound,
+    hitting_bounds_from,
     hitting_table,
     hitting_times,
     potential,
@@ -81,6 +84,19 @@ def test_node_weights_are_one_and_total_is_n():
             assert wg.w[i].sum() == pytest.approx(1.0, abs=1e-12)
             assert wg.w[i, i] >= 0.0
         assert wg.w.sum() == pytest.approx(g.n, abs=1e-9)
+
+
+@given(connected_graphs(max_n=12))
+@settings(max_examples=30, deadline=None)
+def test_edge_weights_equal_a_per_edge_loop(g):
+    n = g.n
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in g.adjacency[i]:
+            w[i, j] = (1.0 / g.degree(i) + 1.0 / g.degree(j)) / n
+    for i in range(n):
+        w[i, i] = max(0.0, 1.0 - w[i].sum())
+    assert np.array_equal(edge_weights(g).w, w)
 
 
 def test_star_hub_self_weight_is_zero():
@@ -230,8 +246,10 @@ def test_hitting_table_matches_per_target_solves_on_relabelled_lollipop():
 ])
 def test_exact_tables_reject_a_disconnected_graph(g):
     for kind in ("simple", "natural", "biased"):
-        with pytest.raises(SolverError):
-            hitting_table(transition_matrix(g, kind))
+        m = transition_matrix(g, kind)
+        for solve in (hitting_table, stationary_distribution, lambda m: hitting_times(m, 0)):
+            with pytest.raises(SolverError, match="reducible"):
+                solve(m)
     with pytest.raises(SolverError):
         resistance_matrix(edge_weights(g))
 
@@ -375,6 +393,26 @@ def test_star5_path_refined_bound_exceeds_exact_20():
     # path 1-0-2, both edges have min degree 1: bound n^2 * 2 = 50
     assert refined == pytest.approx(50.0)
     assert refined >= exact
+
+
+@given(connected_graphs(max_n=12))
+@settings(max_examples=40, deadline=None)
+def test_hitting_bounds_from_a_source_match_per_pair_path_sums(g):
+    n = g.n
+    for x in range(n):
+        bounds = hitting_bounds_from(g, x)
+        for y in range(n):
+            path = shortest_path(g, x, y)
+            r_bound = sum(n * min(g.degree(u), g.degree(v)) for u, v in zip(path, path[1:]))
+            assert bounds[y] == hitting_bound(g, x, y) == (3.0 * n**3, float(n * r_bound))
+
+
+def test_hitting_bounds_from_reject_unreachable_nodes_and_bad_sources():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="node 2 is unreachable from node 0"):
+        hitting_bounds_from(g, 0)
+    with pytest.raises(ValueError, match=r"nodes must be in 0\.\.3"):
+        hitting_bounds_from(g, 4)
 
 
 def test_cubic_bound_on_extremal_lollipops():
@@ -570,6 +608,156 @@ def test_meeting_terminates_on_random_graphs(g):
     rng = np.random.default_rng(7)
     ticks = simulate_pair_meeting(g, 0, g.n - 1, rng, max_ticks=10**7)
     assert 0 < ticks <= 10**7
+
+
+def _exact_meeting(g, x, y, coupling):
+    """Expected meeting ticks from the ordered-pair chain, one dense solve.
+
+    The per-tick law of sample_pair_meetings over the n(n-1) states (a, b),
+    a != b: with p = p_ab (0 unless adjacent) the tokens meet with mass p
+    (X) or min(1, r_a + r_b) - r_a - r_b + 2p (Xprime), a moves to v != b
+    with p_av, b moves to w != a with p_bw, and the rest stays.
+    """
+    n = g.n
+    p = {(u, v): (1 / g.degree(u) + 1 / g.degree(v)) / n
+         for u in range(n) for v in g.adjacency[u]}
+    r = [sum(p[u, v] for v in g.adjacency[u]) for u in range(n)]
+    states = [(a, b) for a in range(n) for b in range(n) if a != b]
+    index = {state: i for i, state in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for i, (a, b) in enumerate(states):
+        p_join = p.get((a, b), 0.0)
+        if coupling == "X":
+            meet = p_join
+        else:
+            meet = min(1.0, r[a] + r[b]) - r[a] - r[b] + 2 * p_join
+        for v in g.adjacency[a]:
+            if v != b:
+                q[i, index[v, b]] += p[a, v]
+        for w in g.adjacency[b]:
+            if w != a:
+                q[i, index[a, w]] += p[b, w]
+        q[i, i] += 1.0 - meet - (r[a] - p_join) - (r[b] - p_join)
+    return float(np.linalg.solve(np.eye(len(states)) - q, np.ones(len(states)))[index[x, y]])
+
+
+@pytest.mark.parametrize("g,x,y,coupling,exact,seed", [
+    (line_graph(9), 0, 8, "X", 124.076, 601),
+    (line_graph(9), 0, 8, "Xprime", 103.125, 602),
+    (line_graph(9), 0, 1, "X", 20.829, 603),
+    (line_graph(9), 0, 1, "Xprime", 8.824, 604),
+    (star_graph(11), 1, 2, "X", 60.0, 605),
+    (star_graph(11), 1, 2, "Xprime", 60.0, 606),
+    # the other token sits inside the mover's row, not only at its ends
+    (lollipop_graph(8, 5), 1, 3, "X", 26.271, 607),
+    (lollipop_graph(8, 5), 1, 3, "Xprime", 12.156, 608),
+])
+def test_pair_meeting_means_match_the_exact_pair_chain(g, x, y, coupling, exact, seed):
+    chain = _exact_meeting(g, x, y, coupling)
+    assert chain == pytest.approx(exact, abs=1e-3)
+    runs = 20_000
+    sample = sample_pair_meetings(g, x, y, seed, runs, coupling)
+    se = sample.std(ddof=1) / math.sqrt(runs)
+    assert abs(sample.mean() - chain) <= MC_SIGMAS * se
+
+
+# Each sampler on line(9) from node 0: every run needs at least 8 ticks.
+SAMPLERS = {
+    "hitting": (sample_hitting, simulate_hitting, (0, 8), {}),
+    "X": (sample_pair_meetings, simulate_pair_meeting, (0, 8), {"coupling": "X"}),
+    "Xprime": (sample_pair_meetings, simulate_pair_meeting, (0, 8), {"coupling": "Xprime"}),
+    "meet_all": (sample_meet_all, simulate_meet_all, (0, range(1, 9)), {}),
+}
+
+
+def _sample(name, seed, runs, **budget):
+    sample, _, args, kwargs = SAMPLERS[name]
+    return sample(line_graph(9), *args, seed, runs, **kwargs, **budget)
+
+
+def _simulate(name, rng, **budget):
+    _, simulate, args, kwargs = SAMPLERS[name]
+    return simulate(line_graph(9), *args, rng, **kwargs, **budget)
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_samples_are_a_function_of_seed_and_runs(name):
+    first = _sample(name, 70, 40)
+    assert first.dtype == np.int64 and first.shape == (40,) and first.min() >= 8
+    np.testing.assert_array_equal(_sample(name, 70, 40), first)
+    np.testing.assert_array_equal(_sample(name, np.random.SeedSequence(70), 40), first)
+    assert not np.array_equal(_sample(name, 71, 40), first)
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_one_simulated_run_is_the_one_run_sample(name):
+    for seed in range(5):
+        assert _simulate(name, np.random.default_rng(seed)) == _sample(name, seed, 1)[0]
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+@pytest.mark.parametrize("max_ticks", [0, 3, 7])
+def test_every_sampler_stops_at_its_tick_budget(name, max_ticks):
+    for call in (lambda: _sample(name, 80, 25, max_ticks=max_ticks),
+                 lambda: _simulate(name, np.random.default_rng(80), max_ticks=max_ticks)):
+        with pytest.raises(TickBudgetError) as info:
+            call()
+        assert info.value.ticks == max_ticks
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_a_budget_of_the_longest_run_changes_nothing(name):
+    full = _sample(name, 90, 30)
+    longest = int(full.max())
+    np.testing.assert_array_equal(_sample(name, 90, 30, max_ticks=longest), full)
+    with pytest.raises(TickBudgetError):
+        _sample(name, 90, 30, max_ticks=longest - 1)
+
+
+def test_token_runs_reject_an_isolated_node():
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    rng = np.random.default_rng(5)
+    for call in (lambda: sample_hitting(g, 0, 2, 0, 5),
+                 lambda: sample_pair_meetings(g, 0, 2, 0, 5),
+                 lambda: simulate_meet_all(g, 0, [2], rng)):
+        with pytest.raises(ValueError, match="every node needs a neighbor"):
+            call()
+
+
+@given(connected_graphs(min_n=2, max_n=9))
+@settings(max_examples=40, deadline=None)
+def test_conditional_moves_stay_on_the_graph_and_off_the_other_token(g):
+    moves = walks._Moves(g)
+    grid = 4096
+    for u in range(g.n):
+        row = range(moves.off[u], moves.last[u] + 1)
+        for skip in [None, *row]:
+            if skip is None:
+                excluded, p_skip = -1, 0.0
+            elif moves.deg[u] > 1:
+                excluded, p_skip = moves.nbr[skip], moves.p[skip]
+            else:
+                continue  # a token whose only neighbor is the other token never moves
+            width = moves.rate[u] - p_skip
+            # evenly spaced points, both ends, and the floats around each entry
+            # boundary, before and after the skipped mass moves it
+            bounds = moves.start[moves.off[u]:moves.last[u] + 2] - moves.start[moves.off[u]]
+            edges = np.concatenate([bounds, bounds - p_skip]) / width
+            r = np.concatenate([(np.arange(grid) + 0.5) / grid, [0.0, 1.0], edges,
+                                np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+            r = np.clip(r, 0.0, np.nextafter(1.0, 0.0))
+            us = np.full(r.size, u)
+            if skip is None:
+                picked = moves.pick(us, r)
+            else:
+                picked = moves.pick(us, r, np.full(r.size, skip), np.full(r.size, p_skip))
+            assert set(picked.tolist()) <= set(g.adjacency[u]) - {excluded}
+            # the evenly spaced points follow p_uv / (r_u - p_skip)
+            counts = np.bincount(picked[:grid], minlength=g.n)
+            for k in row:
+                v = moves.nbr[k]
+                expected = 0.0 if v == excluded else moves.p[k] / width
+                assert abs(counts[v] / grid - expected) <= 1.0 / grid
 
 
 # ------------------------------------------------------------------ CSV export
