@@ -18,7 +18,7 @@ import numpy as np
 
 from . import consensus as cons
 from . import walks
-from .graphs import Graph, build_graph, er_probability, path_degree_sum, TopologySpec
+from .graphs import Graph, build_graph, er_probability, path_degree_sums_from, TopologySpec
 from .harness import init_majority_one, init_q_setting2, lollipop_clique_size
 
 COMMUTE_REL_TOL = 1e-6
@@ -161,10 +161,10 @@ def check_hitting_bound(graphs) -> CheckResult:
                     violations.append(f"{name}: bound ordering broken at ({x},{y})")
                     break
         for x in range(g.n):
-            for y in range(g.n):
-                if path_degree_sum(g, x, y) >= 3 * g.n:
-                    violations.append(f"{name}: path degree sum >= 3n at ({x},{y})")
-                    break
+            sums = path_degree_sums_from(g, x)
+            y = next((y for y, total in enumerate(sums) if total >= 3 * g.n), None)
+            if y is not None:
+                violations.append(f"{name}: path degree sum >= 3n at ({x},{y})")
     ok = not violations
     return CheckResult("hitting_bound", ok, violations[0] if violations else
                        f"H < 3n^3 on {len(graphs)} graphs, all pairs")

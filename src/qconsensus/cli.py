@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import sys
 
@@ -27,13 +25,12 @@ from .harness import (
     fit_scaling,
     initial_state,
     iter_sweep,
-    sweep_csv_row,
     topology_spec,
     write_curves_csv,
     write_rounds_csv,
-    write_sweep_rows,
-    SWEEP_CSV_HEADER,
+    write_sweep_table,
 )
+from .rows import write_json, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,27 +64,15 @@ def _open_out(path: str | None):
 
 
 def _emit_rows(args, header, rows) -> None:
-    """Write dict rows as CSV (one line per row) or a JSON array."""
+    """Write tuple rows as CSV (one line per row) or a JSON array."""
     with _open_out(args.out) as fh:
-        if args.format == "json":
-            fh.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        write_table(fh, args.format, header, rows)
 
 
 def _emit_matrix(args, matrix) -> None:
-    n = matrix.shape[0]
     with _open_out(args.out) as fh:
         if args.format == "json":
-            fh.write(json.dumps(
-                {"nodes": list(range(n)), "matrix": [[float(v) for v in row] for row in matrix]},
-                indent=2,
-            ))
-            fh.write("\n")
+            write_json(fh, {"nodes": list(range(matrix.shape[0])), "matrix": matrix.tolist()})
         else:
             walks.write_matrix_rows(fh, matrix)
 
@@ -152,12 +137,8 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.format == "json":
-        records = list(iter_sweep(cfg))
-        _emit_rows(args, SWEEP_CSV_HEADER, [sweep_csv_row(cfg, r) for r in records])
-    else:
-        with _open_out(args.out) as fh:
-            records = write_sweep_rows(fh, cfg, iter_sweep(cfg))
+    with _open_out(args.out) as fh:
+        records = write_sweep_table(fh, args.format, cfg, iter_sweep(cfg))
     if args.rounds_out:
         write_rounds_csv(records, _resolve_out(args.rounds_out))
     if args.curves_out:

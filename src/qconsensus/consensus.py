@@ -23,7 +23,6 @@ a run is unspecified.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import count
@@ -31,6 +30,7 @@ from itertools import count
 import numpy as np
 
 from .graphs import Graph, csr
+from .rows import write_csv
 
 STRONG_POS = 2
 STRONG_NEG = -2
@@ -468,8 +468,4 @@ def read_quantized_values(path) -> list[int]:
 
 
 def write_trace_csv(result: SimResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(result.trace_header)
-        for row in result.trace:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    write_csv(path, result.trace_header, result.trace)

@@ -55,17 +55,18 @@ class Graph:
         # must match the next unread entry above the diagonal of row j: rows
         # are visited in ascending order, so a symmetric graph consumes each
         # row's upper part in order, and every upper entry must be consumed.
-        nxt = [bisect.bisect(row, j) for j, row in enumerate(self.adjacency)]
-        for i, nbrs in enumerate(self.adjacency):
+        adj = self.adjacency
+        nxt = [bisect.bisect(row, j) for j, row in enumerate(adj)]
+        for i, nbrs in enumerate(adj):
             for j in nbrs[:bisect.bisect(nbrs, i)]:
-                row = self.adjacency[j]
+                row = adj[j]
                 k = nxt[j]
-                if k < len(row) and row[k] < i:
-                    raise GraphConstructionError(f"edge ({j},{row[k]}) is not symmetric")
                 if k == len(row) or row[k] != i:
+                    if k < len(row) and row[k] < i:
+                        raise GraphConstructionError(f"edge ({j},{row[k]}) is not symmetric")
                     raise GraphConstructionError(f"edge ({i},{j}) is not symmetric")
                 nxt[j] = k + 1
-        for j, row in enumerate(self.adjacency):
+        for j, row in enumerate(adj):
             if nxt[j] < len(row):
                 raise GraphConstructionError(f"edge ({j},{row[nxt[j]]}) is not symmetric")
 
@@ -150,7 +151,9 @@ def line_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    """Every pair of nodes joined; row i is 0..n-1 without i."""
+    nodes = tuple(range(n))
+    return Graph(n, tuple(nodes[:i] + nodes[i + 1:] for i in range(n)))
 
 
 def lollipop_graph(n: int, m: int) -> Graph:
@@ -274,6 +277,18 @@ def shortest_path(g: Graph, x: int, y: int) -> list[int]:
 def path_degree_sum(g: Graph, x: int, y: int) -> int:
     """Sum of degrees along the shortest x-y path; < 3n on any connected graph."""
     return sum(g.degree(q) for q in shortest_path(g, x, y))
+
+
+def path_degree_sums_from(g: Graph, x: int) -> list[int]:
+    """path_degree_sum(g, x, y) for every node y, along one breadth-first tree."""
+    order, parent = bfs_tree(g, x)
+    if len(order) < g.n:
+        raise ValueError(f"node {parent.index(-1)} is unreachable from node {x}")
+    sums = [0] * g.n
+    sums[x] = g.degree(x)
+    for v in order[1:]:
+        sums[v] = sums[parent[v]] + g.degree(v)
+    return sums
 
 
 def read_edge_list(path) -> Graph:

@@ -9,7 +9,6 @@ order or worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -27,6 +26,7 @@ from .consensus import (
     run_to_convergence,
 )
 from .graphs import Graph, TopologySpec, build_graph, er_probability
+from .rows import write_csv, write_table
 
 PROTOCOLS = ("binary", "quantized")
 INITS = ("majority_one", "q_setting1", "q_setting2")
@@ -306,25 +306,34 @@ SWEEP_CSV_HEADER = (
 def sweep_csv_row(cfg: SweepConfig, rec: SweepRecord) -> list:
     return [
         cfg.kind, cfg.protocol, cfg.init, rec.n, rec.rounds_total,
-        rec.rounds_converged, repr(rec.mean_ticks), repr(rec.std_ticks),
-        cfg.master_seed,
+        rec.rounds_converged, rec.mean_ticks, rec.std_ticks, cfg.master_seed,
     ]
 
 
-def write_sweep_rows(fh, cfg: SweepConfig, records) -> list[SweepRecord]:
-    """Write the sweep CSV to ``fh``, flushing each row as its record arrives.
+def write_sweep_table(fh, fmt: str, cfg: SweepConfig, records) -> list[SweepRecord]:
+    """Write the sweep table to ``fh`` as CSV or JSON (``fmt``), one row per record.
 
-    Returns the records written, so a caller can pass ``iter_sweep(cfg)``.
+    ``fh`` is flushed after the header and after each row, before the next
+    record is drawn, so a CSV row reaches its reader as soon as its record
+    exists. Returns the records written, so a caller can pass
+    ``iter_sweep(cfg)``.
     """
-    writer = csv.writer(fh)
-    writer.writerow(SWEEP_CSV_HEADER)
-    fh.flush()
     written = []
-    for rec in records:
-        writer.writerow(sweep_csv_row(cfg, rec))
+
+    def rows():
         fh.flush()
-        written.append(rec)
+        for rec in records:
+            written.append(rec)
+            yield sweep_csv_row(cfg, rec)
+            fh.flush()
+
+    write_table(fh, fmt, SWEEP_CSV_HEADER, rows())
     return written
+
+
+def write_sweep_rows(fh, cfg: SweepConfig, records) -> list[SweepRecord]:
+    """write_sweep_table as CSV."""
+    return write_sweep_table(fh, "csv", cfg, records)
 
 
 def write_sweep_csv(cfg: SweepConfig, records, path) -> None:
@@ -334,21 +343,12 @@ def write_sweep_csv(cfg: SweepConfig, records, path) -> None:
 
 def write_rounds_csv(records, path) -> None:
     """Per-round dump: n,round,ticks,converged."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "round", "ticks", "converged"))
-        for rec in records:
-            for ri, ticks, ok in rec.round_ticks:
-                writer.writerow((rec.n, ri, ticks, int(ok)))
+    write_csv(path, ("n", "round", "ticks", "converged"),
+              ((rec.n, ri, ticks, int(ok)) for rec in records for ri, ticks, ok in rec.round_ticks))
 
 
 def write_curves_csv(cfg: SweepConfig, records, path) -> None:
     """Measured means next to the reference-model columns, for overlay plots."""
     curves = REFERENCE_CURVES.get((cfg.kind, cfg.protocol, cfg.init), ())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mean_ticks"] + [label for label, _ in curves])
-        for rec in records:
-            writer.writerow(
-                [rec.n, repr(rec.mean_ticks)] + [repr(float(fn(rec.n))) for _, fn in curves]
-            )
+    write_csv(path, ["n", "mean_ticks"] + [label for label, _ in curves],
+              ([rec.n, rec.mean_ticks] + [fn(rec.n) for _, fn in curves] for rec in records))

@@ -24,13 +24,13 @@ meeting times) by Monte Carlo under the tick-level dynamics.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .graphs import Graph, bfs_tree, check_nodes, csr
+from .rows import write_rows
 
 WALK_KINDS = ("simple", "natural", "biased")
 
@@ -576,10 +576,8 @@ def simulate_meet_all(g: Graph, start: int, others: Iterable[int], rng,
 
 def write_matrix_rows(fh, matrix: np.ndarray) -> None:
     """Write a square node-by-node table with node ids as header row and column."""
-    writer = csv.writer(fh)
-    writer.writerow(["node"] + list(range(matrix.shape[0])))
-    for i, row in enumerate(matrix):
-        writer.writerow([i] + [repr(float(v)) for v in row])
+    write_rows(fh, ["node", *range(matrix.shape[0])],
+               ([i, *row] for i, row in enumerate(matrix.tolist())))
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

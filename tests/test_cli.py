@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -156,12 +157,18 @@ def test_sweep_even_n_usage_error(capsys):
 
 
 def test_sweep_json(capsys):
-    code = run_cli("sweep", "--topo", "line", "--protocol", "quantized",
-                   "--init", "q_setting2", "--n-values", "4,6", "--rounds", "1",
-                   "--seed", "2", "--format", "json")
+    args = ("sweep", "--topo", "line", "--protocol", "quantized", "--init", "q_setting2",
+            "--n-values", "4,6", "--rounds", "1", "--seed", "2")
+    code = run_cli(*args, "--format", "json")
     assert code == EXIT_OK
     rows = json.loads(capsys.readouterr().out)
     assert [r["n"] for r in rows] == [4, 6]
+    assert run_cli(*args) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    for r, cells in zip(rows, csv.DictReader(lines)):
+        for column in ("mean_ticks", "std_ticks"):
+            assert isinstance(r[column], float)
+            assert r[column] == float(cells[column])
 
 
 def test_bound_row(capsys):
@@ -280,14 +287,15 @@ def test_check_quick(capsys):
 
 
 # SHA-256 of each output, recorded before `cli` and `harness` shared one
-# spec -> (graph, state) factory and one CSV writer per table. Every field
-# is an integer, a mean of integers or a numpy standard deviation, so no
-# digest depends on LAPACK.
+# spec -> (graph, state) factory and one CSV writer per table; sweep_json
+# was recorded again when its mean and std became JSON numbers instead of
+# strings. Every field is an integer, a mean of integers or a numpy standard
+# deviation, so no digest depends on LAPACK.
 GOLDEN_DIGESTS = {
     "simulate_binary": "d6c81aaa4a98a6d0a6af425b57b87d178279cd7c4858b17050d42b1c868fc6cd",
     "simulate_quantized": "657c9498b106992c5f3f8b62db7ee7503c83a0cbf3e237c89aa5ed82e29963c4",
     "simulate_json": "722f94567a5f4b8c47169af33025e4d69fab1d5309d0dfea3d80faa8aedfe1f2",
-    "sweep_json": "8b9df5a8eb945a8bcd5051d54779ae3b93098ba5a8b092d4fb5da79cf174ddba",
+    "sweep_json": "3d83a1b38d20f4d294524ccc371af18f293cea5eccf4f35d2e9d2c25babea52b",
     "meet": "67b9904abdc2df026ff2b985e9e4cdc3f4be46c5245b4ec454cda0a59f16d8ff",
     "trace_binary": "a569f343a419af811b154b65bd21d2ee07e492cdad287156eddf664b12568dce",
     "sweep_csv": "76e5dbd26dfd8ffc4d2bdfa5c71ec711611061892ea960fed662c4f51c8418b0",

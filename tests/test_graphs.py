@@ -17,6 +17,7 @@ from qconsensus.graphs import (
     line_graph,
     lollipop_graph,
     path_degree_sum,
+    path_degree_sums_from,
     read_edge_list,
     shortest_path,
     star_graph,
@@ -122,6 +123,23 @@ def test_path_degree_sum_below_3n():
         for x in range(g.n):
             for y in range(g.n):
                 assert path_degree_sum(g, x, y) < 3 * g.n
+
+
+@given(connected_graphs())
+def test_path_degree_sums_from_match_per_pair_sums(g):
+    for x in range(g.n):
+        assert path_degree_sums_from(g, x) == [path_degree_sum(g, x, y) for y in range(g.n)]
+
+
+def test_path_degree_sums_from_rejects_unreachable_nodes():
+    with pytest.raises(ValueError, match="node 2 is unreachable from node 0"):
+        path_degree_sums_from(Graph.from_edges(4, [(0, 1), (2, 3)]), 0)
+
+
+def test_complete_graph_matches_from_edges():
+    for n in (*range(2, 41), 481):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert complete_graph(n).adjacency == Graph.from_edges(n, pairs).adjacency
 
 
 def test_graph_rejects_self_loop():

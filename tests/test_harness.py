@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from qconsensus.harness import (
     write_curves_csv,
     write_rounds_csv,
     write_sweep_csv,
+    write_sweep_rows,
 )
 
 
@@ -299,6 +301,32 @@ def test_sweep_csv_schema(tmp_path):
     assert rows[1][:4] == ["star", "quantized", "q_setting1", "5"]
     assert rows[1][8] == "9"
     assert float(rows[2][6]) == pytest.approx(records[1].mean_ticks)
+
+
+class FlushLog(io.StringIO):
+    """A text buffer that remembers what it held at its last flush."""
+
+    flushed = ""
+
+    def flush(self):
+        super().flush()
+        self.flushed = self.getvalue()
+
+
+def test_sweep_rows_stream_each_row_before_the_next_record():
+    cfg = SweepConfig("star", (5, 7, 9), "quantized", "q_setting1", 2, master_seed=9)
+    records = run_sweep(cfg)
+    fh = FlushLog()
+
+    def paced():
+        for k, rec in enumerate(records):
+            lines = fh.flushed.splitlines()
+            assert len(lines) == k + 1 and lines[0] == ",".join(SWEEP_CSV_HEADER)
+            assert [line.split(",")[3] for line in lines[1:]] == [str(r.n) for r in records[:k]]
+            yield rec
+
+    assert write_sweep_rows(fh, cfg, paced()) == records
+    assert fh.flushed == fh.getvalue() and len(fh.flushed.splitlines()) == 4
 
 
 def test_rounds_csv(tmp_path):
