@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Paired before/after benchmark of one layer, in one process.
 
-    python3 scripts/bench_ab.py {kernel,exact,walks} [--out PATH]
+    python3 scripts/bench_ab.py {kernel,exact,walks,runs} [--out PATH]
 
-"Before" is the workload's modules of ``src/qconsensus`` at HEAD when
-``src/`` has uncommitted changes, else at HEAD~1, loaded as separate
-modules next to the working tree's ("after"). Both sides run each case
+"Before" is the whole ``src/qconsensus`` tree at HEAD when ``src/`` has
+uncommitted changes, else at HEAD~1, extracted with ``git archive`` into a
+temporary directory and imported as its own package, ``qconsensus_before``,
+so that its relative imports bind its own modules; "after" is the working
+tree's ``qconsensus``. Both sides run each case
 the workload's number of repeats, alternating which side goes first in
 each repeat; only the calls under test are timed. Each case prints one line, and ``--out`` writes
 the JSON record: each side's median and quartiles, the median ratio
 after/before, the machine and the revisions. Workloads:
 
-- ``kernel`` (consensus.py, 5 repeats): Mticks/s for each protocol on
-  star(101), line(65), lollipop(45) and ER(101), untraced and with
+- ``kernel`` (consensus.py and harness.py, 5 repeats): Mticks/s for each
+  protocol on star(101), line(65), lollipop(45) and ER(101), untraced and with
   ``trace_stride=100``, over seeded runs each capped at TICKS_PER_CASE
   ticks until the case has run TICKS_PER_CASE ticks; Mticks/s with
   ``trace_stride=1`` at n=1001 (binary on star(1001), quantized on
@@ -32,6 +34,13 @@ after/before, the machine and the revisions. Workloads:
   8, X and Xprime, 300 runs each; ``sample_meet_all`` on star(11) from
   node 1, 200 runs. The sides may draw different streams, so nothing is
   compared, and each side's mean ticks over all repeats is recorded.
+- ``runs`` (graphs.py, harness.py and consensus.py, 15 repeats): us/run of
+  ``round_rng`` + ``initial_state`` + ``run_to_convergence``, each side
+  through its own modules, over the three protocol cases of one ``bench/``
+  short-runs unit: 1500 runs of quantized ``q_setting1`` on line(3), and
+  500 runs each of binary ``majority_one`` on star(5) and line(5), run ri
+  of a case on ``round_rng(RUNS_SEED, n, ri)``. Both sides must give
+  identical ticks and outcomes.
 
 A disagreement between the sides exits with an error.
 """
@@ -40,12 +49,15 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,21 +74,17 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from qconsensus import consensus, graphs, walks  # noqa: E402
+from qconsensus import consensus, graphs, harness, walks  # noqa: E402
 from qconsensus.graphs import TopologySpec, build_graph, er_probability  # noqa: E402
-from qconsensus.harness import (  # noqa: E402
-    init_majority_one,
-    init_q_setting1,
-    init_q_setting2,
-    lollipop_clique_size,
-    round_rng,
-)
+from qconsensus.harness import lollipop_clique_size  # noqa: E402
 
 TICKS_PER_CASE = 200_000
 SMALL_STRIDE_TICKS = 20_000
 SHORT_RUNS = 40_000
 TRACE_STRIDE = 100
 TABLE_RTOL = 1e-9
+RUNS_SEED = 41
+BEFORE_PACKAGE = "qconsensus_before"
 
 
 @dataclass
@@ -119,23 +127,15 @@ KERNEL_TOPOLOGIES = (
 )
 
 
-def initial_state(mod, init: str, g, rng):
-    """A state of ``mod``'s own classes, drawn exactly as the harness draws it."""
-    if init == "majority_one":
-        return mod.BinaryState.from_opinions(init_majority_one(g.n, rng).opinions)
-    state = init_q_setting1(g, rng) if init == "q_setting1" else init_q_setting2(g.n, rng)
-    return mod.QuantizedState.from_values(state.values)
-
-
-def run_all(mod, protocol, init, g, seeds, max_ticks, stride):
+def run_all(side, protocol, init, g, seeds, max_ticks, stride):
     """Time each run_to_convergence call; return (seconds, per-run outcomes)."""
     elapsed = 0.0
     outcomes = []
     for seed in seeds:
-        rng = round_rng(seed, g.n, 0)
-        state = initial_state(mod, init, g, rng)
+        rng = side.harness.round_rng(seed, g.n, 0)
+        state = side.harness.initial_state(protocol, init, g, rng)
         t = perf_counter()
-        res = mod.run_to_convergence(protocol, g, state, rng, max_ticks, stride)
+        res = side.consensus.run_to_convergence(protocol, g, state, rng, max_ticks, stride)
         elapsed += perf_counter() - t
         outcomes.append((res.ticks, res.converged, res.detail, res.trace))
     return elapsed, outcomes
@@ -143,14 +143,15 @@ def run_all(mod, protocol, init, g, seeds, max_ticks, stride):
 
 def kernel_case(name, protocol, init, g, ticks_per_case, stride) -> Case:
     """Seeds 0, 1, ... until their runs, each capped at ``ticks_per_case``, reach it."""
+    here = types.SimpleNamespace(consensus=consensus, harness=harness)
     seeds, ticks = [], 0
     while ticks < ticks_per_case:
-        _, [(t, *_)] = run_all(consensus, protocol, init, g, [len(seeds)], ticks_per_case, 0)
+        _, [(t, *_)] = run_all(here, protocol, init, g, [len(seeds)], ticks_per_case, 0)
         seeds.append(len(seeds))
         ticks += t
     return Case(name, "Mticks/s",
-                lambda side, rep: run_all(side.consensus, protocol, init, g, seeds,
-                                          ticks_per_case, stride),
+                lambda side, rep: run_all(side, protocol, init, g, seeds, ticks_per_case,
+                                          stride),
                 ticks / 1e6, {"runs": len(seeds), "ticks": ticks})
 
 
@@ -169,7 +170,7 @@ def kernel_cases() -> list[Case]:
                                  build_graph(TopologySpec(topo, 1001)), SMALL_STRIDE_TICKS, 1))
     g = build_graph(TopologySpec("line", 3))
     cases.append(Case(f"quantized/line(3)/q_setting1 x{SHORT_RUNS}", "us/run",
-                      lambda side, rep: run_all(side.consensus, "quantized", "q_setting1", g,
+                      lambda side, rep: run_all(side, "quantized", "q_setting1", g,
                                                 range(SHORT_RUNS), 10**6, 0),
                       SHORT_RUNS, {"runs": SHORT_RUNS}))
     return cases
@@ -224,6 +225,40 @@ def walks_cases() -> list[Case]:
             for name, runs, call in samples]
 
 
+# -------------------------------------------------------------------- runs
+
+# (topology, n, protocol, init, runs) of the protocol part of a bench/ short-runs unit
+SHORT_RUN_CASES = (
+    ("line", 3, "quantized", "q_setting1", 1500),
+    ("star", 5, "binary", "majority_one", 500),
+    ("line", 5, "binary", "majority_one", 500),
+)
+
+
+def short_runs(side, kind, n, protocol, init, runs) -> tuple[float, list]:
+    """Time ``runs`` whole runs on ``side``'s own graph, stream, init and kernel."""
+    g = side.graphs.build_graph(side.graphs.TopologySpec(kind, n))
+    budget = 150 * n**3
+    outcomes = []
+    t = perf_counter()
+    for ri in range(runs):
+        rng = side.harness.round_rng(RUNS_SEED, n, ri)
+        state = side.harness.initial_state(protocol, init, g, rng, kind)
+        res = side.consensus.run_to_convergence(protocol, g, state, rng, budget)
+        outcomes.append((res.ticks, res.converged, res.detail))
+    return perf_counter() - t, outcomes
+
+
+def runs_cases() -> list[Case]:
+    cases = []
+    for case in SHORT_RUN_CASES:
+        kind, n, protocol, init, runs = case
+        cases.append(Case(f"{protocol}/{kind}({n})/{init} x{runs}", "us/run",
+                          lambda side, rep, case=case: short_runs(side, *case),
+                          runs, {"runs": runs}))
+    return cases
+
+
 @dataclass
 class Workload:
     title: str
@@ -234,12 +269,14 @@ class Workload:
 
 
 WORKLOADS = {
-    "kernel": Workload("paired protocol-kernel before/after, one process", ("consensus",), 5,
-                       kernel_cases, lambda a, b: a == b),
+    "kernel": Workload("paired protocol-kernel before/after, one process",
+                       ("consensus", "harness"), 5, kernel_cases, lambda a, b: a == b),
     "exact": Workload("paired exact-layer and graph-build before/after, one process",
                       ("graphs", "walks"), 5, exact_cases, same_table),
     "walks": Workload("paired token Monte Carlo before/after, one process", ("walks",), 15,
                       walks_cases, None),
+    "runs": Workload("paired per-run fixed cost of short protocol runs, one process",
+                     ("graphs", "harness", "consensus"), 15, runs_cases, lambda a, b: a == b),
 }
 
 
@@ -255,14 +292,15 @@ def before_revision() -> str:
     return "HEAD" if git("status", "--porcelain", "src") else "HEAD~1"
 
 
-def load_before(rev: str, name: str) -> types.ModuleType:
-    """``src/qconsensus/<name>.py`` at ``rev`` as the module ``qconsensus.<name>_before``."""
-    source = git("show", f"{rev}:src/qconsensus/{name}.py")
-    module = types.ModuleType(f"qconsensus.{name}_before")
-    module.__package__ = "qconsensus"
-    sys.modules[module.__name__] = module
-    exec(compile(source, f"{rev}:{name}.py", "exec"), module.__dict__)
-    return module
+def extract_before(rev: str, into: str) -> None:
+    """Extract ``src/qconsensus`` at ``rev`` into ``into`` as the package BEFORE_PACKAGE,
+    and put ``into`` on the import path."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", f"--prefix={BEFORE_PACKAGE}/",
+         f"{rev}:src/qconsensus"], check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    sys.path.insert(0, into)
 
 
 def machine() -> dict:
@@ -318,12 +356,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload]
     before_rev = before_revision()
-    sides = {
-        "before": types.SimpleNamespace(**{m: load_before(before_rev, m)
-                                           for m in workload.modules}),
-        "after": types.SimpleNamespace(**{m: importlib.import_module(f"qconsensus.{m}")
-                                          for m in workload.modules}),
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        extract_before(before_rev, tmp)
+        sides = {side: types.SimpleNamespace(**{m: importlib.import_module(f"{package}.{m}")
+                                                for m in workload.modules})
+                 for side, package in (("before", BEFORE_PACKAGE), ("after", "qconsensus"))}
     cases = [measure(case, sides, workload.repeats, workload.same)
              for case in workload.cases()]
     if workload.same is not None:

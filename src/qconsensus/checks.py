@@ -19,7 +19,7 @@ import numpy as np
 from . import consensus as cons
 from . import walks
 from .graphs import Graph, build_graph, er_probability, path_degree_sums_from, TopologySpec
-from .harness import init_majority_one, init_q_setting2, lollipop_clique_size
+from .harness import init_majority_one, init_q_setting2, lollipop_clique_size, seed_sequence
 
 COMMUTE_REL_TOL = 1e-6
 CYCLE_REL_TOL = 1e-6
@@ -300,7 +300,7 @@ def _check_outcomes(check: str, protocol: str, init, wrong_end, graphs, runs: in
     ``wrong_end(start, end)`` says what is wrong with a final state, or None."""
     for gi, (name, g) in enumerate(graphs):
         for ri in range(runs):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ri]))
+            rng = np.random.default_rng(seed_sequence(seed, gi, ri))
             state = init(g.n, rng)
             start = state.copy()
             result = cons.run_to_convergence(protocol, g, state, rng, 150 * g.n**3)

@@ -25,6 +25,7 @@ from .harness import (
     fit_scaling,
     initial_state,
     iter_sweep,
+    seed_sequence,
     topology_spec,
     write_curves_csv,
     write_rounds_csv,
@@ -103,7 +104,7 @@ SIM_HEADER = ("topology", "protocol", "init", "n", "seed", "max_ticks",
 
 def cmd_simulate(args) -> int:
     g = build_graph(_topology_spec(args))
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
+    rng = np.random.default_rng(seed_sequence(args.seed))
     init = args.init or DEFAULT_INIT[args.protocol]
     state = initial_state(args.protocol, init, g, rng, args.topo, args.lo, args.hi,
                           args.init_file)

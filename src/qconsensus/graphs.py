@@ -9,6 +9,7 @@ nodes 0..m-1 and hangs the tail off node m-1.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from collections import deque
@@ -229,11 +230,21 @@ def check_nodes(n: int, *nodes: int) -> None:
             raise ValueError(f"nodes must be in 0..{n - 1}")
 
 
+@functools.lru_cache(maxsize=1)
 def csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degrees, row offsets and the concatenated adjacency rows, as int64 arrays."""
+    """Degrees, row offsets and the concatenated adjacency rows, as read-only int64 arrays.
+
+    The arrays of the most recent graph are memoised, keyed on the graph's
+    identity (``Graph`` hashes by identity), so the runs of one graph in a
+    sweep build them once. One entry only: a cache on each graph would keep
+    the arrays of every graph a caller holds alive. The arrays are shared by
+    every caller, hence read-only.
+    """
     deg = np.fromiter(map(len, g.adjacency), np.int64, g.n)
     off = np.cumsum(deg) - deg
     flat = np.fromiter(chain.from_iterable(g.adjacency), np.int64, int(deg.sum()))
+    for a in (deg, off, flat):
+        a.flags.writeable = False
     return deg, off, flat
 
 

@@ -3,8 +3,8 @@
 A sweep measures mean convergence ticks over a fixed number of rounds per
 graph size. Every round's RNG stream is derived from (master seed, n,
 round index), and an Erdős-Rényi graph's sampling seed from (master seed,
-n), so a config fully determines every record regardless of execution
-order or worker count.
+n), both through ``seed_sequence``, so a config fully determines every
+record regardless of execution order or worker count.
 """
 
 from __future__ import annotations
@@ -93,6 +93,25 @@ def init_q_setting2(n: int, rng, lo: int = 1, hi: int = 100) -> QuantizedState:
     return QuantizedState.from_values(rng.integers(lo, hi + 1, size=n).tolist())
 
 
+_WORD_TYPES = (int, np.integer)
+_WORD_LIMIT = 2**32
+
+
+def seed_sequence(*words) -> np.random.SeedSequence:
+    """``np.random.SeedSequence(list(words))``, the one way a stream is derived from words.
+
+    Words that are integers in [0, 2**32) go in as one uint32 array, which
+    numpy reads as the same entropy words as the list but without coercing
+    each Python int on its own; any other word (negative, wider than 32
+    bits, a float) takes the list path, so it is accepted or rejected
+    exactly as the list is.
+    """
+    for w in words:
+        if not (isinstance(w, _WORD_TYPES) and 0 <= w < _WORD_LIMIT):
+            return np.random.SeedSequence(list(words))
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
+
 def topology_spec(kind: str, n: int, seed: int, m: int | None = None,
                   p: float | None = None) -> TopologySpec:
     """The graph spec of one size of a topology family, for master seed ``seed``.
@@ -104,7 +123,7 @@ def topology_spec(kind: str, n: int, seed: int, m: int | None = None,
     if kind == "lollipop":
         return TopologySpec(kind, n, m=m if m is not None else lollipop_clique_size(n))
     if kind == "erdos_renyi":
-        graph_seed = int(np.random.SeedSequence([seed, n]).generate_state(1)[0])
+        graph_seed = int(seed_sequence(seed, n).generate_state(1)[0])
         return TopologySpec(kind, n, p=p if p is not None else er_probability(n), seed=graph_seed)
     return TopologySpec(kind, n)
 
@@ -200,7 +219,7 @@ class SweepRecord:
 
 def round_rng(master_seed: int, n: int, round_index: int):
     """Generator for one round, derived from (master seed, n, round index)."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, n, round_index]))
+    return np.random.default_rng(seed_sequence(master_seed, n, round_index))
 
 
 def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRecord]:

@@ -3,15 +3,17 @@
 Float rule: a CSV cell holding a float is written as ``repr(float(x))``,
 the shortest text that reads back to the same double, so a numpy float64
 prints exactly as a Python float does. JSON numbers follow the same rule,
-since ``json`` writes every float with ``float.__repr__`` (a NaN as the
-bare token ``NaN``, which Python's ``json`` reads back). Every other cell
-is written as ``csv`` and ``json`` write it.
+since ``json`` writes every float with ``float.__repr__``, except that a
+non-finite float (NaN, such as the mean of a sweep size whose rounds all
+timed out, or an infinity) is written as ``null``: JSON has no token for
+it. Every other cell is written as ``csv`` and ``json`` write it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 
 
 def write_rows(fh, header, rows) -> None:
@@ -33,9 +35,20 @@ def write_csv(path, header, rows) -> None:
         write_rows(fh, header, rows)
 
 
+def _finite_json(obj):
+    """``obj`` with every non-finite float in its lists, tuples and dicts replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def write_json(fh, obj) -> None:
-    """Write ``obj`` to ``fh`` as JSON indented by two spaces, and a newline."""
-    fh.write(json.dumps(obj, indent=2))
+    """Write ``obj`` to ``fh`` as strict JSON indented by two spaces, and a newline."""
+    fh.write(json.dumps(_finite_json(obj), indent=2, allow_nan=False))
     fh.write("\n")
 
 

@@ -171,6 +171,19 @@ def test_sweep_json(capsys):
             assert r[column] == float(cells[column])
 
 
+def test_sweep_json_is_strict_when_every_round_times_out(capsys):
+    code = run_cli("sweep", "--topo", "line", "--protocol", "quantized", "--n-values", "9",
+                   "--rounds", "2", "--max-ticks", "1", "--format", "json")
+    assert code == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    [row] = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert row["converged"] == 0
+    assert row["mean_ticks"] is None and row["std_ticks"] is None
+
+
 def test_bound_row(capsys):
     code = run_cli("bound", "--topo", "star", "--n", "5", "--x", "1", "--y", "2", "--exact")
     assert code == EXIT_OK

@@ -1,15 +1,23 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qconsensus
 from qconsensus.graphs import (
     Graph,
     GraphConstructionError,
     TopologySpec,
     build_graph,
     complete_graph,
+    csr,
     er_probability,
     erdos_renyi_graph,
     expected_er_edges,
@@ -23,6 +31,9 @@ from qconsensus.graphs import (
     star_graph,
     write_edge_list,
 )
+from qconsensus.consensus import run_to_convergence
+from qconsensus.harness import init_majority_one, round_rng
+from qconsensus.walks import sample_hitting
 
 from conftest import connected_graphs
 
@@ -291,3 +302,48 @@ def test_shortest_path_is_shortest(g, data):
     assert len(path) - 1 == dist[y]
     for a, b in zip(path, path[1:]):
         assert g.has_edge(a, b)
+
+
+def _csr_lists(g):
+    """csr(g) built from the adjacency by hand: degrees, row offsets, concatenated rows."""
+    deg = [len(row) for row in g.adjacency]
+    return deg, [sum(deg[:i]) for i in range(g.n)], [v for row in g.adjacency for v in row]
+
+
+def test_csr_memo_returns_each_graphs_own_read_only_arrays():
+    g1, g2 = star_graph(5), lollipop_graph(9, 6)
+    for g in (g1, g2, g1, g2, g1):
+        arrays = csr(g)
+        assert [a.tolist() for a in arrays] == list(_csr_lists(g))
+        assert all(a.dtype == np.int64 for a in arrays)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1
+    assert csr(g1) is csr(g1)
+    same_rows = star_graph(5)  # equal adjacency, another graph: its own entry
+    assert csr(same_rows) is not csr(g1)
+
+
+def _memo_probe(alternate: bool) -> list:
+    """A kernel run and a token sample on star(7), with csr's memo switched to
+    line(6) before each call when ``alternate``."""
+    g, other = star_graph(7), line_graph(6)
+    if alternate:
+        for h in (g, other, g, other):
+            csr(h)
+    rng = round_rng(3, g.n, 0)
+    run = run_to_convergence("binary", g, init_majority_one(g.n, rng), rng, 10**6)
+    if alternate:
+        csr(other)
+    return [run.ticks, run.detail, sample_hitting(g, 1, 2, 5, 200).tolist()]
+
+
+def test_csr_memo_leaves_runs_as_in_a_fresh_process():
+    path = [str(Path(qconsensus.__file__).parents[1]), str(Path(__file__).parent)]
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import json; from test_graphs import _memo_probe; "
+         "print(json.dumps(_memo_probe(False)))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        check=True, capture_output=True, text=True).stdout
+    assert _memo_probe(True) == json.loads(fresh)

@@ -28,6 +28,7 @@ from qconsensus.harness import (
     lollipop_clique_size,
     round_rng,
     run_sweep,
+    seed_sequence,
     write_curves_csv,
     write_rounds_csv,
     write_sweep_csv,
@@ -355,3 +356,32 @@ def test_reference_curves_cover_all_figure_settings():
         assert (kind, "binary", "majority_one") in REFERENCE_CURVES
         assert (kind, "quantized", "q_setting1") in REFERENCE_CURVES
         assert (kind, "quantized", "q_setting2") in REFERENCE_CURVES
+
+
+# Words at the edges of the uint32 fast path and of numpy's 32-bit word split.
+_EDGE_WORDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1)
+_WORDS = st.lists(st.one_of(
+    st.sampled_from(_EDGE_WORDS),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+), max_size=4)
+
+
+@given(_WORDS)
+@settings(max_examples=200)
+def test_seed_sequence_keeps_the_stream_of_the_word_list(words):
+    fast = np.random.default_rng(seed_sequence(*words)).random(64)
+    listed = np.random.default_rng(np.random.SeedSequence(list(words))).random(64)
+    assert np.array_equal(fast, listed)
+
+
+@pytest.mark.parametrize("words", [
+    (-1,), (3, -5), (np.int64(-3),), (1.5,), (2, 0.0), (np.float64(1.0),), (2**32, -1),
+])
+def test_seed_sequence_rejects_what_the_word_list_rejects(words):
+    with pytest.raises(Exception) as listed:
+        np.random.SeedSequence(list(words))
+    with pytest.raises(listed.type):
+        seed_sequence(*words)
