@@ -10,8 +10,9 @@ so that its relative imports bind its own modules; "after" is the working
 tree's ``qconsensus``. Both sides run each case
 the workload's number of repeats, alternating which side goes first in
 each repeat; only the calls under test are timed. Each case prints one line, and ``--out`` writes
-the JSON record: each side's median and quartiles, the median ratio
-after/before, the machine and the revisions. Workloads:
+the JSON record: each side's median, quartiles and fastest repeat, the
+median ratio after/before and the fastest/fastest ratio (the statistic
+``bench/`` compares), the machine and the revisions. Workloads:
 
 - ``kernel`` (consensus.py and harness.py, 5 repeats): Mticks/s for each
   protocol on star(101), line(65), lollipop(45) and ER(101), untraced and with
@@ -102,6 +103,10 @@ class Case:
     run: Callable[[types.SimpleNamespace, int], tuple[float, object]]
     work: float = 1.0
     extra: dict = field(default_factory=dict)  # more keys of the case's record
+
+    @property
+    def higher_is_better(self) -> bool:
+        return self.unit == "Mticks/s"
 
     def value(self, seconds: float) -> float:
         if self.unit == "Mticks/s":
@@ -337,15 +342,19 @@ def measure(case: Case, sides: dict, repeats: int, same) -> dict:
             elif not same(result, reference):
                 raise SystemExit(f"error: {case.name}: before and after results differ")
     record = {"name": case.name, "unit": case.unit,
-              "better": "higher" if case.unit == "Mticks/s" else "lower", **case.extra,
+              "better": "higher" if case.higher_is_better else "lower", **case.extra,
               "before": summary(values["before"]), "after": summary(values["after"])}
-    if same is None:
-        for side in sides:
+    fastest = max if case.higher_is_better else min
+    for side in sides:
+        record[side]["fastest"] = fastest(values[side])
+        if same is None:
             record[side]["mean_ticks"] = float(np.concatenate(samples[side]).mean())
-    record["ratio_after_over_before"] = record["after"]["median"] / record["before"]["median"]
-    print(f"{case.name:40s} {record['before']['median']:10.4g} -> "
-          f"{record['after']['median']:10.4g} {case.unit} "
-          f"(x{record['ratio_after_over_before']:.3f})", flush=True)
+    before, after = record["before"], record["after"]
+    record["ratio_after_over_before"] = after["median"] / before["median"]
+    record["ratio_fastest"] = after["fastest"] / before["fastest"]
+    print(f"{case.name:40s} {before['median']:10.4g} -> {after['median']:10.4g} {case.unit} "
+          f"(x{record['ratio_after_over_before']:.3f}; fastest {before['fastest']:.4g} -> "
+          f"{after['fastest']:.4g}, x{record['ratio_fastest']:.3f})", flush=True)
     return record
 
 

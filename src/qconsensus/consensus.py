@@ -19,11 +19,14 @@ not; the per-tick steppers (``binary_step``/``quantized_step``) are the
 reference it is tested against, tick for tick, for the same seed. Draws
 past the convergence tick are discarded, so the generator's position after
 a run is unspecified.
+
+A state holds only its node values, tick and conserved sum: counts are
+computed from the values, and each kernel keeps its own counters for a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import count
 
@@ -72,13 +75,9 @@ def quantized_update(a: int, b: int) -> tuple[int, int]:
 
 @dataclass
 class BinaryState:
-    """Mutable protocol state: per-node opinions plus cached counts."""
+    """Mutable protocol state: one opinion per node and the ticks run so far."""
 
     opinions: list[int]
-    s_plus: int
-    s_minus: int
-    w_plus: int
-    w_minus: int
     tick: int = 0
 
     @classmethod
@@ -87,7 +86,7 @@ class BinaryState:
         for o in opinions:
             if o not in OPINION_VALUES:
                 raise ValueError(f"invalid opinion value {o!r}")
-        return cls(opinions, *map(opinions.count, OPINION_VALUES))
+        return cls(opinions)
 
     @property
     def n(self) -> int:
@@ -95,29 +94,34 @@ class BinaryState:
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
-        return (self.s_plus, self.s_minus, self.w_plus, self.w_minus)
+        """(#S+, #S-, #W+, #W-), counted from the opinions."""
+        return tuple(map(self.opinions.count, OPINION_VALUES))
+
+    @property
+    def s_plus(self) -> int:
+        return self.opinions.count(STRONG_POS)
+
+    @property
+    def s_minus(self) -> int:
+        return self.opinions.count(STRONG_NEG)
 
     @property
     def positive(self) -> int:
-        return self.s_plus + self.w_plus
+        return sum(o > 0 for o in self.opinions)
 
     def copy(self) -> "BinaryState":
-        return BinaryState(list(self.opinions), *self.counts, self.tick)
+        return BinaryState(list(self.opinions), self.tick)
 
 
 @dataclass
 class QuantizedState:
-    """Mutable protocol state: per-node integers plus cached sum and extrema."""
+    """Mutable protocol state: one integer per node, their sum q*n + r, and the tick."""
 
     values: list[int]
     q_sum: int
     q: int
     r: int
     tick: int = 0
-    vmin: int = 0
-    vmax: int = 0
-    off_target: int = field(default=0, repr=False)  # nodes outside {q, q+1}
-    _counts: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_values(cls, values) -> "QuantizedState":
@@ -125,34 +129,14 @@ class QuantizedState:
         if not values:
             raise ValueError("quantized state needs at least one node")
         q_sum = sum(values)
-        q, r = divmod(q_sum, len(values))
-        s = cls(values, q_sum, q, r)
-        s._recount()
-        return s
+        return cls(values, q_sum, *divmod(q_sum, len(values)))
 
     @property
     def n(self) -> int:
         return len(self.values)
 
-    @property
-    def spread(self) -> int:
-        return self.vmax - self.vmin
-
-    def _recount(self) -> None:
-        """Rebuild the value counts, extrema and ``off_target`` from ``values``."""
-        counts: dict[int, int] = {}
-        for v in self.values:
-            counts[v] = counts.get(v, 0) + 1
-        self._counts = counts
-        self.vmin = min(counts)
-        self.vmax = max(counts)
-        self.off_target = sum(c for v, c in counts.items() if v != self.q and v != self.q + 1)
-
     def copy(self) -> "QuantizedState":
-        return QuantizedState(
-            list(self.values), self.q_sum, self.q, self.r, self.tick,
-            self.vmin, self.vmax, self.off_target, dict(self._counts),
-        )
+        return QuantizedState(list(self.values), self.q_sum, self.q, self.r, self.tick)
 
 
 def binary_init(g: Graph, votes, rng) -> BinaryState:
@@ -179,23 +163,8 @@ def binary_init(g: Graph, votes, rng) -> BinaryState:
 
 
 def apply_binary_edge(s: BinaryState, u: int, v: int) -> None:
-    """Apply the voting rules across edge (u, v), keeping counts in sync."""
-    a = s.opinions[u]
-    b = s.opinions[v]
-    na, nb = binary_update(a, b)
-    if na == a and nb == b:
-        return
-    s.opinions[u] = na
-    s.opinions[v] = nb
-    for old, delta in ((a, -1), (b, -1), (na, 1), (nb, 1)):
-        if old == STRONG_POS:
-            s.s_plus += delta
-        elif old == STRONG_NEG:
-            s.s_minus += delta
-        elif old == WEAK_POS:
-            s.w_plus += delta
-        else:
-            s.w_minus += delta
+    """Apply the voting rules across edge (u, v)."""
+    s.opinions[u], s.opinions[v] = binary_update(s.opinions[u], s.opinions[v])
 
 
 def binary_step(s: BinaryState, g: Graph, rng) -> BinaryState:
@@ -210,12 +179,12 @@ def binary_step(s: BinaryState, g: Graph, rng) -> BinaryState:
 
 def binary_converged(s: BinaryState) -> bool:
     """True iff every node's sign agrees (strength does not matter)."""
-    pos = s.s_plus + s.w_plus
+    pos = s.positive
     return pos == 0 or pos == s.n
 
 
 def apply_quantized_edge(s: QuantizedState, u: int, v: int) -> None:
-    """Apply the averaging rule across edge (u, v), keeping caches in sync."""
+    """Apply the averaging rule across edge (u, v)."""
     a = s.values[u]
     b = s.values[v]
     na, nb = quantized_update(a, b)
@@ -223,24 +192,6 @@ def apply_quantized_edge(s: QuantizedState, u: int, v: int) -> None:
         raise RuntimeError(f"sum conservation violated on edge ({u},{v})")
     s.values[u] = na
     s.values[v] = nb
-    if na == b and nb == a:
-        return  # swap: multiset unchanged
-    counts = s._counts
-    q, qp1 = s.q, s.q + 1
-    for old in (a, b):
-        counts[old] -= 1
-        if counts[old] == 0:
-            del counts[old]
-        if old != q and old != qp1:
-            s.off_target -= 1
-    for new in (na, nb):
-        counts[new] = counts.get(new, 0) + 1
-        if new != q and new != qp1:
-            s.off_target += 1
-    if s.vmin not in counts:
-        s.vmin = min(counts)
-    if s.vmax not in counts:
-        s.vmax = max(counts)
 
 
 def quantized_step(s: QuantizedState, g: Graph, rng) -> QuantizedState:
@@ -255,7 +206,8 @@ def quantized_step(s: QuantizedState, g: Graph, rng) -> QuantizedState:
 
 def quantized_converged(s: QuantizedState) -> bool:
     """True iff every value is q or q+1 for q = floor(sum / n)."""
-    return s.off_target == 0
+    q = s.q
+    return all(q <= v <= q + 1 for v in s.values)
 
 
 def lyapunov(s: QuantizedState) -> float:
@@ -284,22 +236,25 @@ def run_to_convergence(protocol: str, g: Graph, state, rng, max_ticks: int,
     Returns the first tick at which the predicate is true, or a result
     flagged non-converged after exactly ``max_ticks`` activations. With
     ``trace_stride`` > 0, metric rows are recorded every that many ticks
-    (plus the first and final tick). The passed state is mutated in place;
-    the generator's position afterwards is unspecified.
+    (plus the first and final tick). The passed state, which must have one
+    value per node of ``g``, is mutated in place; the generator's position
+    afterwards is unspecified.
     """
     if max_ticks < 0:
         raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
     if trace_stride < 0:
         raise ValueError(f"trace_stride must be >= 0, got {trace_stride}")
     if protocol == "binary":
-        if not isinstance(state, BinaryState):
-            raise ValueError("binary protocol requires a BinaryState")
-        return _run_binary(g, state, rng, max_ticks, trace_stride)
-    if protocol == "quantized":
-        if not isinstance(state, QuantizedState):
-            raise ValueError("quantized protocol requires a QuantizedState")
-        return _run_quantized(g, state, rng, max_ticks, trace_stride)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        state_type, run = BinaryState, _run_binary
+    elif protocol == "quantized":
+        state_type, run = QuantizedState, _run_quantized
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if not isinstance(state, state_type):
+        raise ValueError(f"{protocol} protocol requires a {state_type.__name__}")
+    if state.n != g.n:
+        raise ValueError(f"the state has {state.n} nodes but the graph has {g.n}")
+    return run(g, state, rng, max_ticks, trace_stride)
 
 
 _BINARY_TRACE_HEADER = ("tick", "s_plus", "s_minus", "w_plus", "w_minus")
@@ -363,8 +318,8 @@ def _binary_table(n: int) -> tuple:
 def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> SimResult:
     n = g.n
     opinions = s.opinions
-    s_plus, s_minus = s.s_plus, s.s_minus
-    packed = s_plus + s.w_plus
+    s_plus, s_minus, w_plus, _ = s.counts
+    packed = s_plus + w_plus
     # packed = #positive + (n + 1) * #annihilations, and #positive is in [0, n].
     # Annihilating a pair of opposite strong opinions is the only update
     # that changes the strong counts, and a sign has no opinions left exactly
@@ -393,7 +348,6 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
     converged = packed in (all_negative, all_positive)
     ticks, trace = _run_kernel(g, s, rng, 0 if converged else max_ticks, stride, apply,
                                lambda tick: (tick, *counts()))
-    s.s_plus, s.s_minus, s.w_plus, s.w_minus = counts()
     converged = packed in (all_negative, all_positive)
     detail = (("all_positive" if packed == all_positive else "all_negative") if converged
               else "timeout")
@@ -405,7 +359,7 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
     values = s.values
     q = s.q
     qp1 = q + 1
-    off = s.off_target
+    off = sum(not q <= v <= qp1 for v in values)  # nodes outside {q, q+1}
 
     def apply(us, vs):
         nonlocal off
@@ -426,7 +380,6 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
 
     ticks, trace = _run_kernel(g, s, rng, max_ticks if off else 0, stride, apply,
                                lambda tick: (tick, lyapunov(s), min(values), max(values)))
-    s._recount()
     converged = off == 0
     detail = f"q={q} r={s.r}" if converged else "timeout"
     header = _QUANTIZED_TRACE_HEADER if stride else ()

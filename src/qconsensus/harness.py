@@ -350,14 +350,9 @@ def write_sweep_table(fh, fmt: str, cfg: SweepConfig, records) -> list[SweepReco
     return written
 
 
-def write_sweep_rows(fh, cfg: SweepConfig, records) -> list[SweepRecord]:
-    """write_sweep_table as CSV."""
-    return write_sweep_table(fh, "csv", cfg, records)
-
-
 def write_sweep_csv(cfg: SweepConfig, records, path) -> None:
     with open(path, "w", newline="") as fh:
-        write_sweep_rows(fh, cfg, records)
+        write_sweep_table(fh, "csv", cfg, records)
 
 
 def write_rounds_csv(records, path) -> None:

@@ -93,9 +93,6 @@ class WeightedGraph:
     n: int
     w: np.ndarray
 
-    def edge_weight(self, i: int, j: int) -> float:
-        return float(self.w[i, j])
-
 
 @dataclass(frozen=True, eq=False)
 class HittingTable:

@@ -119,6 +119,14 @@ def test_simulate_init_file(tmp_path, capsys):
     code = run_cli("simulate", "--topo", "line", "--n", "3", "--protocol", "quantized",
                    "--init", "file")
     assert code == EXIT_USAGE
+    for count in (3, 7):  # values for a graph of 5 nodes
+        init.write_text("".join(f"{v}\n" for v in range(count)))
+        code = run_cli("simulate", "--topo", "line", "--n", "5", "--protocol", "quantized",
+                       "--init", "file", "--init-file", str(init))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"{count} nodes but the graph has 5" in captured.err
 
 
 def test_unknown_flag_rejected():

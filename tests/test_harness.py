@@ -32,7 +32,7 @@ from qconsensus.harness import (
     write_curves_csv,
     write_rounds_csv,
     write_sweep_csv,
-    write_sweep_rows,
+    write_sweep_table,
 )
 
 
@@ -40,8 +40,7 @@ from qconsensus.harness import (
 
 def test_majority_one_counts():
     s = init_majority_one(21, np.random.default_rng(0))
-    assert (s.s_plus, s.s_minus) == (11, 10)
-    assert s.w_plus == s.w_minus == 0
+    assert s.counts == (11, 10, 0, 0)
     s = init_majority_one(3, np.random.default_rng(1))
     assert (s.s_plus, s.s_minus) == (2, 1)
 
@@ -326,7 +325,7 @@ def test_sweep_rows_stream_each_row_before_the_next_record():
             assert [line.split(",")[3] for line in lines[1:]] == [str(r.n) for r in records[:k]]
             yield rec
 
-    assert write_sweep_rows(fh, cfg, paced()) == records
+    assert write_sweep_table(fh, "csv", cfg, paced()) == records
     assert fh.flushed == fh.getvalue() and len(fh.flushed.splitlines()) == 4
 
 
