@@ -201,9 +201,10 @@ def exact_cases() -> list[Case]:
         cases.append(Case(f"hitting_table/lollipop({n})", "s/call",
                           lambda side, rep, m=m: timed(lambda: side.walks.hitting_table(m).h)))
     for name, g in (("line(100)", graphs.line_graph(100)), ("lollipop(80)", lollipop(80))):
-        wg = walks.edge_weights(g)
+        # each side's own input, built before its timed call
         cases.append(Case(f"resistance_matrix/{name}", "s/call",
-                          lambda side, rep, wg=wg: timed(side.walks.resistance_matrix, wg)))
+                          lambda side, rep, g=g: timed(side.walks.resistance_matrix,
+                                                       side.walks.edge_weights(g))))
     for n in (481, 1001):
         cases.append(Case(f"complete_graph({n})", "s/call",
                           lambda side, rep, n=n: timed(side.graphs.complete_graph, n)))

@@ -24,12 +24,10 @@ from .walks import (
     SolverError,
     TickBudgetError,
     WalkMatrix,
-    WeightedGraph,
     commute_time,
     edge_weights,
     effective_resistance,
     hidden_vertex,
-    hitting_bound,
     hitting_table,
     hitting_times,
     potential,
@@ -37,9 +35,6 @@ from .walks import (
     sample_hitting,
     sample_meet_all,
     sample_pair_meetings,
-    simulate_hitting,
-    simulate_meet_all,
-    simulate_pair_meeting,
     stationary_distribution,
     transition_matrix,
 )

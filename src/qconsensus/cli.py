@@ -182,14 +182,14 @@ def cmd_bound(args) -> int:
 
 def cmd_resistance(args) -> int:
     g = build_graph(_topology_spec(args))
-    wg = walks.edge_weights(g)
+    m = walks.edge_weights(g)
     if args.x is not None or args.y is not None:
         if args.x is None or args.y is None:
             raise UsageError("give both --x and --y, or neither")
-        r = walks.effective_resistance(wg, args.x, args.y)
+        r = walks.effective_resistance(m, args.x, args.y)
         _emit_rows(args, ("x", "y", "resistance"), [(args.x, args.y, r)])
     else:
-        _emit_matrix(args, walks.resistance_matrix(wg))
+        _emit_matrix(args, walks.resistance_matrix(m))
     return EXIT_OK
 
 

@@ -9,10 +9,12 @@ Three walk laws are supported, all driven by the same asynchronous clock
   a value-token obeys under pairwise exchange: it moves whenever an edge
   incident to it is activated, from either endpoint's clock.
 
-The biased walk is a walk on the weighted graph with edge weight
-w_ij = (1/n)(1/deg(i) + 1/deg(j)), node weight 1 and total weight n, which
-ties hitting times to the electric network with conductance w_ij per edge:
-commute(x, y) = n * r'(x, y) with r' the effective resistance.
+The biased matrix is also the electric network: its off-diagonal entries
+are the edge weights w_ij, read as conductances, and each row is filled to
+1 by a self-weight, so node weights are 1 and the total weight is n. That
+ties hitting times to effective resistance: commute(x, y) = n * r'(x, y).
+edge_weights(g) is that matrix, and the electric functions take it and
+reject the other kinds.
 
 Exact tables cost O(n^3) each: all-pairs hitting times come from one
 fundamental matrix and all-pairs resistances from one Laplacian
@@ -82,19 +84,6 @@ class WalkMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedGraph:
-    """Degree-derived weights for the biased walk / electric network.
-
-    ``w`` is dense and symmetric: w[i][j] is the edge weight (conductance)
-    for edges, 0 for non-edges, and the self-weight on the diagonal. Node
-    weights are all 1 and the total weight equals n.
-    """
-
-    n: int
-    w: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class HittingTable:
     """All-pairs expected hitting times h[x][y] for one walk matrix."""
 
@@ -110,38 +99,37 @@ class HittingTable:
         return float(self.h.max())
 
 
-def edge_weights(g: Graph) -> WeightedGraph:
-    """Weights w_ij = (1/n)(1/deg(i) + 1/deg(j)) with self-weights filling each row to 1."""
-    n = g.n
-    moves = _Moves(g)
-    w = np.zeros((n, n))
-    w.flat[moves.key] = moves.p
-    # exact value is >= 0; clamp float-summation roundup
-    np.fill_diagonal(w, np.maximum(0.0, 1.0 - w.sum(axis=1)))
-    return WeightedGraph(n, w)
-
-
 def transition_matrix(g: Graph, kind: str) -> WalkMatrix:
+    """The walk matrix of one kind, built from the CSR move tables."""
     if kind not in WALK_KINDS:
         raise ValueError(f"unknown walk kind {kind!r}")
     n = g.n
     if n < 2:
         raise ValueError("walk matrices require at least 2 nodes")
+    moves = _Moves(g)
     p = np.zeros((n, n))
-    if kind == "simple":
-        for i in range(n):
-            for j in g.adjacency[i]:
-                p[i, j] = 1.0 / g.degree(i)
-    elif kind == "natural":
-        for i in range(n):
-            for j in g.adjacency[i]:
-                p[i, j] = 1.0 / (n * g.degree(i))
-            p[i, i] = 1.0 - 1.0 / n
+    if kind == "biased":
+        # p_uv and p_vu add the same two terms, so the matrix is exactly
+        # symmetric and its stationary law is uniform.
+        p.flat[moves.key] = moves.p
+        # exact value is >= 0; clamp float-summation roundup
+        np.fill_diagonal(p, np.maximum(0.0, 1.0 - p.sum(axis=1)))
     else:
-        # Off-diagonal entries equal the edge weights, so the matrix is
-        # symmetric by construction and its stationary law is uniform.
-        p = edge_weights(g).w.copy()
+        deg = np.repeat(moves.deg, moves.deg)  # the degree of each entry's row
+        p.flat[moves.key] = 1.0 / (deg if kind == "simple" else n * deg)
+        if kind == "natural":
+            np.fill_diagonal(p, 1.0 - 1.0 / n)
     return WalkMatrix(kind, p)
+
+
+def edge_weights(g: Graph) -> WalkMatrix:
+    """The biased walk matrix, read as the electric network's weights.
+
+    Off the diagonal, w_ij = (1/n)(1/deg(i) + 1/deg(j)) on edges and 0
+    elsewhere: the conductance of edge ij. The diagonal holds the
+    self-weights that fill each row to 1; they carry no current.
+    """
+    return transition_matrix(g, "biased")
 
 
 def _require_irreducible(m: WalkMatrix) -> None:
@@ -237,18 +225,29 @@ def hitting_table(m: WalkMatrix) -> HittingTable:
     return HittingTable(m.kind, h)
 
 
-def effective_resistance(wg: WeightedGraph, x: int, y: int) -> float:
-    """Two-terminal resistance of the network with conductance w_ij per edge.
+def _laplacian(m: WalkMatrix) -> np.ndarray:
+    """Laplacian of the network with conductance P[i][j] per edge of a biased walk.
 
-    Self-weights carry no current and are excluded. The Laplacian system is
-    solved with the sink ``y`` grounded, for a unit current injection at ``x``.
+    Self-weights carry no current and are excluded. Only the biased walk is
+    an electric network with node weights 1, so other kinds raise ValueError.
     """
-    n = wg.n
+    if m.kind != "biased":
+        raise ValueError(f"the electric network is the biased walk's, not the {m.kind} walk's")
+    cond = m.p - np.diag(np.diag(m.p))
+    return np.diag(cond.sum(axis=1)) - cond
+
+
+def effective_resistance(m: WalkMatrix, x: int, y: int) -> float:
+    """Two-terminal resistance r'(x, y) of the biased walk's network.
+
+    The Laplacian system is solved with the sink ``y`` grounded, for a unit
+    current injection at ``x``.
+    """
+    n = m.n
     check_nodes(n, x, y)
+    lap = _laplacian(m)
     if x == y:
         return 0.0
-    cond = wg.w - np.diag(np.diag(wg.w))
-    lap = np.diag(cond.sum(axis=1)) - cond
     keep = [i for i in range(n) if i != y]
     b = np.zeros(n)
     b[x] = 1.0
@@ -262,18 +261,17 @@ def effective_resistance(wg: WeightedGraph, x: int, y: int) -> float:
     return float(v_sub[keep.index(x)])
 
 
-def resistance_matrix(wg: WeightedGraph) -> np.ndarray:
-    """All-pairs resistances from one Laplacian pseudo-inverse, O(n^3).
+def resistance_matrix(m: WalkMatrix) -> np.ndarray:
+    """All-pairs resistances of the biased walk's network, O(n^3).
 
     R = diag(L+) 1^T + 1 diag(L+)^T - 2 L+ (Klein & Randic, "Resistance
-    distance", 1993) with L+ = (L + J/n)^-1 - J/n, L the Laplacian of the
-    conductances w_ij (self-weights excluded) and J the all-ones matrix.
+    distance", 1993) from one pseudo-inverse L+ = (L + J/n)^-1 - J/n, with L
+    the Laplacian of the conductances and J the all-ones matrix.
     effective_resistance is the two-terminal oracle. The residual of
     L L+ = I - J/n is checked.
     """
-    n = wg.n
-    cond = wg.w - np.diag(np.diag(wg.w))
-    lap = np.diag(cond.sum(axis=1)) - cond
+    n = m.n
+    lap = _laplacian(m)
     mean = np.full((n, n), 1.0 / n)
     try:
         lplus = np.linalg.solve(lap + mean, np.eye(n)) - mean
@@ -289,14 +287,12 @@ def resistance_matrix(wg: WeightedGraph) -> np.ndarray:
     return r
 
 
-def commute_time(m: WalkMatrix, wg: WeightedGraph, x: int, y: int) -> float:
-    """H(x,y) + H(y,x) for the biased walk, checked against n * r'(x,y)."""
-    if m.kind != "biased":
-        raise ValueError("the commute identity holds for the biased walk only")
+def commute_time(m: WalkMatrix, x: int, y: int) -> float:
+    """H(x,y) + H(y,x) for the biased walk, checked against n * r'(x,y) of the same matrix."""
+    expected = m.n * effective_resistance(m, x, y)
     if x == y:
         return 0.0
     commute = float(hitting_times(m, y)[x] + hitting_times(m, x)[y])
-    expected = wg.n * effective_resistance(wg, x, y)
     if abs(commute - expected) > COMMUTE_TOL * max(1.0, abs(commute)):
         raise ConsistencyError(
             f"commute identity violated at ({x},{y}): "
@@ -310,20 +306,15 @@ class HittingBound(NamedTuple):
     path_refined: float
 
 
-def hitting_bound(g: Graph, x: int, y: int) -> HittingBound:
-    """Upper bounds on the biased-walk hitting time H(x, y).
+def hitting_bounds_from(g: Graph, x: int) -> list[HittingBound]:
+    """Upper bounds on the biased-walk hitting time H(x, y) for every node y.
 
     general: 3 n^3, valid on every connected graph.
     path_refined: n * sum over shortest-path edges of n * min(deg_i, deg_j),
     i.e. total weight times the resistance bound obtained by chaining the
-    per-edge bound r_ij < n * min(deg_i, deg_j) along the shortest path.
+    per-edge bound r_ij < n * min(deg_i, deg_j) along the path to y in one
+    breadth-first tree from x.
     """
-    check_nodes(g.n, y)
-    return hitting_bounds_from(g, x)[y]
-
-
-def hitting_bounds_from(g: Graph, x: int) -> list[HittingBound]:
-    """hitting_bound(g, x, y) for every node y, along one breadth-first tree."""
     n = g.n
     order, parent = bfs_tree(g, x)
     if len(order) < n:
@@ -358,13 +349,6 @@ def potential(h: HittingTable, t: int, x: int, y: int) -> float:
     reversible walks.
     """
     return float(h.h[x, y] + h.h[y, t] - h.h[t, y])
-
-
-def cycle_identity_gap(h: HittingTable, x: int, y: int, z: int) -> float:
-    """|H(x,y)+H(y,z)+H(z,x) - (H(x,z)+H(z,y)+H(y,x))|, zero for reversible walks."""
-    lhs = h.h[x, y] + h.h[y, z] + h.h[z, x]
-    rhs = h.h[x, z] + h.h[z, y] + h.h[y, x]
-    return float(abs(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -554,29 +538,7 @@ def sample_meet_all(g: Graph, start: int, others: Iterable[int], seed, runs: int
                      "meet-all")
 
 
-def simulate_hitting(g: Graph, x: int, y: int, rng, max_ticks: int = DEFAULT_TICK_BUDGET) -> int:
-    """One run of sample_hitting on the generator ``rng``."""
-    return int(sample_hitting(g, x, y, rng, 1, max_ticks)[0])
-
-
-def simulate_pair_meeting(g: Graph, x: int, y: int, rng, coupling: str = "X",
-                          max_ticks: int = DEFAULT_TICK_BUDGET) -> int:
-    """One run of sample_pair_meetings on the generator ``rng``."""
-    return int(sample_pair_meetings(g, x, y, rng, 1, coupling, max_ticks)[0])
-
-
-def simulate_meet_all(g: Graph, start: int, others: Iterable[int], rng,
-                      max_ticks: int = DEFAULT_TICK_BUDGET) -> int:
-    """One run of sample_meet_all on the generator ``rng``."""
-    return int(sample_meet_all(g, start, others, rng, 1, max_ticks)[0])
-
-
 def write_matrix_rows(fh, matrix: np.ndarray) -> None:
     """Write a square node-by-node table with node ids as header row and column."""
     write_rows(fh, ["node", *range(matrix.shape[0])],
                ([i, *row] for i, row in enumerate(matrix.tolist())))
-
-
-def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        write_matrix_rows(fh, matrix)

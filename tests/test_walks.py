@@ -33,7 +33,6 @@ from qconsensus.walks import (
     edge_weights,
     effective_resistance,
     hidden_vertex,
-    hitting_bound,
     hitting_bounds_from,
     hitting_table,
     hitting_times,
@@ -42,12 +41,9 @@ from qconsensus.walks import (
     sample_hitting,
     sample_meet_all,
     sample_pair_meetings,
-    simulate_hitting,
-    simulate_meet_all,
-    simulate_pair_meeting,
     stationary_distribution,
     transition_matrix,
-    write_matrix_csv,
+    write_matrix_rows,
 )
 
 from conftest import connected_graphs
@@ -67,41 +63,58 @@ SMALL_GRAPHS = [
 # ---------------------------------------------------------------- weights
 
 def test_star_leaf_weight_is_one_over_n_minus_1():
-    wg = edge_weights(star_graph(5))
-    assert wg.w[1, 0] == pytest.approx(0.25)
-    assert wg.w[1, 0] == pytest.approx(1 / (5 - 1))
+    w = edge_weights(star_graph(5)).p
+    assert w[1, 0] == pytest.approx(0.25)
+    assert w[1, 0] == pytest.approx(1 / (5 - 1))
 
 
 def test_line_interior_weight_is_one_over_n():
-    wg = edge_weights(line_graph(6))
-    assert wg.w[2, 3] == pytest.approx(1 / 6)
+    w = edge_weights(line_graph(6)).p
+    assert w[2, 3] == pytest.approx(1 / 6)
 
 
 def test_node_weights_are_one_and_total_is_n():
     for g in SMALL_GRAPHS:
-        wg = edge_weights(g)
+        w = edge_weights(g).p
         for i in range(g.n):
-            assert wg.w[i].sum() == pytest.approx(1.0, abs=1e-12)
-            assert wg.w[i, i] >= 0.0
-        assert wg.w.sum() == pytest.approx(g.n, abs=1e-9)
+            assert w[i].sum() == pytest.approx(1.0, abs=1e-12)
+            assert w[i, i] >= 0.0
+        assert w.sum() == pytest.approx(g.n, abs=1e-9)
+
+
+def _per_edge_loop(g, kind):
+    """The walk matrix of one kind, one entry at a time."""
+    n = g.n
+    p = np.zeros((n, n))
+    for i in range(n):
+        for j in g.adjacency[i]:
+            if kind == "simple":
+                p[i, j] = 1.0 / g.degree(i)
+            elif kind == "natural":
+                p[i, j] = 1.0 / (n * g.degree(i))
+            else:
+                p[i, j] = (1.0 / g.degree(i) + 1.0 / g.degree(j)) / n
+        if kind == "natural":
+            p[i, i] = 1.0 - 1.0 / n
+    if kind == "biased":
+        for i in range(n):
+            p[i, i] = max(0.0, 1.0 - p[i].sum())
+    return p
 
 
 @given(connected_graphs(max_n=12))
 @settings(max_examples=30, deadline=None)
 def test_edge_weights_equal_a_per_edge_loop(g):
-    n = g.n
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in g.adjacency[i]:
-            w[i, j] = (1.0 / g.degree(i) + 1.0 / g.degree(j)) / n
-    for i in range(n):
-        w[i, i] = max(0.0, 1.0 - w[i].sum())
-    assert np.array_equal(edge_weights(g).w, w)
+    for kind in ("simple", "natural", "biased"):
+        m = transition_matrix(g, kind)
+        assert m.kind == kind
+        assert np.array_equal(m.p, _per_edge_loop(g, kind))
+    assert np.array_equal(edge_weights(g).p, _per_edge_loop(g, "biased"))
 
 
 def test_star_hub_self_weight_is_zero():
-    wg = edge_weights(star_graph(7))
-    assert wg.w[0, 0] == pytest.approx(0.0, abs=1e-15)
+    w = edge_weights(star_graph(7)).p
+    assert w[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 # ------------------------------------------------------ transition matrices
@@ -137,8 +150,15 @@ def test_biased_matrix_is_exactly_symmetric_and_matches_weights():
     for g in SMALL_GRAPHS:
         p = transition_matrix(g, "biased").p
         assert np.array_equal(p, p.T)
-        w = edge_weights(g).w
-        assert np.array_equal(p, w)
+        w = edge_weights(g)
+        assert w.kind == "biased" and np.array_equal(p, w.p)
+
+
+def test_every_walk_kind_rejects_an_isolated_node():
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    for kind in ("simple", "natural", "biased"):
+        with pytest.raises(ValueError, match="every node needs a neighbor"):
+            transition_matrix(g, kind)
 
 
 def test_walk_matrix_rejects_bad_rows():
@@ -291,32 +311,31 @@ def test_commute_identity_between_tables_on_lollipop_200():
 
 def test_star_resistance_closed_form():
     for n in (3, 5, 9):
-        wg = edge_weights(star_graph(n))
-        assert effective_resistance(wg, 1, 2) == pytest.approx(2 * n - 2, rel=1e-9)
+        m = edge_weights(star_graph(n))
+        assert effective_resistance(m, 1, 2) == pytest.approx(2 * n - 2, rel=1e-9)
 
 
 def test_line_resistance_closed_form():
     for n in (3, 5, 9):
-        wg = edge_weights(line_graph(n))
-        assert effective_resistance(wg, 0, n - 1) == pytest.approx(n * n - 5 * n / 3, rel=1e-9)
+        m = edge_weights(line_graph(n))
+        assert effective_resistance(m, 0, n - 1) == pytest.approx(n * n - 5 * n / 3, rel=1e-9)
 
 
 def test_resistance_same_node_is_zero():
-    wg = edge_weights(star_graph(4))
-    assert effective_resistance(wg, 2, 2) == 0.0
+    m = edge_weights(star_graph(4))
+    assert effective_resistance(m, 2, 2) == 0.0
 
 
 def test_resistance_matrix_symmetric():
-    wg = edge_weights(lollipop_graph(8, 5))
-    r = resistance_matrix(wg)
+    r = resistance_matrix(edge_weights(lollipop_graph(8, 5)))
     assert np.allclose(r, r.T)
     assert np.allclose(np.diag(r), 0.0)
 
 
 def _assert_resistance_matrix_matches_pairwise_solves(g):
-    wg = edge_weights(g)
-    oracle = np.array([[effective_resistance(wg, x, y) for y in range(g.n)] for x in range(g.n)])
-    np.testing.assert_allclose(resistance_matrix(wg), oracle, rtol=1e-9, atol=0)
+    m = edge_weights(g)
+    oracle = np.array([[effective_resistance(m, x, y) for y in range(g.n)] for x in range(g.n)])
+    np.testing.assert_allclose(resistance_matrix(m), oracle, rtol=1e-9, atol=0)
 
 
 @given(connected_graphs(max_n=10))
@@ -333,34 +352,50 @@ def test_resistance_matrix_matches_pairwise_solves_on_relabelled_lollipop():
 
 def test_commute_star3():
     g = star_graph(3)
-    c = commute_time(transition_matrix(g, "biased"), edge_weights(g), 1, 2)
+    c = commute_time(transition_matrix(g, "biased"), 1, 2)
     assert c == pytest.approx(12.0, rel=1e-9)  # 6 + 6 = 3 * 4
 
 
 def test_commute_line4_cross_checks_solvers():
     g = line_graph(4)
     m = transition_matrix(g, "biased")
-    wg = edge_weights(g)
-    c = commute_time(m, wg, 0, 3)
-    assert c == pytest.approx(4 * effective_resistance(wg, 0, 3), rel=1e-9)
+    c = commute_time(m, 0, 3)
+    assert c == pytest.approx(4 * effective_resistance(m, 0, 3), rel=1e-9)
 
 
 def test_commute_same_node_zero():
     g = line_graph(4)
-    assert commute_time(transition_matrix(g, "biased"), edge_weights(g), 2, 2) == 0.0
+    assert commute_time(transition_matrix(g, "biased"), 2, 2) == 0.0
 
 
 def test_commute_requires_biased():
     g = line_graph(4)
     with pytest.raises(ValueError):
-        commute_time(transition_matrix(g, "simple"), edge_weights(g), 0, 3)
+        commute_time(transition_matrix(g, "simple"), 0, 3)
 
 
-def test_commute_detects_mismatched_inputs():
-    # weights from a different graph break the identity and must be reported
-    with pytest.raises(ConsistencyError):
-        commute_time(transition_matrix(star_graph(5), "biased"),
-                     edge_weights(line_graph(5)), 1, 2)
+def test_electric_functions_reject_the_simple_and_natural_walks():
+    g = line_graph(4)
+    for kind in ("simple", "natural"):
+        m = transition_matrix(g, kind)
+        for call in (lambda: effective_resistance(m, 0, 3), lambda: effective_resistance(m, 2, 2),
+                     lambda: resistance_matrix(m), lambda: commute_time(m, 0, 3),
+                     lambda: commute_time(m, 2, 2)):
+            with pytest.raises(ValueError, match=f"biased walk's, not the {kind} walk's"):
+                call()
+
+
+def test_commute_detects_a_resistance_that_breaks_the_identity(monkeypatch):
+    # commute_time's two solves must agree; a resistance off by 1e-5 breaks
+    # the identity beyond COMMUTE_TOL = 1e-6 and must be reported
+    m = transition_matrix(star_graph(5), "biased")
+    exact = commute_time(m, 1, 2)
+    resistance = walks.effective_resistance
+    monkeypatch.setattr(walks, "effective_resistance",
+                        lambda m, x, y: resistance(m, x, y) * (1 + 1e-5))
+    with pytest.raises(ConsistencyError, match=r"commute identity violated at \(1,2\)"):
+        commute_time(m, 1, 2)
+    assert exact == pytest.approx(5 * resistance(m, 1, 2), rel=1e-9)
 
 
 def test_commute_identity_all_pairs_small_suite():
@@ -375,11 +410,25 @@ def test_cycle_identity_small_suite():
     assert res.ok, res.detail
 
 
+@pytest.mark.parametrize("x,y", [(0, 1), (3, 0), (2, 4)])
+def test_cycle_identity_reports_one_perturbed_entry(monkeypatch, x, y):
+    # A table off by delta in one entry breaks the identity by delta on the
+    # triples through that entry, whichever term of the sum it is.
+    table = hitting_table(transition_matrix(lollipop_graph(7, 5), "biased"))
+    delta = 0.01 * table.max_hitting()
+    bad = table.h.copy()
+    bad[x, y] += delta
+    monkeypatch.setattr(walks, "hitting_table", lambda m: walks.HittingTable(m.kind, bad))
+    res = check_cycle_identity([("lollipop", lollipop_graph(7, 5))])
+    assert not res.ok
+    assert res.detail == f"max relative gap {delta / max(1.0, bad.max()):.3e}"
+
+
 # ------------------------------------------------------------- hitting bounds
 
 def test_hitting_bound_general_is_3n3():
     g = lollipop_graph(9, 6)
-    assert hitting_bound(g, 0, 8).general == 3.0 * 9**3
+    assert hitting_bounds_from(g, 0)[8].general == 3.0 * 9**3
 
 
 def test_hitting_bounds_sandwich_exact():
@@ -391,7 +440,7 @@ def test_star5_path_refined_bound_exceeds_exact_20():
     g = star_graph(5)
     exact = hitting_times(transition_matrix(g, "biased"), 2)[1]
     assert exact == pytest.approx(20.0, rel=1e-9)
-    general, refined = hitting_bound(g, 1, 2)
+    general, refined = hitting_bounds_from(g, 1)[2]
     # path 1-0-2, both edges have min degree 1: bound n^2 * 2 = 50
     assert refined == pytest.approx(50.0)
     assert refined >= exact
@@ -406,7 +455,7 @@ def test_hitting_bounds_from_a_source_match_per_pair_path_sums(g):
         for y in range(n):
             path = shortest_path(g, x, y)
             r_bound = sum(n * min(g.degree(u), g.degree(v)) for u, v in zip(path, path[1:]))
-            assert bounds[y] == hitting_bound(g, x, y) == (3.0 * n**3, float(n * r_bound))
+            assert bounds[y] == (3.0 * n**3, float(n * r_bound))
 
 
 def test_hitting_bounds_from_reject_unreachable_nodes_and_bad_sources():
@@ -519,8 +568,7 @@ def test_potential_below_twice_max_hitting():
 # ------------------------------------------------------------- Monte Carlo
 
 def test_pair_meeting_same_start_is_zero():
-    rng = np.random.default_rng(0)
-    assert simulate_pair_meeting(star_graph(5), 3, 3, rng) == 0
+    assert sample_pair_meetings(star_graph(5), 3, 3, 0, 1).tolist() == [0]
 
 
 def test_meeting_mean_below_4_hmax_star11():
@@ -540,39 +588,34 @@ def test_meeting_X_at_most_twice_Xprime_line9():
 
 
 def test_meeting_budget_error_carries_ticks():
-    rng = np.random.default_rng(1)
     with pytest.raises(TickBudgetError) as info:
-        simulate_pair_meeting(line_graph(9), 0, 8, rng, max_ticks=3)
+        sample_pair_meetings(line_graph(9), 0, 8, 1, 1, max_ticks=3)
     assert info.value.ticks == 3
 
 
 def test_unknown_coupling_rejected():
-    rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        simulate_pair_meeting(line_graph(3), 0, 2, rng, coupling="Y")
+        sample_pair_meetings(line_graph(3), 0, 2, 1, 1, coupling="Y")
 
 
 def test_meet_all_no_others_is_zero():
-    rng = np.random.default_rng(2)
-    assert simulate_meet_all(star_graph(5), 1, [], rng) == 0
+    assert sample_meet_all(star_graph(5), 1, [], 2, 1).tolist() == [0]
 
 
 def test_meet_all_rejects_shared_start():
-    rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
-        simulate_meet_all(star_graph(5), 1, [1, 2], rng)
+        sample_meet_all(star_graph(5), 1, [1, 2], 2, 1)
 
 
 def test_token_runs_reject_nodes_outside_the_graph_and_no_runs():
     g = star_graph(5)
-    rng = np.random.default_rng(3)
     calls = (
         lambda: sample_hitting(g, 1, -1, 0, 5),
         lambda: sample_pair_meetings(g, 7, 1, 0, 5),
         lambda: sample_meet_all(g, 1, [2, 5], 0, 5),
-        lambda: simulate_hitting(g, 5, 1, rng),
-        lambda: simulate_pair_meeting(g, 0, -1, rng),
-        lambda: simulate_meet_all(g, -2, [1], rng),
+        lambda: sample_hitting(g, 5, 1, 0, 1),
+        lambda: sample_pair_meetings(g, 0, -1, 0, 1),
+        lambda: sample_meet_all(g, -2, [1], 0, 1),
     )
     for call in calls:
         with pytest.raises(ValueError, match=r"nodes must be in 0\.\.4"):
@@ -586,19 +629,19 @@ def test_token_runs_reject_nodes_outside_the_graph_and_no_runs():
 
 def test_token_runs_reject_a_negative_tick_budget():
     g = star_graph(5)
-    rng = np.random.default_rng(4)
     calls = (
         lambda: sample_hitting(g, 1, 2, 0, 5, max_ticks=-1),
         lambda: sample_pair_meetings(g, 1, 2, 0, 5, max_ticks=-1),
         lambda: sample_meet_all(g, 1, [2], 0, 5, max_ticks=-1),
-        lambda: simulate_hitting(g, 1, 1, rng, max_ticks=-5),
-        lambda: simulate_pair_meeting(g, 1, 1, rng, max_ticks=-5),
-        lambda: simulate_meet_all(g, 1, [], rng, max_ticks=-5),
+        # runs that need no tick check the budget too
+        lambda: sample_hitting(g, 1, 1, 4, 1, max_ticks=-5),
+        lambda: sample_pair_meetings(g, 1, 1, 4, 1, max_ticks=-5),
+        lambda: sample_meet_all(g, 1, [], 4, 1, max_ticks=-5),
     )
     for call in calls:
         with pytest.raises(ValueError, match="max_ticks must be >= 0"):
             call()
-    assert simulate_hitting(g, 1, 1, rng, max_ticks=0) == 0
+    assert sample_hitting(g, 1, 1, 4, 1, max_ticks=0).tolist() == [0]
 
 
 def test_meet_all_single_other_matches_pair_meeting():
@@ -623,8 +666,7 @@ def test_meet_all_star11_within_log_periods_bound():
 @given(connected_graphs(min_n=3, max_n=9))
 @settings(max_examples=20, deadline=None)
 def test_meeting_terminates_on_random_graphs(g):
-    rng = np.random.default_rng(7)
-    ticks = simulate_pair_meeting(g, 0, g.n - 1, rng, max_ticks=10**7)
+    [ticks] = sample_pair_meetings(g, 0, g.n - 1, 7, 1, max_ticks=10**7)
     assert 0 < ticks <= 10**7
 
 
@@ -681,21 +723,16 @@ def test_pair_meeting_means_match_the_exact_pair_chain(g, x, y, coupling, exact,
 
 # Each sampler on line(9) from node 0: every run needs at least 8 ticks.
 SAMPLERS = {
-    "hitting": (sample_hitting, simulate_hitting, (0, 8), {}),
-    "X": (sample_pair_meetings, simulate_pair_meeting, (0, 8), {"coupling": "X"}),
-    "Xprime": (sample_pair_meetings, simulate_pair_meeting, (0, 8), {"coupling": "Xprime"}),
-    "meet_all": (sample_meet_all, simulate_meet_all, (0, range(1, 9)), {}),
+    "hitting": (sample_hitting, (0, 8), {}),
+    "X": (sample_pair_meetings, (0, 8), {"coupling": "X"}),
+    "Xprime": (sample_pair_meetings, (0, 8), {"coupling": "Xprime"}),
+    "meet_all": (sample_meet_all, (0, range(1, 9)), {}),
 }
 
 
 def _sample(name, seed, runs, **budget):
-    sample, _, args, kwargs = SAMPLERS[name]
+    sample, args, kwargs = SAMPLERS[name]
     return sample(line_graph(9), *args, seed, runs, **kwargs, **budget)
-
-
-def _simulate(name, rng, **budget):
-    _, simulate, args, kwargs = SAMPLERS[name]
-    return simulate(line_graph(9), *args, rng, **kwargs, **budget)
 
 
 @pytest.mark.parametrize("name", SAMPLERS)
@@ -708,19 +745,11 @@ def test_samples_are_a_function_of_seed_and_runs(name):
 
 
 @pytest.mark.parametrize("name", SAMPLERS)
-def test_one_simulated_run_is_the_one_run_sample(name):
-    for seed in range(5):
-        assert _simulate(name, np.random.default_rng(seed)) == _sample(name, seed, 1)[0]
-
-
-@pytest.mark.parametrize("name", SAMPLERS)
 @pytest.mark.parametrize("max_ticks", [0, 3, 7])
 def test_every_sampler_stops_at_its_tick_budget(name, max_ticks):
-    for call in (lambda: _sample(name, 80, 25, max_ticks=max_ticks),
-                 lambda: _simulate(name, np.random.default_rng(80), max_ticks=max_ticks)):
-        with pytest.raises(TickBudgetError) as info:
-            call()
-        assert info.value.ticks == max_ticks
+    with pytest.raises(TickBudgetError) as info:
+        _sample(name, 80, 25, max_ticks=max_ticks)
+    assert info.value.ticks == max_ticks
 
 
 @pytest.mark.parametrize("name", SAMPLERS)
@@ -734,10 +763,9 @@ def test_a_budget_of_the_longest_run_changes_nothing(name):
 
 def test_token_runs_reject_an_isolated_node():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
-    rng = np.random.default_rng(5)
     for call in (lambda: sample_hitting(g, 0, 2, 0, 5),
                  lambda: sample_pair_meetings(g, 0, 2, 0, 5),
-                 lambda: simulate_meet_all(g, 0, [2], rng)):
+                 lambda: sample_meet_all(g, 0, [2], 0, 5)):
         with pytest.raises(ValueError, match="every node needs a neighbor"):
             call()
 
@@ -784,7 +812,8 @@ def test_matrix_csv_round_trip(tmp_path):
     g = star_graph(4)
     table = hitting_table(transition_matrix(g, "biased"))
     path = tmp_path / "hitting.csv"
-    write_matrix_csv(path, table.h)
+    with open(path, "w", newline="") as fh:
+        write_matrix_rows(fh, table.h)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "node,0,1,2,3"
     cells = lines[2].split(",")
