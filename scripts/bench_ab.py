@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired before/after benchmark of one layer, in one process.
 
-    python3 scripts/bench_ab.py {kernel,exact,walks,runs} [--out PATH]
+    python3 scripts/bench_ab.py {kernel,exact,walks,runs} [...] [--out PATH]
 
 "Before" is the whole ``src/qconsensus`` tree at HEAD when ``src/`` has
 uncommitted changes, else at HEAD~1, extracted with ``git archive`` into a
@@ -10,9 +10,10 @@ so that its relative imports bind its own modules; "after" is the working
 tree's ``qconsensus``. Both sides run each case
 the workload's number of repeats, alternating which side goes first in
 each repeat; only the calls under test are timed. Each case prints one line, and ``--out`` writes
-the JSON record: each side's median, quartiles and fastest repeat, the
-median ratio after/before and the fastest/fastest ratio (the statistic
-``bench/`` compares), the machine and the revisions. Workloads:
+one JSON record of every workload named, in order: per case, each side's
+median, quartiles and fastest repeat, the median ratio after/before and
+the fastest/fastest ratio (the statistic ``bench/`` compares); and the
+machine and the revisions. Workloads:
 
 - ``kernel`` (consensus.py and harness.py, 5 repeats): Mticks/s for each
   protocol on star(101), line(65), lollipop(45) and ER(101), untraced and with
@@ -361,29 +362,31 @@ def measure(case: Case, sides: dict, repeats: int, same) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=WORKLOADS)
+    parser.add_argument("workload", nargs="+", choices=WORKLOADS)
     parser.add_argument("--out", help="path of the JSON record (default: not written)")
     args = parser.parse_args(argv)
-    workload = WORKLOADS[args.workload]
     before_rev = before_revision()
+    records = []
     with tempfile.TemporaryDirectory() as tmp:
         extract_before(before_rev, tmp)
-        sides = {side: types.SimpleNamespace(**{m: importlib.import_module(f"{package}.{m}")
-                                                for m in workload.modules})
-                 for side, package in (("before", BEFORE_PACKAGE), ("after", "qconsensus"))}
-    cases = [measure(case, sides, workload.repeats, workload.same)
-             for case in workload.cases()]
-    if workload.same is not None:
-        print(f"before and after agree on all {len(cases)} cases")
+        for name in args.workload:
+            workload = WORKLOADS[name]
+            sides = {side: types.SimpleNamespace(
+                         **{m: importlib.import_module(f"{package}.{m}") for m in workload.modules})
+                     for side, package in (("before", BEFORE_PACKAGE), ("after", "qconsensus"))}
+            cases = [measure(case, sides, workload.repeats, workload.same)
+                     for case in workload.cases()]
+            if workload.same is not None:
+                print(f"{name}: before and after agree on all {len(cases)} cases")
+            records.append({"workload": name, "benchmark": workload.title,
+                            "repeats": workload.repeats, "cases": cases})
     if args.out:
         record = {
-            "benchmark": workload.title,
             "command": "python3 scripts/bench_ab.py " + " ".join(argv or sys.argv[1:]),
             "machine": machine(),
             "revision": revisions(before_rev),
-            "repeats": workload.repeats,
             "blas_threads": BLAS_THREADS,
-            "cases": cases,
+            "workloads": records,
         }
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

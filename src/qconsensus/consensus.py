@@ -14,11 +14,19 @@ every value lies in {q, q+1}.
 
 One tick = one edge activation: a node chosen uniformly, then one of its
 neighbors uniformly, from two uniform floats drawn in (node, neighbor)
-order. ``run_to_convergence`` runs one batch kernel per protocol, traced or
-not; the per-tick steppers (``binary_step``/``quantized_step``) are the
-reference it is tested against, tick for tick, for the same seed. Draws
-past the convergence tick are discarded, so the generator's position after
-a run is unspecified.
+order. ``run_to_convergence`` runs one kernel per protocol, traced or not:
+the compiled C loop of ``ckernel``, which draws each float from the
+generator's own ``bitgen_t`` and stops it at the convergence tick. It is
+built on the first run into ``__pycache__/qckernel-<hash>.so`` beside this
+module. The numpy batch kernel runs instead when no library can be built or
+loaded (no ``cc``, a compile error, an unwritable cache), and for a
+quantized state with a value of magnitude 2**62 or more, which a C
+``int64`` cannot hold with room for a difference. The batch kernel
+discards the draws of its last batch past the convergence tick, so there
+the generator's position after a run is unspecified. Both read the same
+stream and give the same ticks, states and traces; the per-tick steppers
+(``binary_step``/``quantized_step``) are the reference both are tested
+against, tick for tick, for the same seed.
 
 A state holds only its node values, tick and conserved sum: counts are
 computed from the values, and each kernel keeps its own counters for a run.
@@ -26,12 +34,14 @@ computed from the values, and each kernel keeps its own counters for a run.
 
 from __future__ import annotations
 
+from ctypes import addressof, c_int8, c_int64
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import count
 
 import numpy as np
 
+from . import ckernel
 from .graphs import Graph, csr
 from .rows import write_csv
 
@@ -43,6 +53,11 @@ OPINION_VALUES = (STRONG_POS, STRONG_NEG, WEAK_POS, WEAK_NEG)
 
 _FIRST_BATCH = 64
 _MAX_BATCH = 8192
+# Ticks per kernel call at most: the limit of a compiled call stays inside
+# int64 (ctypes would silently keep only the low 64 bits of a larger one),
+# and Ctrl-C acts between calls.
+_CHUNK = 1 << 24
+_C_VALUE_LIMIT = 1 << 62
 
 
 def binary_update(a: int, b: int) -> tuple[int, int]:
@@ -238,7 +253,7 @@ def run_to_convergence(protocol: str, g: Graph, state, rng, max_ticks: int,
     ``trace_stride`` > 0, metric rows are recorded every that many ticks
     (plus the first and final tick). The passed state, which must have one
     value per node of ``g``, is mutated in place; the generator's position
-    afterwards is unspecified.
+    afterwards is unspecified (see the module docstring).
     """
     if max_ticks < 0:
         raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
@@ -261,46 +276,65 @@ _BINARY_TRACE_HEADER = ("tick", "s_plus", "s_minus", "w_plus", "w_minus")
 _QUANTIZED_TRACE_HEADER = ("tick", "lyapunov", "value_min", "value_max")
 
 
-def _run_kernel(g: Graph, s, rng, max_ticks: int, stride: int, apply, row):
-    """Feed drawn edges to ``apply`` until it reports convergence or ``max_ticks`` pass.
+def _run_kernel(g: Graph, s, max_ticks: int, stride: int, step, row):
+    """Call ``step(limit)`` until it reports convergence or ``max_ticks`` ticks pass.
 
-    Edges come through a CSR adjacency in batches growing from _FIRST_BATCH
-    to _MAX_BATCH ticks (split PCG64 draws equal one large draw); truncating
-    a non-negative float64 product equals the steppers' ``int()``.
-    ``apply(us, vs)`` returns how many edges it applied if the run converged
-    on the last of them, else None. With ``stride`` > 0 batches are cut at
-    multiples of ``stride``, and ``row(tick)`` is recorded at the first tick,
-    at each multiple not converged, and at the final tick.
+    ``step(limit)`` runs at most ``limit`` ticks and returns (ticks run,
+    whether the last of them converged). Calls are cut at _CHUNK ticks and,
+    with ``stride`` > 0, at multiples of ``stride``; ``row(tick)`` is then
+    recorded at the first tick, at each multiple, and at the final tick.
     """
-    n = g.n
-    deg, off, flat = csr(g)
     if max_ticks and not all(g.adjacency):  # cheaper than deg.all() on small graphs
         raise ValueError("every node needs a neighbor to run a protocol")
     trace = [row(s.tick)] if stride else []
     ticks = 0
     converged = False
-    batch = _FIRST_BATCH
     while not converged and ticks < max_ticks:
-        m = min(batch, max_ticks - ticks)
-        batch = min(2 * batch, _MAX_BATCH)
-        r = rng.random(2 * m)
-        u = (r[0::2] * n).astype(np.int64)
-        us = u.tolist()
-        vs = flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)].tolist()
-        cuts = [0, *range(stride - ticks % stride, m, stride), m] if stride else [0, m]
-        base = ticks
-        for i, j in zip(cuts, cuts[1:]):
-            k = apply(us[i:j], vs[i:j])
-            converged = k is not None
-            ticks = base + (i + k if converged else j)
-            if converged:
-                break
-            if stride and ticks % stride == 0:
-                trace.append(row(s.tick + ticks))
+        k, converged = step(min(max_ticks - ticks, stride - ticks % stride if stride else _CHUNK,
+                                _CHUNK))
+        ticks += k
+        if stride and ticks % stride == 0:
+            trace.append(row(s.tick + ticks))
     s.tick += ticks
     if stride and trace[-1][0] != s.tick:
         trace.append(row(s.tick))
     return ticks, tuple(trace)
+
+
+def _batch_step(g: Graph, rng, apply):
+    """The fallback ``step``: edges drawn in numpy batches, fed to ``apply`` in Python.
+
+    Batches grow from _FIRST_BATCH to _MAX_BATCH ticks (split PCG64 draws
+    equal one large draw); truncating a non-negative float64 product equals
+    the steppers' ``int()``. ``apply(us, vs)`` returns how many edges it
+    applied if the run converged on the last of them, else None.
+    """
+    n = g.n
+    deg, off, flat = csr(g)
+    batch = _FIRST_BATCH
+
+    def step(limit):
+        nonlocal batch
+        done = 0
+        while done < limit:
+            m = min(batch, limit - done)
+            batch = min(2 * batch, _MAX_BATCH)
+            r = rng.random(2 * m)
+            u = (r[0::2] * n).astype(np.int64)
+            k = apply(u.tolist(), flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)].tolist())
+            if k is not None:
+                return done + k, True
+            done += m
+        return done, False
+
+    return step
+
+
+@lru_cache(maxsize=1)
+def _csr_pointers(g: Graph) -> tuple:
+    """``csr(g)``'s arrays and their addresses: the memo keeps the arrays alive."""
+    arrays = csr(g)
+    return arrays, tuple(a.ctypes.data for a in arrays)
 
 
 @cache
@@ -315,6 +349,13 @@ def _binary_table(n: int) -> tuple:
     return tuple(tuple(r) for r in table)
 
 
+@cache
+def _binary_table_c(n: int) -> tuple:
+    """``_binary_table(n)`` as the compiled loop reads it, and its address."""
+    table = ckernel.binary_table(_binary_table(n))
+    return table, addressof(table)
+
+
 def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> SimResult:
     n = g.n
     opinions = s.opinions
@@ -325,20 +366,36 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
     # that changes the strong counts, and a sign has no opinions left exactly
     # when all its strong ones are annihilated: each consensus is one value.
     all_negative, all_positive = (n + 1) * s_plus, n + (n + 1) * s_minus
-    table = _binary_table(n)
+    kernel = ckernel.load()
+    if kernel is None:
+        table = _binary_table(n)
 
-    def apply(us, vs):
-        nonlocal packed
-        for k, u, v in zip(count(1), us, vs):
-            a = opinions[u]
-            b = opinions[v]
-            if a != b:
-                opinions[u], opinions[v], d = table[a][b]
-                if d:
-                    packed += d
-                    if packed == all_negative or packed == all_positive:
-                        return k
-        return None
+        def apply(us, vs):
+            nonlocal packed
+            for k, u, v in zip(count(1), us, vs):
+                a = opinions[u]
+                b = opinions[v]
+                if a != b:
+                    opinions[u], opinions[v], d = table[a][b]
+                    if d:
+                        packed += d
+                        if packed == all_negative or packed == all_positive:
+                            return k
+            return None
+
+        step = _batch_step(g, rng, apply)
+    else:
+        c_opinions = (c_int8 * n)(*opinions)
+        run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_opinions),
+                          packed, _binary_table_c(n)[1], all_negative, all_positive)
+        loop, address, lock = kernel.binary, addressof(run), rng.bit_generator.lock
+
+        def step(limit):
+            nonlocal packed
+            with lock:
+                k = loop(address, limit)
+            packed = run.counter
+            return k, packed == all_negative or packed == all_positive
 
     def counts():
         annihilations, pos = divmod(packed, n + 1)
@@ -346,8 +403,10 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
         return sp, sm, pos - sp, n - pos - sm
 
     converged = packed in (all_negative, all_positive)
-    ticks, trace = _run_kernel(g, s, rng, 0 if converged else max_ticks, stride, apply,
+    ticks, trace = _run_kernel(g, s, 0 if converged else max_ticks, stride, step,
                                lambda tick: (tick, *counts()))
+    if kernel is not None:
+        opinions[:] = np.frombuffer(c_opinions, np.int8).tolist()
     converged = packed in (all_negative, all_positive)
     detail = (("all_positive" if packed == all_positive else "all_negative") if converged
               else "timeout")
@@ -356,34 +415,54 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
 
 
 def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int) -> SimResult:
+    n = g.n
     values = s.values
     q = s.q
     qp1 = q + 1
     off = sum(not q <= v <= qp1 for v in values)  # nodes outside {q, q+1}
+    # Values in (-2**62, 2**62) keep every difference the C loop takes inside int64.
+    kernel = ckernel.load() if -_C_VALUE_LIMIT < min(values) and max(values) < _C_VALUE_LIMIT \
+        else None
+    if kernel is None:
+        def apply(us, vs):
+            nonlocal off
+            for k, u, v in zip(count(1), us, vs):
+                a = values[u]
+                b = values[v]
+                if -2 < a - b < 2:
+                    values[u] = b
+                    values[v] = a
+                    continue
+                d = 1 if a > b else -1
+                values[u] = na = a - d
+                values[v] = nb = b + d
+                off += (q <= a <= qp1) - (q <= na <= qp1) + (q <= b <= qp1) - (q <= nb <= qp1)
+                if off == 0:
+                    return k
+            return None
 
-    def apply(us, vs):
-        nonlocal off
-        for k, u, v in zip(count(1), us, vs):
-            a = values[u]
-            b = values[v]
-            if -2 < a - b < 2:
-                values[u] = b
-                values[v] = a
-                continue
-            d = 1 if a > b else -1
-            values[u] = na = a - d
-            values[v] = nb = b + d
-            off += (q <= a <= qp1) - (q <= na <= qp1) + (q <= b <= qp1) - (q <= nb <= qp1)
-            if off == 0:
-                return k
-        return None
+        step = _batch_step(g, rng, apply)
+    else:
+        c_values = (c_int64 * n)(*values)
+        view = np.frombuffer(c_values, np.int64)
+        run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_values),
+                          off, q=q)
+        loop, address, lock = kernel.quantized, addressof(run), rng.bit_generator.lock
 
-    ticks, trace = _run_kernel(g, s, rng, max_ticks if off else 0, stride, apply,
+        def step(limit):
+            nonlocal off
+            with lock:
+                k = loop(address, limit)
+            values[:] = view.tolist()  # each trace row reads the values
+            off = run.counter
+            return k, off == 0
+
+    ticks, trace = _run_kernel(g, s, max_ticks if off else 0, stride, step,
                                lambda tick: (tick, lyapunov(s), min(values), max(values)))
     converged = off == 0
     detail = f"q={q} r={s.r}" if converged else "timeout"
     header = _QUANTIZED_TRACE_HEADER if stride else ()
-    return SimResult("quantized", g.n, ticks, converged, detail, header, trace)
+    return SimResult("quantized", n, ticks, converged, detail, header, trace)
 
 
 def read_binary_votes(path) -> list:

@@ -1,8 +1,25 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and kernel-path switch for the test suite."""
 
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import strategies as st
 
+from qconsensus import ckernel
 from qconsensus.graphs import Graph
+
+# "compiled" runs the loader as it is, which gives the C loops wherever a
+# compiler is found; "batch" makes the loader find none.
+KERNEL_PATHS = ("compiled", "batch")
+
+
+@contextmanager
+def kernel_path(path: str):
+    """Protocol runs inside the block take ``path``, one of KERNEL_PATHS."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "batch":
+            mp.setattr(ckernel, "load", lambda: None)
+        yield
 
 
 @st.composite

@@ -7,6 +7,8 @@ import pytest
 from qconsensus.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, _topology_spec, build_parser, main
 from qconsensus.harness import SweepConfig
 
+from conftest import KERNEL_PATHS, kernel_path
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -332,22 +334,25 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
     trace, sweep, rounds = tmp_path / "trace.csv", tmp_path / "sweep.csv", tmp_path / "rounds.csv"
     sweep_args = ("sweep", "--topo", "erdos_renyi", "--protocol", "quantized",
                   "--n-values", "9,11", "--rounds", "3", "--seed", "5")
-    outputs = {
-        "simulate_binary": stdout("simulate", "--topo", "star", "--n", "21", "--protocol",
-                                  "binary", "--seed", "1", "--trace-stride", "50",
-                                  "--trace-out", str(trace)),
-        "simulate_quantized": stdout("simulate", "--topo", "erdos_renyi", "--n", "15",
-                                     "--protocol", "quantized", "--seed", "9"),
-        "simulate_json": stdout("simulate", "--topo", "lollipop", "--n", "10", "--protocol",
-                                "quantized", "--init", "q_setting1", "--seed", "2",
-                                "--format", "json"),
-        "sweep_json": stdout(*sweep_args, "--format", "json"),
-        "meet": stdout("meet", "--topo", "line", "--n", "7", "--x", "0", "--y", "6",
-                       "--runs", "200", "--seed", "3"),
-    }
-    assert run_cli(*sweep_args, "--out", str(sweep), "--rounds-out", str(rounds)) == EXIT_OK
-    outputs["trace_binary"] = trace.read_bytes()
-    outputs["sweep_csv"] = sweep.read_bytes()
-    outputs["rounds_csv"] = rounds.read_bytes()
-    assert {name: hashlib.sha256(out).hexdigest() for name, out in outputs.items()} \
-        == GOLDEN_DIGESTS
+    for path in KERNEL_PATHS:
+        with kernel_path(path):
+            outputs = {
+                "simulate_binary": stdout("simulate", "--topo", "star", "--n", "21",
+                                          "--protocol", "binary", "--seed", "1",
+                                          "--trace-stride", "50", "--trace-out", str(trace)),
+                "simulate_quantized": stdout("simulate", "--topo", "erdos_renyi", "--n", "15",
+                                             "--protocol", "quantized", "--seed", "9"),
+                "simulate_json": stdout("simulate", "--topo", "lollipop", "--n", "10",
+                                        "--protocol", "quantized", "--init", "q_setting1",
+                                        "--seed", "2", "--format", "json"),
+                "sweep_json": stdout(*sweep_args, "--format", "json"),
+                "meet": stdout("meet", "--topo", "line", "--n", "7", "--x", "0", "--y", "6",
+                               "--runs", "200", "--seed", "3"),
+            }
+            assert run_cli(*sweep_args, "--out", str(sweep), "--rounds-out", str(rounds)) \
+                == EXIT_OK
+        outputs["trace_binary"] = trace.read_bytes()
+        outputs["sweep_csv"] = sweep.read_bytes()
+        outputs["rounds_csv"] = rounds.read_bytes()
+        assert {name: hashlib.sha256(out).hexdigest() for name, out in outputs.items()} \
+            == GOLDEN_DIGESTS, path

@@ -1,7 +1,11 @@
+import shutil
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qconsensus import ckernel, consensus
 from qconsensus.consensus import (
     STRONG_NEG,
     STRONG_POS,
@@ -40,7 +44,7 @@ from qconsensus.graphs import (
     star_graph,
 )
 
-from conftest import connected_graphs
+from conftest import KERNEL_PATHS, connected_graphs, kernel_path
 
 
 OPINIONS = (2, 1, -1, -2)
@@ -331,19 +335,21 @@ def test_run_timeout_is_flagged():
 
 def test_run_rejects_mismatched_state():
     g = line_graph(3)
-    with pytest.raises(ValueError):
-        run_to_convergence("binary", g, QuantizedState.from_values([1, 2, 3]),
-                           np.random.default_rng(0), 10)
-    with pytest.raises(ValueError):
-        run_to_convergence("ternary", g, QuantizedState.from_values([1, 2, 3]),
-                           np.random.default_rng(0), 10)
-    for n in (2, 4):
-        for protocol, s in (("binary", BinaryState.from_opinions([STRONG_POS] * n)),
-                            ("quantized", QuantizedState.from_values(range(n)))):
-            before = s.copy()
-            with pytest.raises(ValueError, match=f"{n} nodes but the graph has 3"):
-                run_to_convergence(protocol, g, s, np.random.default_rng(0), 10**4)
-            assert s == before
+    for path in KERNEL_PATHS:
+        with kernel_path(path):
+            with pytest.raises(ValueError):
+                run_to_convergence("binary", g, QuantizedState.from_values([1, 2, 3]),
+                                   np.random.default_rng(0), 10)
+            with pytest.raises(ValueError):
+                run_to_convergence("ternary", g, QuantizedState.from_values([1, 2, 3]),
+                                   np.random.default_rng(0), 10)
+            for n in (2, 4):
+                for protocol, s in (("binary", BinaryState.from_opinions([STRONG_POS] * n)),
+                                    ("quantized", QuantizedState.from_values(range(n)))):
+                    before = s.copy()
+                    with pytest.raises(ValueError, match=f"{n} nodes but the graph has 3"):
+                        run_to_convergence(protocol, g, s, np.random.default_rng(0), 10**4)
+                    assert s == before
 
 
 def test_fast_loop_matches_stepwise_trajectory_binary():
@@ -429,7 +435,7 @@ def test_traced_binary_counts_columns(tmp_path):
     assert len(lines) == len(res.trace) + 1
 
 
-# ------------------------------------------- batch kernel vs reference stepper
+# ------------------------------------ both kernel paths vs reference stepper
 
 def _reference_run(protocol, g, s, rng, max_ticks, stride):
     """``run_to_convergence`` rebuilt from the per-tick stepper, counting from the values."""
@@ -466,20 +472,25 @@ def _random_state(protocol, n, seed):
     return QuantizedState.from_values(rng.integers(-5, 15, size=n).tolist())
 
 
-def _assert_kernel_matches_stepper(protocol, g, seed, budget, stride):
-    fast = _random_state(protocol, g.n, seed)
-    slow = _random_state(protocol, g.n, seed)
-    res = run_to_convergence(protocol, g, fast, np.random.default_rng(seed), budget, stride)
+def _assert_kernel_matches_stepper(protocol, g, seed, budget, stride, start=_random_state):
+    """On each of KERNEL_PATHS, a run from ``start(protocol, n, seed)`` equals the
+    reference stepper's, tick for tick: ticks, outcome, trace and final state."""
+    slow = start(protocol, g.n, seed)
     ticks, converged, detail, rows = _reference_run(
         protocol, g, slow, np.random.default_rng(seed), budget, stride)
-    assert (res.ticks, res.converged, res.detail) == (ticks, converged, detail)
-    assert res.trace == rows
-    assert bool(res.trace_header) == bool(stride)
-    assert fast.tick == slow.tick == ticks
-    if protocol == "binary":
-        assert fast.opinions == slow.opinions
-    else:
-        assert fast.values == slow.values
+    for path in KERNEL_PATHS:
+        fast = start(protocol, g.n, seed)
+        with kernel_path(path):
+            res = run_to_convergence(protocol, g, fast, np.random.default_rng(seed), budget,
+                                     stride)
+        assert (res.ticks, res.converged, res.detail) == (ticks, converged, detail), path
+        assert res.trace == rows, path
+        assert bool(res.trace_header) == bool(stride), path
+        assert fast.tick == slow.tick == ticks, path
+        if protocol == "binary":
+            assert fast.opinions == slow.opinions, path
+        else:
+            assert fast.values == slow.values, path
 
 
 # Budgets end at 0, mid-batch, and exactly on the batch edges 64, 192 and 448.
@@ -599,6 +610,110 @@ def test_run_rejects_isolated_node():
     s = QuantizedState.from_values([3, 0, 0])
     with pytest.raises(ValueError, match="neighbor"):
         run_to_convergence("quantized", g, s, np.random.default_rng(0), 10)
+
+
+def test_runs_cut_into_chunks_match_the_stepper(monkeypatch):
+    # Untraced runs call the kernel once per chunk; cut them at 5 ticks.
+    monkeypatch.setattr(consensus, "_CHUNK", 5)
+    g = line_graph(9)
+    for protocol in ("binary", "quantized"):
+        for budget, stride in ((10**5, 0), (10**5, 7), (23, 0), (25, 10)):
+            _assert_kernel_matches_stepper(protocol, g, 6, budget, stride)
+
+
+@pytest.mark.parametrize("values", [
+    [2**70, 3, -2**70, 0, 7],  # past int64: only the batch kernel can run it
+    [2**62, 0, 1, 2, -2**62],  # the smallest magnitude the C loop refuses
+    [2**62 - 1, 0, 1, 2, 1 - 2**62],  # the widest values the C loop takes
+])
+def test_quantized_values_at_the_int64_edge_match_the_stepper(values):
+    _assert_kernel_matches_stepper("quantized", line_graph(5), 11, 3000, 97,
+                                   start=lambda protocol, n, seed: QuantizedState.from_values(values))
+
+
+def test_a_budget_past_int64_runs_as_the_default_budget(monkeypatch):
+    # ctypes keeps only the low 64 bits of an int64 argument (2**64 + 1 would
+    # pass as 1, 2**70 as 0), so each compiled call must get a limit that fits.
+    kernel = ckernel.load()
+    if kernel is not None:
+        def checked(loop):
+            def call(address, limit):
+                assert 0 < limit < 2**63, limit
+                return loop(address, limit)
+            return call
+
+        checked_kernel = SimpleNamespace(**{**vars(kernel), "binary": checked(kernel.binary),
+                                            "quantized": checked(kernel.quantized)})
+        monkeypatch.setattr(ckernel, "load", lambda: checked_kernel)
+    g = star_graph(7)
+    for path in KERNEL_PATHS:
+        with kernel_path(path):
+            for protocol in ("binary", "quantized"):
+                for stride in (0, 50):
+                    runs = []
+                    for budget in (150 * 7**3, 2**64 + 1, 2**70):
+                        s = _random_state(protocol, 7, 12)
+                        res = run_to_convergence(protocol, g, s, np.random.default_rng(12),
+                                                 budget, stride)
+                        runs.append((res, s))
+                    assert runs[0][0].converged and runs[0][0].ticks > 0
+                    assert runs[1] == runs[2] == runs[0], (path, protocol, stride)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+@needs_cc
+def test_compiled_kernel_loads_where_a_compiler_is_found(monkeypatch):
+    assert ckernel.load() is not None
+    assert ckernel.library_path().is_file()
+
+    def batch_step(*args):
+        raise AssertionError("the batch kernel ran")
+
+    monkeypatch.setattr(consensus, "_batch_step", batch_step)
+    for protocol in ("binary", "quantized"):
+        res = run_to_convergence(protocol, line_graph(9), _random_state(protocol, 9, 1),
+                                 np.random.default_rng(1), 10**5, 10)
+        assert res.converged
+
+
+@needs_cc
+def test_compiled_run_stops_the_generator_at_its_last_tick():
+    for protocol in ("binary", "quantized"):
+        rng = np.random.default_rng(3)
+        res = run_to_convergence(protocol, line_graph(9), _random_state(protocol, 9, 3), rng,
+                                 10**5)
+        assert res.converged and res.ticks > 0
+        assert rng.random() == np.random.default_rng(3).random(2 * res.ticks + 1)[-1]
+
+
+@pytest.mark.parametrize("cc", [
+    ("no-such-compiler-qc", *ckernel.CC[1:]),  # no compiler
+    (*ckernel.CC, "-include", "no-such-header-qc.h"),  # a compile error
+])
+def test_failed_build_falls_back_with_identical_results(cc, tmp_path, monkeypatch):
+    g = build_graph(TopologySpec("lollipop", 12, m=5))
+
+    def runs():
+        out = []
+        for protocol in ("binary", "quantized"):
+            for stride in (0, 7):
+                s = _random_state(protocol, g.n, 5)
+                out.append((run_to_convergence(protocol, g, s, np.random.default_rng(5), 10**5,
+                                               stride), s))
+        return out
+
+    expected = runs()
+    monkeypatch.setattr(ckernel, "CC", cc)
+    monkeypatch.setattr(ckernel, "CACHE_DIR", tmp_path)
+    ckernel.load.cache_clear()
+    try:
+        assert ckernel.load() is None
+        assert runs() == expected
+    finally:
+        ckernel.load.cache_clear()
+    assert list(tmp_path.iterdir()) == []  # no library, whole or partial, is left behind
 
 
 # ------------------------------------------------------------------ file IO
