@@ -321,6 +321,7 @@ GOLDEN_DIGESTS = {
     "sweep_json": "3d83a1b38d20f4d294524ccc371af18f293cea5eccf4f35d2e9d2c25babea52b",
     "meet": "67b9904abdc2df026ff2b985e9e4cdc3f4be46c5245b4ec454cda0a59f16d8ff",
     "trace_binary": "a569f343a419af811b154b65bd21d2ee07e492cdad287156eddf664b12568dce",
+    "trace_quantized": "7d4bae9cb455f28d541ab0caa62249c60c3230f4cd6c7ee271b58821c27ec26f",
     "sweep_csv": "76e5dbd26dfd8ffc4d2bdfa5c71ec711611061892ea960fed662c4f51c8418b0",
     "rounds_csv": "474649a941a991d4071b5be4efa29295084463e922b8bbe85501b32ca1e81d83",
 }
@@ -332,6 +333,7 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
         return capsys.readouterr().out.encode()
 
     trace, sweep, rounds = tmp_path / "trace.csv", tmp_path / "sweep.csv", tmp_path / "rounds.csv"
+    qtrace = tmp_path / "qtrace.csv"
     sweep_args = ("sweep", "--topo", "erdos_renyi", "--protocol", "quantized",
                   "--n-values", "9,11", "--rounds", "3", "--seed", "5")
     for path in KERNEL_PATHS:
@@ -351,7 +353,11 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
             }
             assert run_cli(*sweep_args, "--out", str(sweep), "--rounds-out", str(rounds)) \
                 == EXIT_OK
+            stdout("simulate", "--topo", "line", "--n", "15", "--protocol", "quantized",
+                   "--init", "q_setting2", "--seed", "4", "--trace-stride", "7",
+                   "--trace-out", str(qtrace))
         outputs["trace_binary"] = trace.read_bytes()
+        outputs["trace_quantized"] = qtrace.read_bytes()
         outputs["sweep_csv"] = sweep.read_bytes()
         outputs["rounds_csv"] = rounds.read_bytes()
         assert {name: hashlib.sha256(out).hexdigest() for name, out in outputs.items()} \
