@@ -10,9 +10,10 @@ during each call, as numpy's own extension examples do.
 
 ``load()`` compiles ``SOURCE`` with ``CC`` into ``CACHE_DIR``, under a name
 keyed on a hash of the source and the command, then loads it with
-``ctypes``. Nothing is built or loaded at import. If no library can be
-built or loaded (no compiler, a compile error, an unwritable cache),
-``load()`` returns None and the caller runs the batch kernel.
+``ctypes``; a successful build deletes the libraries of other hashes there.
+Nothing is built or loaded at import. If no library can be built or loaded
+(no compiler, a compile error, an unwritable cache), ``load()`` returns None
+and the caller runs the batch kernel.
 
 Both loops take one ``Run``, which holds a run's pointers, constants and
 counter, and a ``limit``. They run at most ``limit`` ticks, stop on the tick
@@ -25,7 +26,20 @@ read on entry and written back on return:
   the run has converged when it equals ``all_negative`` or ``all_positive``.
 - ``qc_quantized``: ``int64`` values, every |value| < 2**62 so that no
   difference overflows; the counter is ``off``, the number of values outside
-  {q, q + 1}, and the run has converged when it is 0.
+  {q, q + 1}, and the run has converged when it is 0. Before every return,
+  a call with ``limit`` 0 included, it also writes the trace row of the
+  values it leaves: ``lyap``, ``vmin`` and ``vmax``, the state's
+  ``consensus.lyapunov``, ``min`` and ``max``, so that a traced run copies no
+  values per row. ``mean`` is the sum over n as Python divides it (the sum
+  can exceed int64), and ``lyap`` repeats CPython's float operations in
+  ``lyapunov``'s order: ``(double)v - mean`` (C and CPython both convert the
+  integer to the nearest double), then ``pow(fabs(d), 2.0)``, which is what
+  ``float ** 2`` calls, added left to right from 0.0. ``CC`` keeps those
+  bits: ``-fno-builtin-pow`` stops the compiler from turning the ``pow``
+  into ``d * d``, which rounds apart from glibc's ``pow`` on about one square
+  in a thousand, and ``-ffp-contract=off`` forbids fused multiply-adds. An
+  untraced run pays for the row too, O(n) once per call, and makes one call
+  per 2**24 ticks.
 
 A call passes one address and one integer, which ctypes converts at the
 least cost it has: about 0.7 us a call on a 2-core x86-64 box, where the
@@ -36,11 +50,13 @@ from __future__ import annotations
 
 import ctypes
 import os
+from contextlib import suppress
 from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
 SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 typedef struct bitgen {  /* numpy/random/bitgen.h */
@@ -60,6 +76,9 @@ typedef struct run {  /* ckernel.Run */
     const int64_t *table;                 /* binary */
     int64_t all_negative, all_positive;   /* binary */
     int64_t q;                            /* quantized */
+    double mean;                          /* quantized: sum / n, as Python divides */
+    double lyap;                          /* quantized row: lyapunov(), min, max */
+    int64_t vmin, vmax;
 } run_t;
 
 /* One tick's edge: node *u drawn uniformly, then one of its neighbours, returned. */
@@ -99,6 +118,24 @@ int64_t qc_binary(run_t *r, int64_t limit)
 
 #define IN_QQ1(x) ((x) >= q && (x) <= q + 1)
 
+/* lyapunov(), min and max of the values, in CPython's float operations and order. */
+static void quantized_row(run_t *r)
+{
+    const int64_t *val = r->state;
+    double total = 0.0;
+    int64_t lo = val[0], hi = val[0];
+    for (int64_t i = 0; i < r->n; i++) {
+        total += pow(fabs((double)val[i] - r->mean), 2.0);
+        if (val[i] < lo)
+            lo = val[i];
+        if (val[i] > hi)
+            hi = val[i];
+    }
+    r->lyap = total;
+    r->vmin = lo;
+    r->vmax = hi;
+}
+
 int64_t qc_quantized(run_t *r, int64_t limit)
 {
     const double dn = (double)r->n;
@@ -120,18 +157,20 @@ int64_t qc_quantized(run_t *r, int64_t limit)
         outside += IN_QQ1(a) - IN_QQ1(na) + IN_QQ1(b) - IN_QQ1(nb);
         if (outside == 0) {
             r->counter = 0;
+            quantized_row(r);
             return k;
         }
     }
     r->counter = outside;
+    quantized_row(r);
     return limit;
 }
 """
 
-CC = ("cc", "-O2", "-shared", "-fPIC")
+CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin-pow", "-lm")
 CACHE_DIR = Path(__file__).resolve().parent / "__pycache__"
 
-_P, _I = ctypes.c_void_p, ctypes.c_int64
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
 class Run(ctypes.Structure):
@@ -139,7 +178,8 @@ class Run(ctypes.Structure):
 
     _fields_ = [("bitgen", _P), ("n", _I), ("deg", _P), ("off", _P), ("flat", _P),
                 ("state", _P), ("counter", _I), ("table", _P), ("all_negative", _I),
-                ("all_positive", _I), ("q", _I)]
+                ("all_positive", _I), ("q", _I), ("mean", _D), ("lyap", _D), ("vmin", _I),
+                ("vmax", _I)]
 
 
 _LOOP = ctypes.CFUNCTYPE(_I, _P, _I)  # (address of a Run, limit) -> ticks run
@@ -168,7 +208,8 @@ def library_path() -> Path:
 
 
 def _build(path: Path) -> None:
-    """Compile SOURCE to ``path``, which gets the whole library or nothing; OSError on failure."""
+    """Compile SOURCE to ``path``, which gets the whole library or nothing; OSError on
+    failure. A successful build removes every other ``qckernel-*.so`` beside it."""
     import subprocess
     import tempfile
 
@@ -176,13 +217,18 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=path.name, dir=path.parent)
     os.close(fd)
     try:
-        done = subprocess.run([*CC, "-x", "c", "-", "-o", str(tmp)], input=SOURCE.encode(),
-                              capture_output=True)
+        # The source comes before CC's flags, so that -lm follows the code that calls pow.
+        done = subprocess.run([CC[0], "-x", "c", "-", *CC[1:], "-o", str(tmp)],
+                              input=SOURCE.encode(), capture_output=True)
         if done.returncode:
             raise OSError(f"{CC[0]} exited with {done.returncode}: {done.stderr.decode()}")
         os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)
+    for stale in path.parent.glob("qckernel-*.so"):
+        if stale != path:
+            with suppress(OSError):
+                stale.unlink()
 
 
 @cache

@@ -26,7 +26,10 @@ discards the draws of its last batch past the convergence tick, so there
 the generator's position after a run is unspecified. Both read the same
 stream and give the same ticks, states and traces; the per-tick steppers
 (``binary_step``/``quantized_step``) are the reference both are tested
-against, tick for tick, for the same seed.
+against, tick for tick, for the same seed. On the compiled path a
+quantized trace row (``lyapunov``, min, max) comes from the C loop, which
+computes it float for float as ``lyapunov`` does; the batch kernel takes
+it from the values in Python.
 
 A state holds only its node values, tick and conserved sum: counts are
 computed from the values, and each kernel keeps its own counters for a run.
@@ -226,9 +229,18 @@ def quantized_converged(s: QuantizedState) -> bool:
 
 
 def lyapunov(s: QuantizedState) -> float:
-    """Sum of squared deviations from the exact (real-valued) mean."""
+    """Sum of squared deviations from the exact (real-valued) mean.
+
+    The sum runs left to right from 0.0 in plain float additions, as
+    ``sum()`` did before Python 3.12 made it compensated, so the bits do not
+    depend on the Python version; ``ckernel``'s trace row repeats these
+    operations in this order.
+    """
     mean = s.q_sum / s.n
-    return sum((v - mean) ** 2 for v in s.values)
+    total = 0.0
+    for v in s.values:
+        total += (v - mean) ** 2
+    return total
 
 
 @dataclass(frozen=True)
@@ -442,23 +454,31 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
             return None
 
         step = _batch_step(g, rng, apply)
+
+        def row(tick):
+            return tick, lyapunov(s), min(values), max(values)
     else:
         c_values = (c_int64 * n)(*values)
-        view = np.frombuffer(c_values, np.int64)
         run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_values),
-                          off, q=q)
+                          off, q=q, mean=s.q_sum / n)  # the mean lyapunov() takes
         loop, address, lock = kernel.quantized, addressof(run), rng.bit_generator.lock
 
         def step(limit):
             nonlocal off
             with lock:
                 k = loop(address, limit)
-            values[:] = view.tolist()  # each trace row reads the values
             off = run.counter
             return k, off == 0
 
-    ticks, trace = _run_kernel(g, s, max_ticks if off else 0, stride, step,
-                               lambda tick: (tick, lyapunov(s), min(values), max(values)))
+        def row(tick):  # filled by the last call
+            return tick, run.lyap, run.vmin, run.vmax
+
+        if stride:
+            step(0)  # a call of no ticks fills the first tick's row
+
+    ticks, trace = _run_kernel(g, s, max_ticks if off else 0, stride, step, row)
+    if kernel is not None:
+        values[:] = np.frombuffer(c_values, np.int64).tolist()
     converged = off == 0
     detail = f"q={q} r={s.r}" if converged else "timeout"
     header = _QUANTIZED_TRACE_HEADER if stride else ()

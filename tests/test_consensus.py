@@ -631,14 +631,28 @@ def test_quantized_values_at_the_int64_edge_match_the_stepper(values):
                                    start=lambda protocol, n, seed: QuantizedState.from_values(values))
 
 
+@pytest.mark.parametrize("values", [
+    [2**53 - 1, 2**53 + 7, 2**53 + 1, -2**53 - 3, 8, 2**53 - 3],
+    [-2**53 - 1, -2**53 - 7, 2**53 - 1, -2**53 - 5, -2**53 - 9, 7],
+])
+def test_quantized_trace_rows_at_rounding_edges_match_the_stepper(values):
+    # Odd values past 2**53 round on their way to a float, and the mean of mixed
+    # signs has every mantissa bit in use: on some of these runs' rows libm's
+    # pow(d, 2.0) and d * d round apart, so a compiled row must call pow as
+    # Python's ** does, summed in lyapunov()'s order.
+    _assert_kernel_matches_stepper("quantized", line_graph(6), 11, 200, 1,
+                                   start=lambda protocol, n, seed: QuantizedState.from_values(values))
+
+
 def test_a_budget_past_int64_runs_as_the_default_budget(monkeypatch):
     # ctypes keeps only the low 64 bits of an int64 argument (2**64 + 1 would
     # pass as 1, 2**70 as 0), so each compiled call must get a limit that fits.
+    # A limit of 0 is the first call of a traced quantized run, which fills its first row.
     kernel = ckernel.load()
     if kernel is not None:
         def checked(loop):
             def call(address, limit):
-                assert 0 < limit < 2**63, limit
+                assert 0 <= limit < 2**63, limit
                 return loop(address, limit)
             return call
 
@@ -686,6 +700,22 @@ def test_compiled_run_stops_the_generator_at_its_last_tick():
                                  10**5)
         assert res.converged and res.ticks > 0
         assert rng.random() == np.random.default_rng(3).random(2 * res.ticks + 1)[-1]
+
+
+@needs_cc
+def test_a_build_removes_stale_libraries(tmp_path, monkeypatch):
+    stale = tmp_path / "qckernel-0123456789abcdef.so"
+    stale.write_bytes(b"a library built from an older source")
+    kept = [tmp_path / "qckernel-notes.txt", tmp_path / "other.so"]
+    for path in kept:
+        path.write_bytes(b"")
+    monkeypatch.setattr(ckernel, "CACHE_DIR", tmp_path)
+    ckernel.load.cache_clear()
+    try:
+        assert ckernel.load() is not None
+    finally:
+        ckernel.load.cache_clear()
+    assert sorted(tmp_path.iterdir()) == sorted([ckernel.library_path(), *kept])
 
 
 @pytest.mark.parametrize("cc", [
