@@ -313,7 +313,8 @@ def test_check_quick(capsys):
 # spec -> (graph, state) factory and one CSV writer per table; sweep_json
 # was recorded again when its mean and std became JSON numbers instead of
 # strings. Every field is an integer, a mean of integers or a numpy standard
-# deviation, so no digest depends on LAPACK.
+# deviation, so no digest depends on LAPACK. bound_all_pairs holds the
+# integer bounds of every ordered pair, stored as floats.
 GOLDEN_DIGESTS = {
     "simulate_binary": "d6c81aaa4a98a6d0a6af425b57b87d178279cd7c4858b17050d42b1c868fc6cd",
     "simulate_quantized": "657c9498b106992c5f3f8b62db7ee7503c83a0cbf3e237c89aa5ed82e29963c4",
@@ -324,6 +325,7 @@ GOLDEN_DIGESTS = {
     "trace_quantized": "7d4bae9cb455f28d541ab0caa62249c60c3230f4cd6c7ee271b58821c27ec26f",
     "sweep_csv": "76e5dbd26dfd8ffc4d2bdfa5c71ec711611061892ea960fed662c4f51c8418b0",
     "rounds_csv": "474649a941a991d4071b5be4efa29295084463e922b8bbe85501b32ca1e81d83",
+    "bound_all_pairs": "442948983d75c24d1da9d7294f29675892010ae848b3f1e4dd492a41d34d2c8a",
 }
 
 
@@ -350,6 +352,8 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
                 "sweep_json": stdout(*sweep_args, "--format", "json"),
                 "meet": stdout("meet", "--topo", "line", "--n", "7", "--x", "0", "--y", "6",
                                "--runs", "200", "--seed", "3"),
+                "bound_all_pairs": stdout("bound", "--topo", "lollipop", "--n", "12",
+                                          "--all-pairs"),
             }
             assert run_cli(*sweep_args, "--out", str(sweep), "--rounds-out", str(rounds)) \
                 == EXIT_OK
