@@ -245,7 +245,7 @@ SHORT_RUN_CASES = (
 def short_runs(side, kind, n, protocol, init, runs) -> tuple[float, list]:
     """Time ``runs`` whole runs on ``side``'s own graph, stream, init and kernel."""
     g = side.graphs.build_graph(side.graphs.TopologySpec(kind, n))
-    budget = 150 * n**3
+    budget = harness.default_max_ticks(n)
     outcomes = []
     t = perf_counter()
     for ri in range(runs):

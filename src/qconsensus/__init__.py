@@ -13,18 +13,15 @@ from .graphs import (
     line_graph,
     lollipop_graph,
     read_edge_list,
-    shortest_path,
     star_graph,
     write_edge_list,
 )
 from .walks import (
-    ConsistencyError,
     HittingBound,
     HittingTable,
     SolverError,
     TickBudgetError,
     WalkMatrix,
-    commute_time,
     edge_weights,
     effective_resistance,
     hidden_vertex,

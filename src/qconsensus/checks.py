@@ -19,7 +19,8 @@ import numpy as np
 from . import consensus as cons
 from . import walks
 from .graphs import Graph, build_graph, er_probability, path_degree_sums_from, TopologySpec
-from .harness import init_majority_one, init_q_setting2, lollipop_clique_size, seed_sequence
+from .harness import (default_max_ticks, init_majority_one, init_q_setting2,
+                      lollipop_clique_size, seed_sequence)
 
 COMMUTE_REL_TOL = 1e-6
 CYCLE_REL_TOL = 1e-6
@@ -301,7 +302,7 @@ def _check_outcomes(check: str, protocol: str, init, wrong_end, graphs, runs: in
             rng = np.random.default_rng(seed_sequence(seed, gi, ri))
             state = init(g.n, rng)
             start = state.copy()
-            result = cons.run_to_convergence(protocol, g, state, rng, 150 * g.n**3)
+            result = cons.run_to_convergence(protocol, g, state, rng, default_max_ticks(g.n))
             wrong = wrong_end(start, state) if result.converged else "timed out"
             if wrong:
                 return CheckResult(check, False, f"{name} run {ri} {wrong}")

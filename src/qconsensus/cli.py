@@ -17,10 +17,13 @@ import numpy as np
 from . import checks as checks_mod
 from . import consensus as cons
 from . import walks
-from .graphs import TopologySpec, build_graph, check_nodes, read_edge_list
+from .graphs import TOPOLOGY_KINDS, TopologySpec, build_graph, check_nodes, read_edge_list
 from .harness import (
     DEFAULT_INIT,
+    INITS,
+    PROTOCOLS,
     SweepConfig,
+    default_max_ticks,
     default_n_values,
     fit_scaling,
     initial_state,
@@ -45,9 +48,7 @@ class UsageError(Exception):
     pass
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _resolve_out(path: str) -> str:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
@@ -79,8 +80,7 @@ def _emit_matrix(args, matrix) -> None:
 
 
 def _add_topology_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topo", required=True,
-                   choices=("star", "line", "lollipop", "complete", "erdos_renyi", "edge_list"))
+    p.add_argument("--topo", required=True, choices=TOPOLOGY_KINDS)
     p.add_argument("--n", type=int, help="node count")
     p.add_argument("--m", type=int, help="lollipop clique size (default floor((2n+1)/3))")
     p.add_argument("--p", type=float, help="ER edge probability (default min(1, 5 ln n / n))")
@@ -108,7 +108,7 @@ def cmd_simulate(args) -> int:
     init = args.init or DEFAULT_INIT[args.protocol]
     state = initial_state(args.protocol, init, g, rng, args.topo, args.lo, args.hi,
                           args.init_file)
-    max_ticks = args.max_ticks if args.max_ticks is not None else 150 * g.n**3
+    max_ticks = args.max_ticks if args.max_ticks is not None else default_max_ticks(g.n)
     if args.trace_stride and not args.trace_out:
         raise UsageError("--trace-stride requires --trace-out PATH")
     result = cons.run_to_convergence(args.protocol, g, state, rng, max_ticks,
@@ -154,7 +154,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_bound(args) -> int:
     g = build_graph(_topology_spec(args))
-    pairs = []
     if args.all_pairs:
         pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
     else:
@@ -249,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one protocol instance to convergence")
     _add_topology_flags(p)
-    p.add_argument("--protocol", required=True, choices=("binary", "quantized"))
-    p.add_argument("--init", choices=("majority_one", "q_setting1", "q_setting2", "file"))
+    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
+    p.add_argument("--init", choices=(*INITS, "file"))
     p.add_argument("--init-file", help="initial-state file for --init file")
     p.add_argument("--lo", type=int, default=1)
     p.add_argument("--hi", type=int, default=100)
@@ -262,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="measure mean convergence ticks over an n-grid")
     _add_topology_flags(p)
-    p.add_argument("--protocol", required=True, choices=("binary", "quantized"))
-    p.add_argument("--init", choices=("majority_one", "q_setting1", "q_setting2"))
+    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
+    p.add_argument("--init", choices=INITS)
     p.add_argument("--n-values", help="comma-separated n grid (default: desk-scale grid)")
     p.add_argument("--full-grid", action="store_true", help="use the 21..481 step-20 grid")
     p.add_argument("--rounds", type=int, default=20)

@@ -96,9 +96,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -140,8 +137,6 @@ class TopologySpec:
 
 def star_graph(n: int) -> Graph:
     """Hub at node 0, leaves 1..n-1."""
-    if n == 1:
-        return Graph(1, ((),))
     adjacency = [tuple(range(1, n))] + [(0,)] * (n - 1)
     return Graph(n, tuple(adjacency))
 
@@ -272,26 +267,8 @@ def bfs_tree(g: Graph, x: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def shortest_path(g: Graph, x: int, y: int) -> list[int]:
-    """Minimum-hop path from x to y, inclusive of both endpoints, along bfs_tree(g, x)."""
-    check_nodes(g.n, x, y)
-    parent = bfs_tree(g, x)[1]
-    if parent[y] < 0:
-        raise ValueError(f"node {y} is unreachable from node {x}")
-    path = [y]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def path_degree_sum(g: Graph, x: int, y: int) -> int:
-    """Sum of degrees along the shortest x-y path; < 3n on any connected graph."""
-    return sum(g.degree(q) for q in shortest_path(g, x, y))
-
-
 def path_degree_sums_from(g: Graph, x: int) -> list[int]:
-    """path_degree_sum(g, x, y) for every node y, along one breadth-first tree."""
+    """Degree sum along bfs_tree(g, x)'s path to every node y, both ends included; < 3n."""
     order, parent = bfs_tree(g, x)
     if len(order) < g.n:
         raise ValueError(f"node {parent.index(-1)} is unreachable from node {x}")
@@ -324,11 +301,6 @@ def write_edge_list(g: Graph, path) -> None:
     with open(path, "w") as fh:
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
-
-
-def expected_er_edges(n: int, p: float) -> float:
-    """Mean edge count of G(n, p): 0.5 n (n-1) p."""
-    return 0.5 * n * (n - 1) * p
 
 
 def er_probability(n: int, factor: float = 5.0) -> float:

@@ -48,6 +48,11 @@ def default_n_values(kind: str, full_grid: bool = False) -> tuple[int, ...]:
     return DESK_N_VALUES.get(kind, tuple(range(21, 202, 20)))
 
 
+def default_max_ticks(n: int) -> int:
+    """The default tick budget of one run on n nodes: 50 times the 3 n^3 hitting bound."""
+    return 150 * n**3
+
+
 def lollipop_clique_size(n: int) -> int:
     """The extremal clique size floor((2n+1)/3)."""
     return (2 * n + 1) // 3
@@ -157,7 +162,7 @@ class SweepConfig:
 
     m is the lollipop clique size (None = floor((2n+1)/3)); p the ER edge
     probability (None = min(1, 5 ln n / n)); max_ticks the per-round budget
-    (None = 50 times the 3 n^3 worst-case hitting bound).
+    (None = default_max_ticks(n)). Each n's graph spec is validated here.
     """
 
     kind: str
@@ -195,6 +200,12 @@ class SweepConfig:
             even = [n for n in self.n_values if n % 2 == 0]
             if even:
                 raise ValueError(f"majority_one requires odd n, got {even}")
+        if self.init == "q_setting1" and self.n_values[0] < 3:
+            raise ValueError(f"q_setting1 requires n >= 3, got {self.n_values[0]}")
+        if self.kind == "edge_list":
+            raise ValueError("sweeps build one graph per n and cannot use an edge list")
+        for n in self.n_values:
+            self.spec_for(n).validate()
 
     def spec_for(self, n: int) -> TopologySpec:
         return topology_spec(self.kind, n, self.master_seed, self.m, self.p)
@@ -202,7 +213,7 @@ class SweepConfig:
     def max_ticks_for(self, n: int) -> int:
         if self.max_ticks is not None:
             return self.max_ticks
-        return 150 * n**3
+        return default_max_ticks(n)
 
 
 @dataclass(frozen=True)
@@ -255,21 +266,15 @@ class ScalingFit:
 
 
 def fit_scaling(records, model: str = "power") -> ScalingFit:
-    """Least-squares fit of mean ticks against n in log space.
+    """Least-squares fit of mean ticks against n in log space, over the
+    ``SweepRecord``s with a converged round.
 
     model "power" fits c * n^a; model "power_log" fits c * n^a * ln(n)
     with the ln(n) factor fixed (only a and c are free).
     """
     if model not in ("power", "power_log"):
         raise ValueError(f"unknown scaling model {model!r}")
-    points = []
-    for rec in records:
-        if isinstance(rec, SweepRecord):
-            if rec.rounds_converged == 0:
-                continue
-            points.append((rec.n, rec.mean_ticks))
-        else:
-            points.append((float(rec[0]), float(rec[1])))
+    points = [(rec.n, rec.mean_ticks) for rec in records if rec.rounds_converged]
     if len(points) < 3:
         raise ValueError(f"scaling fit needs at least 3 points, got {len(points)}")
     x = np.log([p[0] for p in points])

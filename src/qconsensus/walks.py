@@ -18,8 +18,8 @@ reject the other kinds.
 
 Exact tables cost O(n^3) each: all-pairs hitting times come from one
 fundamental matrix and all-pairs resistances from one Laplacian
-pseudo-inverse. The per-target solves (hitting_times, effective_resistance,
-commute_time) are independent O(n^3)-per-call oracles for them. The
+pseudo-inverse. The per-target solves, hitting_times and
+effective_resistance, are independent O(n^3)-per-call oracles for them. The
 sample_* functions estimate the same quantities (and the two-token
 meeting times) by Monte Carlo under the tick-level dynamics.
 """
@@ -40,7 +40,6 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 HITTING_TOL = 1e-9
 RESISTANCE_TOL = 1e-9
-COMMUTE_TOL = 1e-6
 HIDDEN_TOL = 1e-9
 
 DEFAULT_TICK_BUDGET = 10**9
@@ -48,10 +47,6 @@ DEFAULT_TICK_BUDGET = 10**9
 
 class SolverError(RuntimeError):
     """An exact linear solve failed or left too large a residual."""
-
-
-class ConsistencyError(RuntimeError):
-    """Two independent exact computations disagree beyond tolerance."""
 
 
 class TickBudgetError(RuntimeError):
@@ -285,20 +280,6 @@ def resistance_matrix(m: WalkMatrix) -> np.ndarray:
     r = d[:, None] + d[None, :] - 2.0 * lplus
     np.fill_diagonal(r, 0.0)
     return r
-
-
-def commute_time(m: WalkMatrix, x: int, y: int) -> float:
-    """H(x,y) + H(y,x) for the biased walk, checked against n * r'(x,y) of the same matrix."""
-    expected = m.n * effective_resistance(m, x, y)
-    if x == y:
-        return 0.0
-    commute = float(hitting_times(m, y)[x] + hitting_times(m, x)[y])
-    if abs(commute - expected) > COMMUTE_TOL * max(1.0, abs(commute)):
-        raise ConsistencyError(
-            f"commute identity violated at ({x},{y}): "
-            f"hitting sum {commute!r} vs n*r' {expected!r}"
-        )
-    return commute
 
 
 class HittingBound(NamedTuple):

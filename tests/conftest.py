@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qconsensus import ckernel
-from qconsensus.graphs import Graph
+from qconsensus.graphs import Graph, bfs_tree
 
 # "compiled" runs the loader as it is, which gives the C loops wherever a
 # compiler is found; "batch" makes the loader find none.
@@ -20,6 +20,16 @@ def kernel_path(path: str):
         if path == "batch":
             mp.setattr(ckernel, "load", lambda: None)
         yield
+
+
+def tree_path(g: Graph, x: int, y: int) -> list[int]:
+    """The path from x to y, both included, along the parents of bfs_tree(g, x)."""
+    parent = bfs_tree(g, x)[1]
+    assert parent[y] >= 0, f"node {y} is unreachable from node {x}"
+    path = [y]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 @st.composite

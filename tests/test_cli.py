@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qconsensus.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, _topology_spec, build_parser, main
-from qconsensus.harness import SweepConfig
+from qconsensus.harness import DESK_N_VALUES, SweepConfig, fit_scaling, run_sweep
 
 from conftest import KERNEL_PATHS, kernel_path
 
@@ -110,6 +110,38 @@ def test_sweep_rejects_lo_above_hi(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--topo", "edge_list", "--edges", "EDGES", "--protocol", "binary"),
+     "sweeps build one graph per n and cannot use an edge list"),
+    (("--topo", "erdos_renyi", "--p", "0", "--protocol", "binary"),
+     "erdos_renyi requires 0 < p <= 1, got p=0.0"),
+    (("--topo", "lollipop", "--m", "2", "--protocol", "binary"),
+     "lollipop requires 3 <= m <= n, got m=2, n=9"),
+    (("--topo", "line", "--protocol", "quantized", "--init", "q_setting1", "--n-values", "2,3"),
+     "q_setting1 requires n >= 3, got 2"),
+])
+def test_sweep_rejects_a_bad_config_before_its_header(argv, message, tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n1 2\n")
+    argv = [str(edges) if a == "EDGES" else a for a in argv]
+    assert run_cli("sweep", *argv, "--rounds", "1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sweep_fit_and_default_grid(capsys):
+    args = ("sweep", "--topo", "star", "--protocol", "binary", "--rounds", "1", "--seed", "3")
+    assert run_cli(*args, "--fit") == EXIT_OK
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [int(r["n"]) for r in rows] == list(DESK_N_VALUES["star"])
+    fit = fit_scaling(run_sweep(SweepConfig("star", DESK_N_VALUES["star"], "binary",
+                                            "majority_one", 1, 3)))
+    assert captured.err == (f"power-law fit: exponent={fit.exponent:.3f} "
+                            f"coefficient={fit.coefficient:.4g} residual={fit.residual:.4g}\n")
+
+
 def test_simulate_init_file(tmp_path, capsys):
     init = tmp_path / "values.txt"
     init.write_text("4\n4\n4\n")
@@ -209,6 +241,26 @@ def test_bound_requires_pair(capsys):
     assert run_cli("bound", "--topo", "star", "--n", "5") == EXIT_USAGE
 
 
+def test_bound_all_pairs_prints_every_ordered_pair(capsys):
+    assert run_cli("bound", "--topo", "line", "--n", "5", "--all-pairs") == EXIT_OK
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(int(r["x"]), int(r["y"])) for r in rows] == \
+        [(x, y) for x in range(5) for y in range(5) if x != y]
+    assert {float(r["general"]) for r in rows} == {375.0}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("resistance", "--topo", "star", "--n", "5", "--x", "1"),
+     "give both --x and --y, or neither"),
+    (("resistance", "--topo", "edge_list"), "--topo edge_list requires --edges FILE"),
+])
+def test_incomplete_pair_or_graph_is_a_usage_error(argv, message, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_resistance_pair_and_matrix(capsys):
     code = run_cli("resistance", "--topo", "star", "--n", "5", "--x", "1", "--y", "2")
     assert code == EXIT_OK
@@ -279,6 +331,13 @@ def test_simulate_and_sweep_resolve_the_same_spec(kind):
                                       "--protocol", "quantized"])
     cfg = SweepConfig(kind, (13,), "quantized", "q_setting2", rounds=1, master_seed=17)
     assert _topology_spec(args) == cfg.spec_for(13)
+
+
+def test_complete_topology(capsys):
+    # K_n's biased walk enters a given node at rate 2 / (n (n - 1)) per tick
+    assert run_cli("hitting", "--topo", "complete", "--n", "4", "--target", "0") == EXIT_OK
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [float(r["expected_ticks"]) for r in rows] == pytest.approx([0.0, 6.0, 6.0, 6.0])
 
 
 def test_edge_list_topology(tmp_path, capsys):

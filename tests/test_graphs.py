@@ -15,19 +15,17 @@ from qconsensus.graphs import (
     Graph,
     GraphConstructionError,
     TopologySpec,
+    bfs_tree,
     build_graph,
     complete_graph,
     csr,
     er_probability,
     erdos_renyi_graph,
-    expected_er_edges,
     is_connected,
     line_graph,
     lollipop_graph,
-    path_degree_sum,
     path_degree_sums_from,
     read_edge_list,
-    shortest_path,
     star_graph,
     write_edge_list,
 )
@@ -35,7 +33,7 @@ from qconsensus.consensus import run_to_convergence
 from qconsensus.harness import init_majority_one, round_rng
 from qconsensus.walks import sample_hitting
 
-from conftest import connected_graphs
+from conftest import connected_graphs, tree_path
 
 
 def test_star_shape():
@@ -63,7 +61,7 @@ def test_lollipop_shape():
     for i in range(7):
         for j in range(7):
             if i != j:
-                assert g.has_edge(i, j)
+                assert j in g.adjacency[i]
     assert g.degree(6) == 7  # junction: 6 clique neighbors plus the tail
     assert g.degree(7) == 2
     assert g.degree(8) == 2
@@ -82,7 +80,7 @@ def test_erdos_renyi_edge_count_within_4_sigma():
     g = build_graph(TopologySpec("erdos_renyi", n, p=p, seed=7))
     assert is_connected(g)
     trials = n * (n - 1) // 2
-    mean = expected_er_edges(n, p)
+    mean = trials * p
     sigma = math.sqrt(trials * p * (1 - p))
     assert abs(g.edge_count() - mean) <= 4 * sigma
 
@@ -111,35 +109,40 @@ def test_is_connected():
 
 
 def test_shortest_path_line_ends():
-    assert shortest_path(line_graph(5), 0, 4) == [0, 1, 2, 3, 4]
+    assert bfs_tree(line_graph(5), 0) == ([0, 1, 2, 3, 4], [0, 0, 1, 2, 3])
+    assert tree_path(line_graph(5), 0, 4) == [0, 1, 2, 3, 4]
 
 
 def test_shortest_path_star_leaves():
-    assert shortest_path(star_graph(5), 1, 2) == [1, 0, 2]
+    assert bfs_tree(star_graph(5), 1) == ([1, 0, 2, 3, 4], [1, 1, 0, 0, 0])
+    assert tree_path(star_graph(5), 1, 2) == [1, 0, 2]
 
 
 def test_shortest_path_identity():
-    assert shortest_path(line_graph(5), 3, 3) == [3]
+    assert bfs_tree(line_graph(5), 3) == ([3, 2, 4, 1, 0], [1, 2, 3, 3, 3])
+    assert tree_path(line_graph(5), 3, 3) == [3]
 
 
 def test_shortest_path_prefers_smallest_predecessor():
     # Two equal-length routes 0-1-3 and 0-2-3; the BFS must pick 1.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert shortest_path(g, 0, 3) == [0, 1, 3]
-    assert shortest_path(g, 3, 0) == [3, 1, 0]
+    assert bfs_tree(g, 0) == ([0, 1, 2, 3], [0, 0, 0, 1])
+    assert bfs_tree(g, 3) == ([3, 1, 2, 0], [1, 3, 3, 3])
+    assert tree_path(g, 0, 3) == [0, 1, 3]
+    assert tree_path(g, 3, 0) == [3, 1, 0]
 
 
 def test_path_degree_sum_below_3n():
     for g in (star_graph(9), line_graph(9), lollipop_graph(12, 7), complete_graph(8)):
         for x in range(g.n):
-            for y in range(g.n):
-                assert path_degree_sum(g, x, y) < 3 * g.n
+            assert max(path_degree_sums_from(g, x)) < 3 * g.n
 
 
 @given(connected_graphs())
 def test_path_degree_sums_from_match_per_pair_sums(g):
     for x in range(g.n):
-        assert path_degree_sums_from(g, x) == [path_degree_sum(g, x, y) for y in range(g.n)]
+        assert path_degree_sums_from(g, x) == [sum(map(g.degree, tree_path(g, x, y)))
+                                               for y in range(g.n)]
 
 
 def test_path_degree_sums_from_rejects_unreachable_nodes():
@@ -297,11 +300,11 @@ def test_shortest_path_is_shortest(g, data):
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
-    path = shortest_path(g, x, y)
+    path = tree_path(g, x, y)
     assert path[0] == x and path[-1] == y
     assert len(path) - 1 == dist[y]
     for a, b in zip(path, path[1:]):
-        assert g.has_edge(a, b)
+        assert b in g.adjacency[a]
 
 
 def _csr_lists(g):

@@ -19,6 +19,7 @@ from qconsensus.harness import (
     REFERENCE_CURVES,
     SWEEP_CSV_HEADER,
     SweepConfig,
+    SweepRecord,
     default_n_values,
     fit_scaling,
     init_majority_one,
@@ -158,6 +159,18 @@ def test_sweep_config_validation():
         SweepConfig("star", (9,), "binary", "majority_one", 2, 1, max_ticks=-1)
     with pytest.raises(ValueError, match="lo must be <= hi"):
         SweepConfig("star", (9,), "quantized", "q_setting2", 2, 1, lo=9, hi=3)
+    with pytest.raises(ValueError, match="cannot use an edge list"):
+        SweepConfig("edge_list", (9,), "binary", "majority_one", 2, 1)
+    with pytest.raises(ValueError, match="erdos_renyi requires 0 < p <= 1, got p=0"):
+        SweepConfig("erdos_renyi", (9, 11), "binary", "majority_one", 2, 1, p=0.0)
+    with pytest.raises(ValueError, match="lollipop requires 3 <= m <= n, got m=2, n=9"):
+        SweepConfig("lollipop", (9,), "binary", "majority_one", 2, 1, m=2)
+    with pytest.raises(ValueError, match="lollipop requires 3 <= m <= n, got m=7, n=5"):
+        SweepConfig("lollipop", (5, 7), "quantized", "q_setting2", 2, 1, m=7)
+    with pytest.raises(ValueError, match="q_setting1 requires n >= 3, got 2"):
+        SweepConfig("line", (2, 3), "quantized", "q_setting1", 2, 1)
+    with pytest.raises(ValueError, match="unknown topology kind 'ring'"):
+        SweepConfig("ring", (9,), "binary", "majority_one", 2, 1)
 
 
 def test_spec_for_lollipop_uses_extremal_clique():
@@ -242,16 +255,21 @@ def test_sweep_mean_over_converged_rounds_matches_dump():
 
 # ---------------------------------------------------------------- scaling fit
 
+def records(points):
+    """One converged-round SweepRecord per (n, mean ticks) point."""
+    return [SweepRecord(n, mean, 0.0, 1, 1) for n, mean in points]
+
+
 def test_fit_recovers_pure_cubic_exactly():
     points = [(n, 2.5 * n**3) for n in (10, 20, 40, 80)]
-    fit = fit_scaling(points)
+    fit = fit_scaling(records(points))
     assert abs(fit.exponent - 3.0) <= 1e-9
     assert fit.coefficient == pytest.approx(2.5, rel=1e-9)
     assert fit.residual <= 1e-18
 
 
 def test_fit_constant_data_has_zero_exponent():
-    fit = fit_scaling([(n, 7.0) for n in (5, 10, 20)])
+    fit = fit_scaling(records((n, 7.0) for n in (5, 10, 20)))
     assert abs(fit.exponent) <= 1e-9
 
 
@@ -259,31 +277,35 @@ def test_fit_power_model_on_n2_logn_curve():
     # evaluating c*n^2*ln(n) on the sweep grid and fitting a pure power law
     # must land between 2 and 2.5 (the log factor inflates the slope)
     points = [(n, 0.63 * n * n * math.log(n)) for n in range(21, 482, 20)]
-    fit = fit_scaling(points)
+    fit = fit_scaling(records(points))
     assert 2.0 < fit.exponent < 2.5
 
 
 def test_fit_power_log_model_recovers_exponent_exactly():
     points = [(n, 4.2 * n**2 * math.log(n)) for n in (21, 61, 101, 201)]
-    fit = fit_scaling(points, model="power_log")
+    fit = fit_scaling(records(points), model="power_log")
     assert abs(fit.exponent - 2.0) <= 1e-9
     assert fit.coefficient == pytest.approx(4.2, rel=1e-9)
 
 
 def test_fit_requires_three_points():
     with pytest.raises(ValueError):
-        fit_scaling([(3, 5.0), (5, 9.0)])
+        fit_scaling(records([(3, 5.0), (5, 9.0)]))
     with pytest.raises(ValueError):
-        fit_scaling([(3, 5.0)], model="power_log")
+        fit_scaling(records([(3, 5.0)]), model="power_log")
     with pytest.raises(ValueError):
-        fit_scaling([(3, 5.0), (5, 9.0), (7, 9.0)], model="cubic_spline")
+        fit_scaling(records([(3, 5.0), (5, 9.0), (7, 9.0)]), model="cubic_spline")
+    # a size whose rounds all timed out gives no point
+    timed_out = SweepRecord(7, float("nan"), float("nan"), 0, 2)
+    with pytest.raises(ValueError, match="at least 3 points, got 2"):
+        fit_scaling(records([(3, 5.0), (5, 9.0)]) + [timed_out])
 
 
 @given(st.floats(0.1, 100), st.floats(0.1, 3.5))
 @settings(max_examples=40)
 def test_fit_recovers_random_power_laws(c, a):
     points = [(n, c * n**a) for n in (8, 16, 32, 64, 128)]
-    fit = fit_scaling(points)
+    fit = fit_scaling(records(points))
     assert fit.exponent == pytest.approx(a, abs=1e-7)
     assert fit.coefficient == pytest.approx(c, rel=1e-6)
 

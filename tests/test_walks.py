@@ -18,18 +18,15 @@ from qconsensus.graphs import (
     complete_graph,
     line_graph,
     lollipop_graph,
-    shortest_path,
     star_graph,
 )
 from qconsensus import walks
 from qconsensus.harness import lollipop_clique_size
 from qconsensus.walks import (
-    ConsistencyError,
     ROW_SUM_TOL,
     SolverError,
     TickBudgetError,
     WalkMatrix,
-    commute_time,
     edge_weights,
     effective_resistance,
     hidden_vertex,
@@ -46,7 +43,7 @@ from qconsensus.walks import (
     write_matrix_rows,
 )
 
-from conftest import connected_graphs
+from conftest import connected_graphs, tree_path
 
 
 SMALL_GRAPHS = [
@@ -350,28 +347,26 @@ def test_resistance_matrix_matches_pairwise_solves_on_relabelled_lollipop():
 
 # ------------------------------------------------------------- commute times
 
+def _commute(m, x, y):
+    """H(x,y) + H(y,x) from two per-target solves."""
+    return float(hitting_times(m, y)[x] + hitting_times(m, x)[y])
+
+
 def test_commute_star3():
-    g = star_graph(3)
-    c = commute_time(transition_matrix(g, "biased"), 1, 2)
-    assert c == pytest.approx(12.0, rel=1e-9)  # 6 + 6 = 3 * 4
+    m = transition_matrix(star_graph(3), "biased")
+    assert _commute(m, 1, 2) == pytest.approx(12.0, rel=1e-9)  # 6 + 6 = 3 * 4
+    assert _commute(m, 1, 2) == pytest.approx(3 * effective_resistance(m, 1, 2), rel=1e-9)
 
 
 def test_commute_line4_cross_checks_solvers():
-    g = line_graph(4)
-    m = transition_matrix(g, "biased")
-    c = commute_time(m, 0, 3)
-    assert c == pytest.approx(4 * effective_resistance(m, 0, 3), rel=1e-9)
+    m = transition_matrix(line_graph(4), "biased")
+    assert _commute(m, 0, 3) == pytest.approx(4 * effective_resistance(m, 0, 3), rel=1e-9)
 
 
 def test_commute_same_node_zero():
-    g = line_graph(4)
-    assert commute_time(transition_matrix(g, "biased"), 2, 2) == 0.0
-
-
-def test_commute_requires_biased():
-    g = line_graph(4)
-    with pytest.raises(ValueError):
-        commute_time(transition_matrix(g, "simple"), 0, 3)
+    m = transition_matrix(line_graph(4), "biased")
+    assert _commute(m, 2, 2) == 0.0
+    assert effective_resistance(m, 2, 2) == 0.0
 
 
 def test_electric_functions_reject_the_simple_and_natural_walks():
@@ -379,23 +374,27 @@ def test_electric_functions_reject_the_simple_and_natural_walks():
     for kind in ("simple", "natural"):
         m = transition_matrix(g, kind)
         for call in (lambda: effective_resistance(m, 0, 3), lambda: effective_resistance(m, 2, 2),
-                     lambda: resistance_matrix(m), lambda: commute_time(m, 0, 3),
-                     lambda: commute_time(m, 2, 2)):
+                     lambda: resistance_matrix(m)):
             with pytest.raises(ValueError, match=f"biased walk's, not the {kind} walk's"):
                 call()
 
 
 def test_commute_detects_a_resistance_that_breaks_the_identity(monkeypatch):
-    # commute_time's two solves must agree; a resistance off by 1e-5 breaks
-    # the identity beyond COMMUTE_TOL = 1e-6 and must be reported
-    m = transition_matrix(star_graph(5), "biased")
-    exact = commute_time(m, 1, 2)
-    resistance = walks.effective_resistance
-    monkeypatch.setattr(walks, "effective_resistance",
-                        lambda m, x, y: resistance(m, x, y) * (1 + 1e-5))
-    with pytest.raises(ConsistencyError, match=r"commute identity violated at \(1,2\)"):
-        commute_time(m, 1, 2)
-    assert exact == pytest.approx(5 * resistance(m, 1, 2), rel=1e-9)
+    # A resistance off by 1e-5 in one entry breaks the identity beyond
+    # COMMUTE_REL_TOL = 1e-6 at that pair, and the check reports that gap.
+    g = star_graph(5)
+    m = transition_matrix(g, "biased")
+    h = hitting_table(m).h
+    assert check_commute_identity([("star", g)]).ok
+    bad = resistance_matrix(m)
+    bad[1, 2] *= 1 + 1e-5
+    monkeypatch.setattr(walks, "resistance_matrix", lambda m: bad)
+    res = check_commute_identity([("star", g)])
+    commute = h[1, 2] + h[2, 1]
+    gap = abs(commute - g.n * bad[1, 2]) / max(1.0, commute)
+    assert not res.ok
+    assert res.detail == f"max relative gap {gap:.3e}"
+    assert gap == pytest.approx(1e-5, rel=1e-6)
 
 
 def test_commute_identity_all_pairs_small_suite():
@@ -453,7 +452,7 @@ def test_hitting_bounds_from_a_source_match_per_pair_path_sums(g):
     for x in range(n):
         bounds = hitting_bounds_from(g, x)
         for y in range(n):
-            path = shortest_path(g, x, y)
+            path = tree_path(g, x, y)
             r_bound = sum(n * min(g.degree(u), g.degree(v)) for u, v in zip(path, path[1:]))
             assert bounds[y] == (3.0 * n**3, float(n * r_bound))
 
