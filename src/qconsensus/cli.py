@@ -129,6 +129,8 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"bad --n-values: {exc}") from exc
     else:
         n_values = default_n_values(args.topo, args.full_grid)
+    if args.fit and len(n_values) < 3:
+        raise UsageError(f"--fit needs at least 3 n-values, got {len(n_values)}")
     try:
         cfg = SweepConfig(
             kind=args.topo, n_values=n_values, protocol=args.protocol,

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import ckernel
 from .graphs import Graph, csr
-from .rows import write_csv
+from .rows import data_lines, write_csv
 
 STRONG_POS = 2
 STRONG_NEG = -2
@@ -351,21 +351,17 @@ def _csr_pointers(g: Graph) -> tuple:
 
 @cache
 def _binary_table(n: int) -> tuple:
-    """[a][b] -> (*binary_update(a, b), change in ``_run_binary``'s packed count)."""
+    """[a][b] -> (*binary_update(a, b), change in ``_run_binary``'s packed count) as
+    nested tuples, as ``ckernel.binary_table`` lays it out, and that layout's address."""
     table = [[None] * 5 for _ in range(5)]
     for a in OPINION_VALUES:
         for b in OPINION_VALUES:
             na, nb = binary_update(a, b)
             annihilated = a == -b and abs(a) == STRONG_POS
             table[a][b] = (na, nb, (na > 0) + (nb > 0) - (a > 0) - (b > 0) + (n + 1) * annihilated)
-    return tuple(tuple(r) for r in table)
-
-
-@cache
-def _binary_table_c(n: int) -> tuple:
-    """``_binary_table(n)`` as the compiled loop reads it, and its address."""
-    table = ckernel.binary_table(_binary_table(n))
-    return table, addressof(table)
+    table = tuple(tuple(r) for r in table)
+    c_table = ckernel.binary_table(table)
+    return table, c_table, addressof(c_table)
 
 
 def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> SimResult:
@@ -380,7 +376,7 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
     all_negative, all_positive = (n + 1) * s_plus, n + (n + 1) * s_minus
     kernel = ckernel.load()
     if kernel is None:
-        table = _binary_table(n)
+        table = _binary_table(n)[0]
 
         def apply(us, vs):
             nonlocal packed
@@ -399,7 +395,7 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
     else:
         c_opinions = (c_int8 * n)(*opinions)
         run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_opinions),
-                          packed, _binary_table_c(n)[1], all_negative, all_positive)
+                          packed, _binary_table(n)[2], all_negative, all_positive)
         loop, address, lock = kernel.binary, addressof(run), rng.bit_generator.lock
 
         def step(limit):
@@ -445,9 +441,7 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
                     values[u] = b
                     values[v] = a
                     continue
-                d = 1 if a > b else -1
-                values[u] = na = a - d
-                values[v] = nb = b + d
+                values[u], values[v] = na, nb = quantized_update(a, b)
                 off += (q <= a <= qp1) - (q <= na <= qp1) + (q <= b <= qp1) - (q <= nb <= qp1)
                 if off == 0:
                     return k
@@ -485,37 +479,27 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
     return SimResult("quantized", n, ticks, converged, detail, header, trace)
 
 
+_VOTES = {"+": 1, "-": -1, ".": None}
+
+
 def read_binary_votes(path) -> list:
-    """One of '+', '-', '.' per line; '.' abstains. '#' starts a comment."""
+    """One of '+', '-', '.' per line of ``rows.data_lines``; '.' abstains."""
     votes = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line == "+":
-                votes.append(1)
-            elif line == "-":
-                votes.append(-1)
-            elif line == ".":
-                votes.append(None)
-            else:
-                raise ValueError(f"{path}:{lineno}: expected one of '+', '-', '.', got {line!r}")
+    for lineno, line in data_lines(path):
+        if line not in _VOTES:
+            raise ValueError(f"{path}:{lineno}: expected one of '+', '-', '.', got {line!r}")
+        votes.append(_VOTES[line])
     return votes
 
 
 def read_quantized_values(path) -> list[int]:
-    """One integer per line; '#' starts a comment."""
+    """One integer per line of ``rows.data_lines``."""
     values = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: expected an integer, got {line!r}") from exc
+    for lineno, line in data_lines(path):
+        try:
+            values.append(int(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: expected an integer, got {line!r}") from exc
     return values
 
 

@@ -18,6 +18,8 @@ from itertools import chain
 
 import numpy as np
 
+from .rows import data_lines
+
 TOPOLOGY_KINDS = ("star", "line", "lollipop", "complete", "erdos_renyi", "edge_list")
 
 
@@ -280,21 +282,15 @@ def path_degree_sums_from(g: Graph, x: int) -> list[int]:
 
 
 def read_edge_list(path) -> Graph:
-    """Read a graph from text: one ``u v`` pair per line, '#' starts a comment."""
+    """Read a graph from text: one ``u v`` pair per line of ``rows.data_lines``."""
     edges = []
-    max_node = 0
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphConstructionError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
-            u, v = int(parts[0]), int(parts[1])
-            edges.append((u, v))
-            max_node = max(max_node, u, v)
-    return Graph.from_edges(max_node + 1, edges)
+    for lineno, line in data_lines(path):
+        try:
+            u, v = map(int, line.split())
+        except ValueError as exc:
+            raise GraphConstructionError(f"{path}:{lineno}: expected 'u v', got {line!r}") from exc
+        edges.append((u, v))
+    return Graph.from_edges(1 + max([0, *chain.from_iterable(edges)]), edges)
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -303,6 +299,6 @@ def write_edge_list(g: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def er_probability(n: int, factor: float = 5.0) -> float:
-    """The connectivity-safe edge probability factor * ln(n) / n, capped at 1."""
-    return min(1.0, factor * math.log(n) / n)
+def er_probability(n: int) -> float:
+    """The connectivity-safe edge probability 5 ln(n) / n, capped at 1."""
+    return min(1.0, 5.0 * math.log(n) / n)

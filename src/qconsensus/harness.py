@@ -265,22 +265,14 @@ class ScalingFit:
     residual: float  # sum of squared log-space residuals
 
 
-def fit_scaling(records, model: str = "power") -> ScalingFit:
-    """Least-squares fit of mean ticks against n in log space, over the
-    ``SweepRecord``s with a converged round.
-
-    model "power" fits c * n^a; model "power_log" fits c * n^a * ln(n)
-    with the ln(n) factor fixed (only a and c are free).
-    """
-    if model not in ("power", "power_log"):
-        raise ValueError(f"unknown scaling model {model!r}")
+def fit_scaling(records) -> ScalingFit:
+    """Least-squares fit of c * n^a to mean ticks against n in log space, over
+    the ``SweepRecord``s with a converged round."""
     points = [(rec.n, rec.mean_ticks) for rec in records if rec.rounds_converged]
     if len(points) < 3:
         raise ValueError(f"scaling fit needs at least 3 points, got {len(points)}")
     x = np.log([p[0] for p in points])
     y = np.log([p[1] for p in points])
-    if model == "power_log":
-        y = y - np.log(np.log([p[0] for p in points]))
     coef = np.polyfit(x, y, 1)
     fitted = np.polyval(coef, x)
     residual = float(np.sum((y - fitted) ** 2))

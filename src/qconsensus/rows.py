@@ -1,4 +1,5 @@
-"""The one writer of the package's tables, as CSV or as JSON.
+"""The one reader of the package's data files, ``data_lines``, and the one
+writer of its tables, as CSV or as JSON.
 
 Float rule: a CSV cell holding a float is written as ``repr(float(x))``,
 the shortest text that reads back to the same double, so a numpy float64
@@ -14,6 +15,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+
+
+def data_lines(path):
+    """Yield (line number, text) for each line of the file at ``path`` that holds
+    text once a '#' comment and surrounding white space are cut."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
 
 
 def write_rows(fh, header, rows) -> None:

@@ -145,6 +145,14 @@ def _require_irreducible(m: WalkMatrix) -> None:
             raise SolverError("walk matrix is reducible (disconnected graph?)")
 
 
+def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """``np.linalg.solve(a, b)``; SolverError naming ``what`` when ``a`` is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{what} is singular (disconnected graph?): {exc}") from exc
+
+
 def stationary_distribution(m: WalkMatrix) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 by a direct dense solve; SolverError if reducible."""
     _require_irreducible(m)
@@ -153,10 +161,7 @@ def stationary_distribution(m: WalkMatrix) -> np.ndarray:
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"stationary solve failed: {exc}") from exc
+    pi = _solve(a, b, "stationary system")
     residual = float(np.max(np.abs(pi @ m.p - pi)))
     if residual > STATIONARY_TOL:
         raise SolverError(f"stationary distribution residual {residual:.3e} exceeds {STATIONARY_TOL:.1e}")
@@ -176,10 +181,7 @@ def hitting_times(m: WalkMatrix, target: int) -> np.ndarray:
     idx = [i for i in range(n) if i != target]
     sub = m.p[np.ix_(idx, idx)]
     a = np.eye(n - 1) - sub
-    try:
-        h_sub = np.linalg.solve(a, np.ones(n - 1))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"hitting-time system is singular (disconnected graph?): {exc}") from exc
+    h_sub = _solve(a, np.ones(n - 1), "hitting-time system")
     h = np.zeros(n)
     h[idx] = h_sub
     residual = float(np.max(np.abs(a @ h_sub - 1.0)))
@@ -205,10 +207,7 @@ def hitting_table(m: WalkMatrix) -> HittingTable:
     n = m.n
     pi = stationary_distribution(m)
     a = np.eye(n) - m.p + pi
-    try:
-        z = np.linalg.solve(a, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"fundamental matrix is singular (disconnected graph?): {exc}") from exc
+    z = _solve(a, np.eye(n), "fundamental matrix")
     h = (np.diag(z) - z) / pi
     np.fill_diagonal(h, 0.0)
     residual = np.abs(h - m.p @ h - 1.0)
@@ -246,10 +245,7 @@ def effective_resistance(m: WalkMatrix, x: int, y: int) -> float:
     keep = [i for i in range(n) if i != y]
     b = np.zeros(n)
     b[x] = 1.0
-    try:
-        v_sub = np.linalg.solve(lap[np.ix_(keep, keep)], b[keep])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Laplacian solve failed (disconnected network?): {exc}") from exc
+    v_sub = _solve(lap[np.ix_(keep, keep)], b[keep], "grounded Laplacian")
     residual = float(np.max(np.abs(lap[np.ix_(keep, keep)] @ v_sub - b[keep])))
     if residual > RESISTANCE_TOL:
         raise SolverError(f"Laplacian residual {residual:.3e} exceeds tolerance")
@@ -268,10 +264,7 @@ def resistance_matrix(m: WalkMatrix) -> np.ndarray:
     n = m.n
     lap = _laplacian(m)
     mean = np.full((n, n), 1.0 / n)
-    try:
-        lplus = np.linalg.solve(lap + mean, np.eye(n)) - mean
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Laplacian inverse failed (disconnected network?): {exc}") from exc
+    lplus = _solve(lap + mean, np.eye(n), "L + J/n") - mean
     residual = float(np.max(np.abs(lap @ lplus - (np.eye(n) - mean))))
     if not residual <= RESISTANCE_TOL:
         raise SolverError(f"Laplacian pseudo-inverse residual {residual:.3e} exceeds tolerance")

@@ -119,6 +119,8 @@ def test_sweep_rejects_lo_above_hi(capsys):
      "lollipop requires 3 <= m <= n, got m=2, n=9"),
     (("--topo", "line", "--protocol", "quantized", "--init", "q_setting1", "--n-values", "2,3"),
      "q_setting1 requires n >= 3, got 2"),
+    (("--topo", "star", "--protocol", "binary", "--n-values", "5,7", "--fit"),
+     "--fit needs at least 3 n-values, got 2"),
 ])
 def test_sweep_rejects_a_bad_config_before_its_header(argv, message, tmp_path, capsys):
     edges = tmp_path / "g.txt"
@@ -347,6 +349,17 @@ def test_edge_list_topology(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 5
+
+
+@pytest.mark.parametrize("line, text", [("1 x", "1 x"), ("0 1 2  # three", "0 1 2")])
+def test_bad_edge_list_line_names_its_file_and_line(line, text, tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text(f"0 1\n{line}\n")
+    assert run_cli("bound", "--topo", "edge_list", "--edges", str(edges),
+                   "--x", "0", "--y", "1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {edges}:2: expected 'u v', got {text!r}\n"
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):

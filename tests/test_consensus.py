@@ -41,6 +41,7 @@ from qconsensus.graphs import (
     TopologySpec,
     build_graph,
     line_graph,
+    read_edge_list,
     star_graph,
 )
 
@@ -766,3 +767,27 @@ def test_read_quantized_values(tmp_path):
     bad.write_text("2.5\n")
     with pytest.raises(ValueError):
         read_quantized_values(bad)
+
+
+def _read_graph(path):
+    g = read_edge_list(path)
+    return g.n, g.edges()
+
+
+# reader, three data lines, what they read as, what a file of comments reads as
+READERS = {
+    "votes": (read_binary_votes, ("+", "-", "."), [1, -1, None], []),
+    "values": (read_quantized_values, ("5", "-3", "12"), [5, -3, 12], []),
+    "edges": (_read_graph, ("0 1", "1 2", "0 2"), (3, [(0, 1), (0, 2), (1, 2)]), (1, [])),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_readers_share_one_line_format(name, tmp_path):
+    read, (first, second, third), parsed, no_data = READERS[name]
+    path = tmp_path / "in.txt"
+    path.write_bytes(f"# header\r\n{first}#x\r\n \t \r\n{second}  # note\r\n#\r\n"
+                     f"{third}\r\n".encode())
+    assert read(path) == parsed
+    path.write_bytes(b"# only\r\n   # comments\n\n \t\r\n")
+    assert read(path) == no_data

@@ -281,20 +281,9 @@ def test_fit_power_model_on_n2_logn_curve():
     assert 2.0 < fit.exponent < 2.5
 
 
-def test_fit_power_log_model_recovers_exponent_exactly():
-    points = [(n, 4.2 * n**2 * math.log(n)) for n in (21, 61, 101, 201)]
-    fit = fit_scaling(records(points), model="power_log")
-    assert abs(fit.exponent - 2.0) <= 1e-9
-    assert fit.coefficient == pytest.approx(4.2, rel=1e-9)
-
-
 def test_fit_requires_three_points():
     with pytest.raises(ValueError):
         fit_scaling(records([(3, 5.0), (5, 9.0)]))
-    with pytest.raises(ValueError):
-        fit_scaling(records([(3, 5.0)]), model="power_log")
-    with pytest.raises(ValueError):
-        fit_scaling(records([(3, 5.0), (5, 9.0), (7, 9.0)]), model="cubic_spline")
     # a size whose rounds all timed out gives no point
     timed_out = SweepRecord(7, float("nan"), float("nan"), 0, 2)
     with pytest.raises(ValueError, match="at least 3 points, got 2"):

@@ -271,6 +271,8 @@ def test_exact_tables_reject_a_disconnected_graph(g):
                 solve(m)
     with pytest.raises(SolverError):
         resistance_matrix(edge_weights(g))
+    with pytest.raises(SolverError, match="grounded Laplacian is singular"):
+        effective_resistance(edge_weights(g), 0, g.n - 1)
 
 
 def test_exact_tables_check_their_residuals(monkeypatch):
