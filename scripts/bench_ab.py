@@ -15,7 +15,7 @@ median, quartiles and fastest repeat, the median ratio after/before and
 the fastest/fastest ratio (the statistic ``bench/`` compares); and the
 machine and the revisions. Workloads:
 
-- ``kernel`` (consensus.py and harness.py, 5 repeats): Mticks/s for each
+- ``kernel`` (consensus.py and harness.py, 15 repeats): Mticks/s for each
   protocol on star(101), line(65), lollipop(45) and ER(101), untraced and with
   ``trace_stride=100``, over seeded runs each capped at TICKS_PER_CASE
   ticks until the case has run TICKS_PER_CASE ticks; Mticks/s with
@@ -277,7 +277,7 @@ class Workload:
 
 WORKLOADS = {
     "kernel": Workload("paired protocol-kernel before/after, one process",
-                       ("consensus", "harness"), 5, kernel_cases, lambda a, b: a == b),
+                       ("consensus", "harness"), 15, kernel_cases, lambda a, b: a == b),
     "exact": Workload("paired exact-layer and graph-build before/after, one process",
                       ("graphs", "walks"), 5, exact_cases, same_table),
     "walks": Workload("paired token Monte Carlo before/after, one process", ("walks",), 15,

@@ -15,10 +15,10 @@ Nothing is built or loaded at import. If no library can be built or loaded
 (no compiler, a compile error, an unwritable cache), ``load()`` returns None
 and the caller runs the batch kernel.
 
-Both loops take one ``Run``, which holds a run's pointers, constants and
-counter, and a ``limit``. They run at most ``limit`` ticks, stop on the tick
-that converges, and return the number of ticks they ran; ``Run.counter`` is
-read on entry and written back on return:
+Both loops take one ``Run``, which holds a run's pointers, constants,
+counters and trace buffer, and a ``limit``. They run at most ``limit``
+ticks, stop on the tick that converges, and return the number of ticks they
+ran; ``Run.counter`` is read on entry and written back on return:
 
 - ``qc_binary``: ``int8`` opinions; ``table`` holds ``_binary_table(n)`` as
   75 ``int64`` entries, (new a, new b, change in packed) for opinion pair
@@ -26,20 +26,42 @@ read on entry and written back on return:
   the run has converged when it equals ``all_negative`` or ``all_positive``.
 - ``qc_quantized``: ``int64`` values, every |value| < 2**62 so that no
   difference overflows; the counter is ``off``, the number of values outside
-  {q, q + 1}, and the run has converged when it is 0. Before every return,
-  a call with ``limit`` 0 included, it also writes the trace row of the
-  values it leaves: ``lyap``, ``vmin`` and ``vmax``, the state's
-  ``consensus.lyapunov``, ``min`` and ``max``, so that a traced run copies no
-  values per row. ``mean`` is the sum over n as Python divides it (the sum
-  can exceed int64), and ``lyap`` repeats CPython's float operations in
-  ``lyapunov``'s order: ``(double)v - mean`` (C and CPython both convert the
-  integer to the nearest double), then ``pow(fabs(d), 2.0)``, which is what
-  ``float ** 2`` calls, added left to right from 0.0. ``CC`` keeps those
-  bits: ``-fno-builtin-pow`` stops the compiler from turning the ``pow``
-  into ``d * d``, which rounds apart from glibc's ``pow`` on about one square
-  in a thousand, and ``-ffp-contract=off`` forbids fused multiply-adds. An
-  untraced run pays for the row too, O(n) once per call, and makes one call
-  per 2**24 ticks.
+  {q, q + 1}, and the run has converged when it is 0.
+
+A traced run (``stride`` > 0) has the loops write its trace rows into
+``rows``, a buffer of ``BINARY_ROW`` or ``QUANTIZED_ROW`` records, so that
+one call covers many rows. Each loop is an outer loop over segments around
+the unchanged per-tick loop. A segment ends at ``limit`` or where a row is
+due; there the loop writes the row of that tick (``tick`` plus the ticks
+run in the call) to ``rows[nrows++]``. ``due``, the ticks left to the next
+row, carries over from call to call, so a call may start between two rows,
+and a call of at most ``stride`` * capacity ticks writes at most capacity
+rows. ``nrows`` is reset on entry, and a call that returns at ``limit``
+adds it to ``tick``. A converged run makes no further call, so a loop
+returning on the converging tick writes back only its counter, and no
+row: the caller records that tick's row.
+
+- A binary row is (tick, s_plus, s_minus, w_plus, w_minus), computed from
+  ``packed`` and the strong counts at the run's start, which
+  ``all_negative`` = (n + 1) * s_plus and ``all_positive`` = n + (n + 1) *
+  s_minus hold.
+- A quantized row is (tick, ``lyap``, ``vmin``, ``vmax``), the state's
+  ``consensus.lyapunov``, ``min`` and ``max``. Before every return of a
+  traced run, a call with ``limit`` 0 included, ``qc_quantized`` also
+  writes the row of the values it leaves to ``Run.lyap``, ``vmin`` and
+  ``vmax``: the rows of the first and the last tick. ``mean`` is the sum
+  over n as Python divides it (the sum can exceed int64), and ``lyap``
+  repeats CPython's float operations in ``lyapunov``'s order: ``(double)v
+  - mean`` (C and CPython both convert the integer to the nearest double),
+  then ``pow(fabs(d), 2.0)``, which is what ``float ** 2`` calls, added left
+  to right from 0.0. ``CC`` keeps those bits: ``-fno-builtin-pow`` stops the
+  compiler from turning the ``pow`` into ``d * d``, which rounds apart from
+  glibc's ``pow`` on about one square in a thousand, and
+  ``-ffp-contract=off`` forbids fused multiply-adds.
+
+An untraced run has one segment per call, computes no row, and makes one
+call per 2**24 ticks; a traced run makes one call per 2**24 ticks or per
+buffer of rows, whichever is fewer ticks (``consensus._run_kernel``).
 
 A call passes one address and one integer, which ctypes converts at the
 least cost it has: about 0.7 us a call on a 2-core x86-64 box, where the
@@ -54,6 +76,8 @@ from contextlib import suppress
 from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 SOURCE = r"""
 #include <math.h>
@@ -79,7 +103,14 @@ typedef struct run {  /* ckernel.Run */
     double mean;                          /* quantized: sum / n, as Python divides */
     double lyap;                          /* quantized row: lyapunov(), min, max */
     int64_t vmin, vmax;
+    int64_t stride, due, tick;            /* trace: row period, ticks to the next row, and
+                                             the tick the call starts from */
+    void *rows;                           /* binary_row_t or quantized_row_t [nrows] */
+    int64_t nrows;
 } run_t;
+
+typedef struct { int64_t tick, s_plus, s_minus, w_plus, w_minus; } binary_row_t;
+typedef struct { int64_t tick; double lyap; int64_t vmin, vmax; } quantized_row_t;
 
 /* One tick's edge: node *u drawn uniformly, then one of its neighbours, returned. */
 static inline int64_t draw_edge(const run_t *r, double dn, int64_t *u)
@@ -89,6 +120,22 @@ static inline int64_t draw_edge(const run_t *r, double dn, int64_t *u)
     return r->flat[r->off[*u] + (int64_t)(bg->next_double(bg->state) * (double)r->deg[*u])];
 }
 
+/* The last tick of the segment that starts after tick `done` of a call: the tick
+   the next row is due, or limit. */
+static inline int64_t segment_end(const run_t *r, int64_t done, int64_t limit)
+{
+    return r->stride && r->due < limit - done ? done + r->due : limit;
+}
+
+/* Counts a segment of `ticks` off due; true, with due reset, when a row is due. */
+static inline int row_due(run_t *r, int64_t ticks)
+{
+    if (!r->stride || (r->due -= ticks))
+        return 0;
+    r->due = r->stride;
+    return 1;
+}
+
 int64_t qc_binary(run_t *r, int64_t limit)
 {
     const double dn = (double)r->n;
@@ -96,30 +143,43 @@ int64_t qc_binary(run_t *r, int64_t limit)
     const int64_t *table = r->table;
     const int64_t all_negative = r->all_negative, all_positive = r->all_positive;
     int64_t packed = r->counter;
-    for (int64_t k = 1; k <= limit; k++) {
-        int64_t u, v = draw_edge(r, dn, &u);
-        int8_t a = op[u], b = op[v];
-        if (a == b)
-            continue;
-        const int64_t *t = table + 3 * (5 * (a + 2) + (b + 2));
-        op[u] = (int8_t)t[0];
-        op[v] = (int8_t)t[1];
-        if (t[2]) {
-            packed += t[2];
-            if (packed == all_negative || packed == all_positive) {
-                r->counter = packed;
-                return k;
+    r->nrows = 0;
+    for (int64_t done = 0, k = 1; done < limit; done = k - 1) {
+        for (const int64_t end = segment_end(r, done, limit); k <= end; k++) {
+            int64_t u, v = draw_edge(r, dn, &u);
+            int8_t a = op[u], b = op[v];
+            if (a == b)
+                continue;
+            const int64_t *t = table + 3 * (5 * (a + 2) + (b + 2));
+            op[u] = (int8_t)t[0];
+            op[v] = (int8_t)t[1];
+            if (t[2]) {
+                packed += t[2];
+                if (packed == all_negative || packed == all_positive) {
+                    r->counter = packed;
+                    return k;
+                }
             }
+        }
+        if (row_due(r, k - 1 - done)) {
+            binary_row_t *row = (binary_row_t *)r->rows + r->nrows++;
+            const int64_t n1 = r->n + 1, annihilations = packed / n1, positive = packed % n1;
+            row->tick = r->tick + k - 1;
+            row->s_plus = all_negative / n1 - annihilations;
+            row->s_minus = (all_positive - r->n) / n1 - annihilations;
+            row->w_plus = positive - row->s_plus;
+            row->w_minus = r->n - positive - row->s_minus;
         }
     }
     r->counter = packed;
+    r->tick += limit;
     return limit;
 }
 
 #define IN_QQ1(x) ((x) >= q && (x) <= q + 1)
 
 /* lyapunov(), min and max of the values, in CPython's float operations and order. */
-static void quantized_row(run_t *r)
+static void quantized_row(const run_t *r, double *lyap, int64_t *vmin, int64_t *vmax)
 {
     const int64_t *val = r->state;
     double total = 0.0;
@@ -131,9 +191,9 @@ static void quantized_row(run_t *r)
         if (val[i] > hi)
             hi = val[i];
     }
-    r->lyap = total;
-    r->vmin = lo;
-    r->vmax = hi;
+    *lyap = total;
+    *vmin = lo;
+    *vmax = hi;
 }
 
 int64_t qc_quantized(run_t *r, int64_t limit)
@@ -142,27 +202,38 @@ int64_t qc_quantized(run_t *r, int64_t limit)
     int64_t *val = r->state;
     const int64_t q = r->q;
     int64_t outside = r->counter;
-    for (int64_t k = 1; k <= limit; k++) {
-        int64_t u, v = draw_edge(r, dn, &u);
-        int64_t a = val[u], b = val[v];
-        if (a - b > -2 && a - b < 2) {
-            val[u] = b;
-            val[v] = a;
-            continue;
+    r->nrows = 0;
+    for (int64_t done = 0, k = 1; done < limit; done = k - 1) {
+        for (const int64_t end = segment_end(r, done, limit); k <= end; k++) {
+            int64_t u, v = draw_edge(r, dn, &u);
+            int64_t a = val[u], b = val[v];
+            if (a - b > -2 && a - b < 2) {
+                val[u] = b;
+                val[v] = a;
+                continue;
+            }
+            int64_t d = a > b ? 1 : -1;
+            int64_t na = a - d, nb = b + d;
+            val[u] = na;
+            val[v] = nb;
+            outside += IN_QQ1(a) - IN_QQ1(na) + IN_QQ1(b) - IN_QQ1(nb);
+            if (outside == 0) {
+                r->counter = 0;
+                if (r->stride)
+                    quantized_row(r, &r->lyap, &r->vmin, &r->vmax);
+                return k;
+            }
         }
-        int64_t d = a > b ? 1 : -1;
-        int64_t na = a - d, nb = b + d;
-        val[u] = na;
-        val[v] = nb;
-        outside += IN_QQ1(a) - IN_QQ1(na) + IN_QQ1(b) - IN_QQ1(nb);
-        if (outside == 0) {
-            r->counter = 0;
-            quantized_row(r);
-            return k;
+        if (row_due(r, k - 1 - done)) {
+            quantized_row_t *row = (quantized_row_t *)r->rows + r->nrows++;
+            row->tick = r->tick + k - 1;
+            quantized_row(r, &row->lyap, &row->vmin, &row->vmax);
         }
     }
     r->counter = outside;
-    quantized_row(r);
+    if (r->stride)
+        quantized_row(r, &r->lyap, &r->vmin, &r->vmax);
+    r->tick += limit;
     return limit;
 }
 """
@@ -179,8 +250,13 @@ class Run(ctypes.Structure):
     _fields_ = [("bitgen", _P), ("n", _I), ("deg", _P), ("off", _P), ("flat", _P),
                 ("state", _P), ("counter", _I), ("table", _P), ("all_negative", _I),
                 ("all_positive", _I), ("q", _I), ("mean", _D), ("lyap", _D), ("vmin", _I),
-                ("vmax", _I)]
+                ("vmax", _I), ("stride", _I), ("due", _I), ("tick", _I), ("rows", _P),
+                ("nrows", _I)]
 
+
+# The trace rows the loops write: binary_row_t and quantized_row_t.
+BINARY_ROW = np.dtype("i8, i8, i8, i8, i8")  # tick, s_plus, s_minus, w_plus, w_minus
+QUANTIZED_ROW = np.dtype("i8, f8, i8, i8")  # tick, lyapunov, value_min, value_max
 
 _LOOP = ctypes.CFUNCTYPE(_I, _P, _I)  # (address of a Run, limit) -> ticks run
 # A prototype of its own, so that ctypes.pythonapi's shared function is left as it is.

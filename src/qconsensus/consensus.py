@@ -26,10 +26,11 @@ discards the draws of its last batch past the convergence tick, so there
 the generator's position after a run is unspecified. Both read the same
 stream and give the same ticks, states and traces; the per-tick steppers
 (``binary_step``/``quantized_step``) are the reference both are tested
-against, tick for tick, for the same seed. On the compiled path a
-quantized trace row (``lyapunov``, min, max) comes from the C loop, which
-computes it float for float as ``lyapunov`` does; the batch kernel takes
-it from the values in Python.
+against, tick for tick, for the same seed. A traced run's rows come from
+the kernel: the C loop writes them into a buffer of _TRACE_ROWS rows per
+run, which comes back to Python once per call, and computes a quantized
+row (``lyapunov``, min, max) float for float as ``lyapunov`` does; the
+batch kernel records them in Python from its counters and values.
 
 A state holds only its node values, tick and conserved sum: counts are
 computed from the values, and each kernel keeps its own counters for a run.
@@ -60,6 +61,8 @@ _MAX_BATCH = 8192
 # int64 (ctypes would silently keep only the low 64 bits of a larger one),
 # and Ctrl-C acts between calls.
 _CHUNK = 1 << 24
+# Trace rows per kernel call at most: the size of a traced run's row buffer.
+_TRACE_ROWS = 4096
 _C_VALUE_LIMIT = 1 << 62
 
 
@@ -292,54 +295,81 @@ def _run_kernel(g: Graph, s, max_ticks: int, stride: int, step, row):
     """Call ``step(limit)`` until it reports convergence or ``max_ticks`` ticks pass.
 
     ``step(limit)`` runs at most ``limit`` ticks and returns (ticks run,
-    whether the last of them converged). Calls are cut at _CHUNK ticks and,
-    with ``stride`` > 0, at multiples of ``stride``; ``row(tick)`` is then
-    recorded at the first tick, at each multiple, and at the final tick.
+    whether the last of them converged, the trace rows it recorded). With
+    ``stride`` > 0 a kernel records the row of each multiple of ``stride``
+    ticks into the run that it reaches without converging, and carries the
+    ticks to the next row from call to call, so a call may start anywhere.
+    Calls are cut at _CHUNK ticks and at _TRACE_ROWS * ``stride`` ticks,
+    which hold at most _TRACE_ROWS rows; ``row(tick)`` gives the rows of the
+    first and the final tick.
     """
     if max_ticks and not all(g.adjacency):  # cheaper than deg.all() on small graphs
         raise ValueError("every node needs a neighbor to run a protocol")
     trace = [row(s.tick)] if stride else []
+    span = min(_CHUNK, _TRACE_ROWS * stride) if stride else _CHUNK
     ticks = 0
     converged = False
     while not converged and ticks < max_ticks:
-        k, converged = step(min(max_ticks - ticks, stride - ticks % stride if stride else _CHUNK,
-                                _CHUNK))
+        k, converged, rows = step(min(max_ticks - ticks, span))
         ticks += k
-        if stride and ticks % stride == 0:
-            trace.append(row(s.tick + ticks))
+        trace += rows
     s.tick += ticks
     if stride and trace[-1][0] != s.tick:
         trace.append(row(s.tick))
     return ticks, tuple(trace)
 
 
-def _batch_step(g: Graph, rng, apply):
+def _batch_step(g: Graph, rng, apply, tick: int, stride: int, row):
     """The fallback ``step``: edges drawn in numpy batches, fed to ``apply`` in Python.
 
     Batches grow from _FIRST_BATCH to _MAX_BATCH ticks (split PCG64 draws
     equal one large draw); truncating a non-negative float64 product equals
     the steppers' ``int()``. ``apply(us, vs)`` returns how many edges it
-    applied if the run converged on the last of them, else None.
+    applied if the run converged on the last of them, else None. With
+    ``stride`` > 0 a batch also ends where a row is due, every ``stride``
+    ticks after ``tick``, and ``row(tick)`` is recorded there.
     """
     n = g.n
     deg, off, flat = csr(g)
     batch = _FIRST_BATCH
+    due = stride
 
     def step(limit):
-        nonlocal batch
+        nonlocal batch, tick, due
+        rows = []
         done = 0
         while done < limit:
-            m = min(batch, limit - done)
+            m = min(batch, limit - done, due) if stride else min(batch, limit - done)
             batch = min(2 * batch, _MAX_BATCH)
             r = rng.random(2 * m)
             u = (r[0::2] * n).astype(np.int64)
             k = apply(u.tolist(), flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)].tolist())
             if k is not None:
-                return done + k, True
+                return done + k, True, rows
             done += m
-        return done, False
+            if stride:
+                due -= m
+                if not due:
+                    rows.append(row(tick + done))
+                    due = stride
+        tick += done
+        return done, False, rows
 
     return step
+
+
+def _trace_rows(run: ckernel.Run, tick: int, stride: int, row_type):
+    """Point a compiled run at a new buffer of _TRACE_ROWS ``row_type`` rows, one due
+    every ``stride`` ticks after ``tick``; returns ``rows()``, the last call's rows."""
+    if not stride:
+        return lambda: ()
+    buffer = np.empty(_TRACE_ROWS, row_type)
+    # C's int64 cannot hold every stride; a run never reaches a row 2**62 ticks in.
+    run.stride = run.due = min(stride, 1 << 62)
+    run.tick = tick
+    run.rows = buffer.ctypes.data
+    columns = [buffer[name] for name in row_type.names]  # views: they keep the buffer alive
+    return lambda: list(zip(*[column[:run.nrows].tolist() for column in columns]))
 
 
 @lru_cache(maxsize=1)
@@ -375,6 +405,12 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
     # when all its strong ones are annihilated: each consensus is one value.
     all_negative, all_positive = (n + 1) * s_plus, n + (n + 1) * s_minus
     kernel = ckernel.load()
+
+    def row(tick):
+        annihilations, pos = divmod(packed, n + 1)
+        sp, sm = s_plus - annihilations, s_minus - annihilations
+        return tick, sp, sm, pos - sp, n - pos - sm
+
     if kernel is None:
         table = _binary_table(n)[0]
 
@@ -391,11 +427,12 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
                             return k
             return None
 
-        step = _batch_step(g, rng, apply)
+        step = _batch_step(g, rng, apply, s.tick, stride, row)
     else:
         c_opinions = (c_int8 * n)(*opinions)
         run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_opinions),
                           packed, _binary_table(n)[2], all_negative, all_positive)
+        rows = _trace_rows(run, s.tick, stride, ckernel.BINARY_ROW)
         loop, address, lock = kernel.binary, addressof(run), rng.bit_generator.lock
 
         def step(limit):
@@ -403,16 +440,10 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
             with lock:
                 k = loop(address, limit)
             packed = run.counter
-            return k, packed == all_negative or packed == all_positive
-
-    def counts():
-        annihilations, pos = divmod(packed, n + 1)
-        sp, sm = s_plus - annihilations, s_minus - annihilations
-        return sp, sm, pos - sp, n - pos - sm
+            return k, packed == all_negative or packed == all_positive, rows()
 
     converged = packed in (all_negative, all_positive)
-    ticks, trace = _run_kernel(g, s, 0 if converged else max_ticks, stride, step,
-                               lambda tick: (tick, *counts()))
+    ticks, trace = _run_kernel(g, s, 0 if converged else max_ticks, stride, step, row)
     if kernel is not None:
         opinions[:] = np.frombuffer(c_opinions, np.int8).tolist()
     converged = packed in (all_negative, all_positive)
@@ -447,14 +478,15 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
                     return k
             return None
 
-        step = _batch_step(g, rng, apply)
-
         def row(tick):
             return tick, lyapunov(s), min(values), max(values)
+
+        step = _batch_step(g, rng, apply, s.tick, stride, row)
     else:
         c_values = (c_int64 * n)(*values)
         run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_values),
                           off, q=q, mean=s.q_sum / n)  # the mean lyapunov() takes
+        rows = _trace_rows(run, s.tick, stride, ckernel.QUANTIZED_ROW)
         loop, address, lock = kernel.quantized, addressof(run), rng.bit_generator.lock
 
         def step(limit):
@@ -462,7 +494,7 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
             with lock:
                 k = loop(address, limit)
             off = run.counter
-            return k, off == 0
+            return k, off == 0, rows()
 
         def row(tick):  # filled by the last call
             return tick, run.lyap, run.vmin, run.vmax

@@ -235,10 +235,11 @@ def effective_resistance(m: WalkMatrix, x: int, y: int) -> float:
     """Two-terminal resistance r'(x, y) of the biased walk's network.
 
     The Laplacian system is solved with the sink ``y`` grounded, for a unit
-    current injection at ``x``.
+    current injection at ``x``. A reducible walk raises SolverError.
     """
     n = m.n
     check_nodes(n, x, y)
+    _require_irreducible(m)
     lap = _laplacian(m)
     if x == y:
         return 0.0
@@ -259,15 +260,24 @@ def resistance_matrix(m: WalkMatrix) -> np.ndarray:
     distance", 1993) from one pseudo-inverse L+ = (L + J/n)^-1 - J/n, with L
     the Laplacian of the conductances and J the all-ones matrix.
     effective_resistance is the two-terminal oracle. The residual of
-    L L+ = I - J/n is checked.
+    L L+ = I - J/n is checked. A reducible walk raises SolverError.
     """
     n = m.n
     lap = _laplacian(m)
     mean = np.full((n, n), 1.0 / n)
-    lplus = _solve(lap + mean, np.eye(n), "L + J/n") - mean
-    residual = float(np.max(np.abs(lap @ lplus - (np.eye(n) - mean))))
-    if not residual <= RESISTANCE_TOL:
-        raise SolverError(f"Laplacian pseudo-inverse residual {residual:.3e} exceeds tolerance")
+    # A reducible walk always fails here: L + J/n is singular, and a unit y
+    # orthogonal to 1 and constant on each component has y L = 0, so
+    # y (L X - I + J/n) = -y for every X, and some residual entry is at least
+    # 1/n. Only then is the walk checked, to name the cause: the check costs
+    # about as much as the solve on lollipop(80).
+    try:
+        lplus = _solve(lap + mean, np.eye(n), "L + J/n") - mean
+        residual = float(np.max(np.abs(lap @ lplus - (np.eye(n) - mean))))
+        if not residual <= RESISTANCE_TOL:
+            raise SolverError(f"Laplacian pseudo-inverse residual {residual:.3e} exceeds tolerance")
+    except SolverError:
+        _require_irreducible(m)
+        raise
     lplus = 0.5 * (lplus + lplus.T)  # symmetric in exact arithmetic; keep R[x][y] == R[y][x]
     d = np.diag(lplus)
     r = d[:, None] + d[None, :] - 2.0 * lplus

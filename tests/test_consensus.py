@@ -622,6 +622,45 @@ def test_runs_cut_into_chunks_match_the_stepper(monkeypatch):
             _assert_kernel_matches_stepper(protocol, g, 6, budget, stride)
 
 
+def _never_converges_within_100(protocol, n, seed):
+    # Weak opinions only swap, and a node far above the mean sheds one unit per tick at most.
+    if protocol == "binary":
+        return BinaryState.from_opinions([WEAK_POS, WEAK_NEG] * (n // 2) + [WEAK_POS] * (n % 2))
+    return QuantizedState.from_values([100 * n] + [0] * (n - 1))
+
+
+def _converges_on_a_multiple_of(protocol, g, multiple):
+    """A seed whose run on ``g`` converges on a multiple of ``multiple`` ticks, and its ticks."""
+    for seed in range(200):
+        ticks, converged, _, _ = _reference_run(protocol, g, _random_state(protocol, g.n, seed),
+                                                np.random.default_rng(seed), 10**5, 0)
+        if converged and ticks >= 2 * multiple and ticks % multiple == 0:
+            return seed, ticks
+    raise AssertionError(f"no seed converges on a multiple of {multiple}")
+
+
+@pytest.mark.parametrize("protocol", ["binary", "quantized"])
+def test_trace_rows_across_row_buffers(protocol, monkeypatch):
+    # Three rows per call, so that one short run fills several row buffers.
+    monkeypatch.setattr(consensus, "_TRACE_ROWS", 3)
+    g = line_graph(9)
+    for stride in (1, 7):
+        _assert_kernel_matches_stepper(protocol, g, 6, 10**5, stride)
+    # Convergence on the last row of the first and of the second full buffer.
+    seed, ticks = _converges_on_a_multiple_of(protocol, g, 6)
+    for stride in (ticks // 3, ticks // 6):
+        _assert_kernel_matches_stepper(protocol, g, seed, 10**5, stride)
+    # A timeout on the last row of a full buffer, and a budget below the stride.
+    for budget, stride in ((2 * 3 * 7, 7), (5, 10)):
+        _assert_kernel_matches_stepper(protocol, g, 6, budget, stride,
+                                       start=_never_converges_within_100)
+    # Strides past _CHUNK, where a row comes due across calls, and past int64.
+    monkeypatch.setattr(consensus, "_CHUNK", 5)
+    for stride in (7, 12, 2**64 + 7):
+        for start in (_random_state, _never_converges_within_100):
+            _assert_kernel_matches_stepper(protocol, g, 6, 100, stride, start=start)
+
+
 @pytest.mark.parametrize("values", [
     [2**70, 3, -2**70, 0, 7],  # past int64: only the batch kernel can run it
     [2**62, 0, 1, 2, -2**62],  # the smallest magnitude the C loop refuses

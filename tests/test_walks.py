@@ -269,10 +269,10 @@ def test_exact_tables_reject_a_disconnected_graph(g):
         for solve in (hitting_table, stationary_distribution, lambda m: hitting_times(m, 0)):
             with pytest.raises(SolverError, match="reducible"):
                 solve(m)
-    with pytest.raises(SolverError):
-        resistance_matrix(edge_weights(g))
-    with pytest.raises(SolverError, match="grounded Laplacian is singular"):
-        effective_resistance(edge_weights(g), 0, g.n - 1)
+    # The resistance solves' own errors would depend on LAPACK's pivots here.
+    for solve in (resistance_matrix, lambda m: effective_resistance(m, 0, g.n - 1)):
+        with pytest.raises(SolverError, match="walk matrix is reducible"):
+            solve(edge_weights(g))
 
 
 def test_exact_tables_check_their_residuals(monkeypatch):
