@@ -34,7 +34,7 @@ from .harness import (
     write_rounds_csv,
     write_sweep_table,
 )
-from .rows import write_json, write_table
+from .rows import write_matrix, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,10 +42,6 @@ EXIT_TIMEOUT = 3
 EXIT_INVARIANT = 4
 
 OUT_DIR_ENV = "QCONSENSUS_OUT_DIR"
-
-
-class UsageError(Exception):
-    pass
 
 
 def _resolve_out(path: str) -> str:
@@ -73,10 +69,7 @@ def _emit_rows(args, header, rows) -> None:
 
 def _emit_matrix(args, matrix) -> None:
     with _open_out(args.out) as fh:
-        if args.format == "json":
-            write_json(fh, {"nodes": list(range(matrix.shape[0])), "matrix": matrix.tolist()})
-        else:
-            walks.write_matrix_rows(fh, matrix)
+        write_matrix(fh, args.format, matrix)
 
 
 def _add_topology_flags(p: argparse.ArgumentParser) -> None:
@@ -90,11 +83,11 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
 def _topology_spec(args) -> TopologySpec:
     if args.topo == "edge_list":
         if not args.edges:
-            raise UsageError("--topo edge_list requires --edges FILE")
+            raise ValueError("--topo edge_list requires --edges FILE")
         g = read_edge_list(args.edges)
         return TopologySpec("edge_list", g.n, edges=tuple(g.edges()))
     if args.n is None:
-        raise UsageError("--n is required")
+        raise ValueError("--n is required")
     return topology_spec(args.topo, args.n, args.seed, args.m, args.p)
 
 
@@ -110,7 +103,9 @@ def cmd_simulate(args) -> int:
                           args.init_file)
     max_ticks = args.max_ticks if args.max_ticks is not None else default_max_ticks(g.n)
     if args.trace_stride and not args.trace_out:
-        raise UsageError("--trace-stride requires --trace-out PATH")
+        raise ValueError("--trace-stride requires --trace-out PATH")
+    if args.trace_out and not args.trace_stride:
+        raise ValueError("--trace-out requires --trace-stride N > 0")
     result = cons.run_to_convergence(args.protocol, g, state, rng, max_ticks,
                                      args.trace_stride or 0)
     if args.trace_out:
@@ -126,20 +121,17 @@ def cmd_sweep(args) -> int:
         try:
             n_values = tuple(int(s) for s in args.n_values.split(","))
         except ValueError as exc:
-            raise UsageError(f"bad --n-values: {exc}") from exc
+            raise ValueError(f"bad --n-values: {exc}") from exc
     else:
         n_values = default_n_values(args.topo, args.full_grid)
     if args.fit and len(n_values) < 3:
-        raise UsageError(f"--fit needs at least 3 n-values, got {len(n_values)}")
-    try:
-        cfg = SweepConfig(
-            kind=args.topo, n_values=n_values, protocol=args.protocol,
-            init=args.init or DEFAULT_INIT[args.protocol],
-            rounds=args.rounds, master_seed=args.seed, m=args.m, p=args.p,
-            lo=args.lo, hi=args.hi, max_ticks=args.max_ticks,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--fit needs at least 3 n-values, got {len(n_values)}")
+    cfg = SweepConfig(
+        kind=args.topo, n_values=n_values, protocol=args.protocol,
+        init=args.init or DEFAULT_INIT[args.protocol],
+        rounds=args.rounds, master_seed=args.seed, m=args.m, p=args.p,
+        lo=args.lo, hi=args.hi, max_ticks=args.max_ticks,
+    )
     with _open_out(args.out) as fh:
         records = write_sweep_table(fh, args.format, cfg, iter_sweep(cfg))
     if args.rounds_out:
@@ -147,6 +139,11 @@ def cmd_sweep(args) -> int:
     if args.curves_out:
         write_curves_csv(cfg, records, _resolve_out(args.curves_out))
     if args.fit:
+        converged = sum(1 for rec in records if rec.rounds_converged)
+        if converged < 3:
+            print(f"timeout: {converged} of {len(records)} sizes converged; the fit needs 3",
+                  file=sys.stderr)
+            return EXIT_TIMEOUT
         fit = fit_scaling(records)
         print(f"power-law fit: exponent={fit.exponent:.3f} "
               f"coefficient={fit.coefficient:.4g} residual={fit.residual:.4g}",
@@ -160,7 +157,7 @@ def cmd_bound(args) -> int:
         pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
     else:
         if args.x is None or args.y is None:
-            raise UsageError("--x and --y are required without --all-pairs")
+            raise ValueError("--x and --y are required without --all-pairs")
         check_nodes(g.n, args.x, args.y)
         pairs = [(args.x, args.y)]
     exact = None
@@ -186,7 +183,7 @@ def cmd_resistance(args) -> int:
     m = walks.edge_weights(g)
     if args.x is not None or args.y is not None:
         if args.x is None or args.y is None:
-            raise UsageError("give both --x and --y, or neither")
+            raise ValueError("give both --x and --y, or neither")
         r = walks.effective_resistance(m, args.x, args.y)
         _emit_rows(args, ("x", "y", "resistance"), [(args.x, args.y, r)])
     else:
@@ -209,7 +206,7 @@ def cmd_hitting(args) -> int:
 def cmd_meet(args) -> int:
     g = build_graph(_topology_spec(args))
     if args.x is None or args.y is None:
-        raise UsageError("--x and --y are required")
+        raise ValueError("--x and --y are required")
     max_ticks = args.max_ticks if args.max_ticks is not None else walks.DEFAULT_TICK_BUDGET
     sample = walks.sample_pair_meetings(g, args.x, args.y, args.seed, args.runs,
                                         args.coupling, max_ticks)
@@ -323,9 +320,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except walks.TickBudgetError as exc:
         print(f"timeout: {exc} (ticks elapsed: {exc.ticks})", file=sys.stderr)
         return EXIT_TIMEOUT

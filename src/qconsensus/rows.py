@@ -1,13 +1,11 @@
 """The one reader of the package's data files, ``data_lines``, and the one
 writer of its tables, as CSV or as JSON.
 
-Float rule: a CSV cell holding a float is written as ``repr(float(x))``,
-the shortest text that reads back to the same double, so a numpy float64
-prints exactly as a Python float does. JSON numbers follow the same rule,
-since ``json`` writes every float with ``float.__repr__``, except that a
-non-finite float (NaN, such as the mean of a sweep size whose rounds all
-timed out, or an infinity) is written as ``null``: JSON has no token for
-it. Every other cell is written as ``csv`` and ``json`` write it.
+Cells are written as ``csv`` and ``json`` write them: both write a float, a
+numpy float64 included, as its ``repr``, the shortest text that reads back
+to the same double. JSON gets ``null`` for a non-finite float (NaN, such as
+the mean of a sweep size whose rounds all timed out, or an infinity): JSON
+has no token for it.
 """
 
 from __future__ import annotations
@@ -35,9 +33,7 @@ def write_rows(fh, header, rows) -> None:
     """
     writer = csv.writer(fh)
     writer.writerow(header)
-    writer.writerows(
-        [repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows
-    )
+    writer.writerows(rows)
 
 
 def write_csv(path, header, rows) -> None:
@@ -69,3 +65,13 @@ def write_table(fh, fmt: str, header, rows) -> None:
         write_json(fh, [dict(zip(header, row)) for row in rows])
     else:
         write_rows(fh, header, rows)
+
+
+def write_matrix(fh, fmt: str, matrix) -> None:
+    """A square node-by-node array: CSV with the node ids as header row and first
+    column, or a JSON object {"nodes": [ids], "matrix": [rows]}."""
+    nodes = list(range(matrix.shape[0]))
+    if fmt == "json":
+        write_json(fh, {"nodes": nodes, "matrix": matrix.tolist()})
+    else:
+        write_rows(fh, ["node", *nodes], ([i, *row] for i, row in enumerate(matrix.tolist())))

@@ -32,7 +32,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .graphs import Graph, bfs_tree, check_nodes, csr
-from .rows import write_rows
 
 WALK_KINDS = ("simple", "natural", "biased")
 
@@ -395,6 +394,11 @@ def _check_runs(g: Graph, nodes, runs: int, max_ticks: int) -> None:
     check_nodes(g.n, *nodes)
     if max_ticks < 0:
         raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
+    # a token that cannot reach the others would run out the budget
+    _, parent = bfs_tree(g, nodes[0])
+    for k in nodes[1:]:
+        if parent[k] < 0:
+            raise ValueError(f"node {k} is unreachable from node {nodes[0]}")
 
 
 def _lockstep(runs: int, state: tuple, step, max_ticks: int, what: str) -> np.ndarray:
@@ -520,9 +524,3 @@ def sample_meet_all(g: Graph, start: int, others: Iterable[int], seed, runs: int
 
     return _lockstep(runs, (occupant, unmet, np.full(runs, len(others))), step, max_ticks,
                      "meet-all")
-
-
-def write_matrix_rows(fh, matrix: np.ndarray) -> None:
-    """Write a square node-by-node table with node ids as header row and column."""
-    write_rows(fh, ["node", *range(matrix.shape[0])],
-               ([i, *row] for i, row in enumerate(matrix.tolist())))

@@ -74,6 +74,17 @@ def test_simulate_trace_requires_out(capsys):
     assert code == EXIT_USAGE
 
 
+def test_simulate_trace_out_requires_a_stride(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    code = run_cli("simulate", "--topo", "line", "--n", "7", "--protocol", "binary",
+                   "--trace-out", str(trace))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == "error: --trace-out requires --trace-stride N > 0\n"
+    assert captured.out == ""
+    assert not trace.exists()
+
+
 def test_simulate_rejects_negative_trace_stride(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     code = run_cli("simulate", "--topo", "line", "--n", "7", "--protocol", "binary",
@@ -142,6 +153,16 @@ def test_sweep_fit_and_default_grid(capsys):
                                             "majority_one", 1, 3)))
     assert captured.err == (f"power-law fit: exponent={fit.exponent:.3f} "
                             f"coefficient={fit.coefficient:.4g} residual={fit.residual:.4g}\n")
+
+
+def test_sweep_fit_with_too_few_converged_sizes_is_a_timeout(capsys):
+    code = run_cli("sweep", "--topo", "line", "--protocol", "quantized",
+                   "--n-values", "9,11,13", "--rounds", "1", "--max-ticks", "1", "--fit")
+    captured = capsys.readouterr()
+    assert code == EXIT_TIMEOUT
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [(r["n"], r["converged"]) for r in rows] == [("9", "0"), ("11", "0"), ("13", "0")]
+    assert captured.err == "timeout: 0 of 3 sizes converged; the fit needs 3\n"
 
 
 def test_simulate_init_file(tmp_path, capsys):

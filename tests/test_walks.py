@@ -22,6 +22,7 @@ from qconsensus.graphs import (
 )
 from qconsensus import walks
 from qconsensus.harness import lollipop_clique_size
+from qconsensus.rows import write_matrix
 from qconsensus.walks import (
     ROW_SUM_TOL,
     SolverError,
@@ -40,7 +41,6 @@ from qconsensus.walks import (
     sample_pair_meetings,
     stationary_distribution,
     transition_matrix,
-    write_matrix_rows,
 )
 
 from conftest import connected_graphs, tree_path
@@ -762,6 +762,22 @@ def test_a_budget_of_the_longest_run_changes_nothing(name):
         _sample(name, 90, 30, max_ticks=longest - 1)
 
 
+def test_token_runs_reject_a_node_they_cannot_reach():
+    # two components: the triangle 0-1-2 and the star 4-{3, 5, 6}
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (4, 6)])
+    # (a small budget, so that a sampler without the check fails fast)
+    for call, k in ((lambda: sample_hitting(g, 0, 4, 0, 5, 1000), 4),
+                    (lambda: sample_pair_meetings(g, 0, 4, 0, 5, "X", 1000), 4),
+                    (lambda: sample_pair_meetings(g, 0, 4, 0, 5, "Xprime", 1000), 4),
+                    (lambda: sample_meet_all(g, 0, [1, 5, 2], 0, 5, 1000), 5)):
+        with pytest.raises(ValueError, match=f"node {k} is unreachable from node 0"):
+            call()
+    # tokens that share a component still run to the end
+    assert sample_hitting(g, 3, 6, 0, 5).min() >= 1
+    assert sample_pair_meetings(g, 5, 6, 0, 5).min() >= 1
+    assert sample_meet_all(g, 1, [0, 2], 0, 5).min() >= 1
+
+
 def test_token_runs_reject_an_isolated_node():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     for call in (lambda: sample_hitting(g, 0, 2, 0, 5),
@@ -814,7 +830,7 @@ def test_matrix_csv_round_trip(tmp_path):
     table = hitting_table(transition_matrix(g, "biased"))
     path = tmp_path / "hitting.csv"
     with open(path, "w", newline="") as fh:
-        write_matrix_rows(fh, table.h)
+        write_matrix(fh, "csv", table.h)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "node,0,1,2,3"
     cells = lines[2].split(",")
