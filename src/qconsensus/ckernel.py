@@ -57,7 +57,15 @@ row: the caller records that tick's row.
   to right from 0.0. ``CC`` keeps those bits: ``-fno-builtin-pow`` stops the
   compiler from turning the ``pow`` into ``d * d``, which rounds apart from
   glibc's ``pow`` on about one square in a thousand, and
-  ``-ffp-contract=off`` forbids fused multiply-adds.
+  ``-ffp-contract=off`` forbids fused multiply-adds. Where ``Run.squares``
+  is set, a row reads the term of value v from ``squares[v - lo]``, which
+  holds -1.0 until the first read computes the term with that same ``pow``
+  (a square is never negative). The memo covers every value of a run,
+  because values never leave the run's starting [lo, hi]: a swap keeps
+  them, and an exchange moves a > b + 1 to a - 1 and b + 1, both in [b, a].
+  ``consensus._run_quantized`` sets it only on a traced run whose values
+  span fewer than ``consensus._SQUARES_SPAN`` integers; every other row
+  calls ``pow`` per node.
 
 An untraced run has one segment per call, computes no row, and makes one
 call per 2**24 ticks; a traced run makes one call per 2**24 ticks or per
@@ -103,6 +111,9 @@ typedef struct run {  /* ckernel.Run */
     double mean;                          /* quantized: sum / n, as Python divides */
     double lyap;                          /* quantized row: lyapunov(), min, max */
     int64_t vmin, vmax;
+    double *squares;                      /* quantized row: memo of each value's term, at
+                                             v - lo; -1.0 until computed; or NULL */
+    int64_t lo;
     int64_t stride, due, tick;            /* trace: row period, ticks to the next row, and
                                              the tick the call starts from */
     void *rows;                           /* binary_row_t or quantized_row_t [nrows] */
@@ -178,22 +189,36 @@ int64_t qc_binary(run_t *r, int64_t limit)
 
 #define IN_QQ1(x) ((x) >= q && (x) <= q + 1)
 
+/* (v - mean) ** 2 as CPython computes it. */
+static inline double square(const run_t *r, int64_t v)
+{
+    return pow(fabs((double)v - r->mean), 2.0);
+}
+
 /* lyapunov(), min and max of the values, in CPython's float operations and order. */
 static void quantized_row(const run_t *r, double *lyap, int64_t *vmin, int64_t *vmax)
 {
     const int64_t *val = r->state;
-    double total = 0.0;
-    int64_t lo = val[0], hi = val[0];
+    double *squares = r->squares, total = 0.0;
+    int64_t least = val[0], most = val[0];
     for (int64_t i = 0; i < r->n; i++) {
-        total += pow(fabs((double)val[i] - r->mean), 2.0);
-        if (val[i] < lo)
-            lo = val[i];
-        if (val[i] > hi)
-            hi = val[i];
+        const int64_t v = val[i];
+        if (squares) {
+            double *slot = squares + (v - r->lo);
+            if (*slot < 0.0)
+                *slot = square(r, v);
+            total += *slot;
+        } else {
+            total += square(r, v);
+        }
+        if (v < least)
+            least = v;
+        if (v > most)
+            most = v;
     }
     *lyap = total;
-    *vmin = lo;
-    *vmax = hi;
+    *vmin = least;
+    *vmax = most;
 }
 
 int64_t qc_quantized(run_t *r, int64_t limit)
@@ -250,8 +275,8 @@ class Run(ctypes.Structure):
     _fields_ = [("bitgen", _P), ("n", _I), ("deg", _P), ("off", _P), ("flat", _P),
                 ("state", _P), ("counter", _I), ("table", _P), ("all_negative", _I),
                 ("all_positive", _I), ("q", _I), ("mean", _D), ("lyap", _D), ("vmin", _I),
-                ("vmax", _I), ("stride", _I), ("due", _I), ("tick", _I), ("rows", _P),
-                ("nrows", _I)]
+                ("vmax", _I), ("squares", _P), ("lo", _I), ("stride", _I), ("due", _I),
+                ("tick", _I), ("rows", _P), ("nrows", _I)]
 
 
 # The trace rows the loops write: binary_row_t and quantized_row_t.

@@ -63,6 +63,9 @@ _MAX_BATCH = 8192
 _CHUNK = 1 << 24
 # Trace rows per kernel call at most: the size of a traced run's row buffer.
 _TRACE_ROWS = 4096
+# A traced compiled quantized run whose values span fewer than this many integers
+# memoises each value's lyapunov() term: at most 512 KiB of doubles.
+_SQUARES_SPAN = 1 << 16
 _C_VALUE_LIMIT = 1 << 62
 
 
@@ -459,9 +462,9 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
     q = s.q
     qp1 = q + 1
     off = sum(not q <= v <= qp1 for v in values)  # nodes outside {q, q+1}
+    lo, hi = min(values), max(values)
     # Values in (-2**62, 2**62) keep every difference the C loop takes inside int64.
-    kernel = ckernel.load() if -_C_VALUE_LIMIT < min(values) and max(values) < _C_VALUE_LIMIT \
-        else None
+    kernel = ckernel.load() if -_C_VALUE_LIMIT < lo and hi < _C_VALUE_LIMIT else None
     if kernel is None:
         def apply(us, vs):
             nonlocal off
@@ -487,6 +490,11 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
         run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_values),
                           off, q=q, mean=s.q_sum / n)  # the mean lyapunov() takes
         rows = _trace_rows(run, s.tick, stride, ckernel.QUANTIZED_ROW)
+        if stride and hi - lo < _SQUARES_SPAN:
+            # Every value stays in [lo, hi]: a swap keeps them, and an exchange moves
+            # a > b + 1 to a - 1, b + 1. -1.0 marks a term not yet computed.
+            squares = np.full(hi - lo + 1, -1.0)
+            run.squares, run.lo = squares.ctypes.data, lo
         loop, address, lock = kernel.quantized, addressof(run), rng.bit_generator.lock
 
         def step(limit):
@@ -536,4 +544,7 @@ def read_quantized_values(path) -> list[int]:
 
 
 def write_trace_csv(result: SimResult, path) -> None:
+    """The trace of a traced run as CSV; ValueError, with no file written, for an untraced run."""
+    if not result.trace_header:
+        raise ValueError("the run has no trace: run it with trace_stride > 0")
     write_csv(path, result.trace_header, result.trace)

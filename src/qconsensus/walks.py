@@ -133,7 +133,8 @@ def _require_irreducible(m: WalkMatrix) -> None:
     (1.8e16 hitting times, negative pi entries on a triangle plus a star).
     """
     support = m.p > 0
-    for s in (support, support.T):
+    # On a symmetric support (every walk of a Graph) the reverse search finds nothing new.
+    for s in (support,) if np.array_equal(support, support.T) else (support, support.T):
         seen = np.zeros(len(s), dtype=bool)
         seen[0] = True
         frontier = seen.copy()

@@ -436,6 +436,16 @@ def test_traced_binary_counts_columns(tmp_path):
     assert len(lines) == len(res.trace) + 1
 
 
+def test_write_trace_csv_refuses_an_untraced_run(tmp_path):
+    s = QuantizedState.from_values([9, 0, 0, 0, 0])
+    res = run_to_convergence("quantized", line_graph(5), s, np.random.default_rng(0), 100)
+    assert res.trace_header == ()
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="trace_stride"):
+        write_trace_csv(res, path)
+    assert not path.exists()
+
+
 # ------------------------------------ both kernel paths vs reference stepper
 
 def _reference_run(protocol, g, s, rng, max_ticks, stride):
@@ -661,6 +671,10 @@ def test_trace_rows_across_row_buffers(protocol, monkeypatch):
             _assert_kernel_matches_stepper(protocol, g, 6, 100, stride, start=start)
 
 
+def _start_at(values):
+    return lambda protocol, n, seed: QuantizedState.from_values(values)
+
+
 @pytest.mark.parametrize("values", [
     [2**70, 3, -2**70, 0, 7],  # past int64: only the batch kernel can run it
     [2**62, 0, 1, 2, -2**62],  # the smallest magnitude the C loop refuses
@@ -668,7 +682,7 @@ def test_trace_rows_across_row_buffers(protocol, monkeypatch):
 ])
 def test_quantized_values_at_the_int64_edge_match_the_stepper(values):
     _assert_kernel_matches_stepper("quantized", line_graph(5), 11, 3000, 97,
-                                   start=lambda protocol, n, seed: QuantizedState.from_values(values))
+                                   start=_start_at(values))
 
 
 @pytest.mark.parametrize("values", [
@@ -680,8 +694,28 @@ def test_quantized_trace_rows_at_rounding_edges_match_the_stepper(values):
     # signs has every mantissa bit in use: on some of these runs' rows libm's
     # pow(d, 2.0) and d * d round apart, so a compiled row must call pow as
     # Python's ** does, summed in lyapunov()'s order.
-    _assert_kernel_matches_stepper("quantized", line_graph(6), 11, 200, 1,
-                                   start=lambda protocol, n, seed: QuantizedState.from_values(values))
+    _assert_kernel_matches_stepper("quantized", line_graph(6), 11, 200, 1, start=_start_at(values))
+
+
+def test_quantized_trace_row_memo_keeps_pow_bits():
+    # Values span 157 integers, so a compiled traced run memoises each value's term.
+    # The term of 84 rounds apart through pow and through d * d: the memo must hold pow's.
+    values = [84, -73] + [0] * 11
+    d = 84 - 11 / 13
+    assert d**2 == 6914.562130177515 != d * d == 6914.562130177516
+    products = 0.0
+    for v in values:
+        products += (v - 11 / 13) * (v - 11 / 13)
+    assert lyapunov(QuantizedState.from_values(values)) != products  # and so does the first row
+    _assert_kernel_matches_stepper("quantized", line_graph(13), 3, 300, 1, start=_start_at(values))
+
+
+@pytest.mark.parametrize("spread", [consensus._SQUARES_SPAN - 1, consensus._SQUARES_SPAN])
+def test_quantized_trace_rows_at_the_memo_cap_match_the_stepper(spread):
+    # spread < _SQUARES_SPAN takes the memo, whose first and last slots the nodes
+    # at lo and hi read; spread == _SQUARES_SPAN calls pow on every row.
+    values = [-7, spread - 7, 3, spread // 3, 0]
+    _assert_kernel_matches_stepper("quantized", line_graph(5), 4, 300, 1, start=_start_at(values))
 
 
 def test_a_budget_past_int64_runs_as_the_default_budget(monkeypatch):

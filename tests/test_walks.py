@@ -275,6 +275,15 @@ def test_exact_tables_reject_a_disconnected_graph(g):
             solve(edge_weights(g))
 
 
+def test_exact_tables_reject_a_walk_that_leaves_its_start_for_good():
+    # Node 0 reaches every node, but no node reaches 0: only the search along P's
+    # transpose, which a symmetric support skips, finds it.
+    m = WalkMatrix("simple", np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    for solve in (hitting_table, stationary_distribution):
+        with pytest.raises(SolverError, match="reducible"):
+            solve(m)
+
+
 def test_exact_tables_check_their_residuals(monkeypatch):
     # No residual is below a negative tolerance, so each check must fire.
     g = lollipop_graph(10, 7)
