@@ -37,24 +37,22 @@ run in the call) to ``rows[nrows++]``. ``due``, the ticks left to the next
 row, carries over from call to call, so a call may start between two rows,
 and a call of at most ``stride`` * capacity ticks writes at most capacity
 rows. ``nrows`` is reset on entry, and a call that returns at ``limit``
-adds it to ``tick``. A converged run makes no further call, so a loop
-returning on the converging tick writes back only its counter, and no
-row: the caller records that tick's row.
+adds it to ``tick``. A loop writes only the rows due inside a call: the
+caller records a run's first row, and its last (the converging tick's, or a
+timeout's off the stride), from the state that the call leaves.
 
 - A binary row is (tick, s_plus, s_minus, w_plus, w_minus), computed from
   ``packed`` and the strong counts at the run's start, which
   ``all_negative`` = (n + 1) * s_plus and ``all_positive`` = n + (n + 1) *
   s_minus hold.
-- A quantized row is (tick, ``lyap``, ``vmin``, ``vmax``), the state's
-  ``consensus.lyapunov``, ``min`` and ``max``. Before every return of a
-  traced run, a call with ``limit`` 0 included, ``qc_quantized`` also
-  writes the row of the values it leaves to ``Run.lyap``, ``vmin`` and
-  ``vmax``: the rows of the first and the last tick. ``mean`` is the sum
-  over n as Python divides it (the sum can exceed int64), and ``lyap``
-  repeats CPython's float operations in ``lyapunov``'s order: ``(double)v
-  - mean`` (C and CPython both convert the integer to the nearest double),
-  then ``pow(fabs(d), 2.0)``, which is what ``float ** 2`` calls, added left
-  to right from 0.0. ``CC`` keeps those bits: ``-fno-builtin-pow`` stops the
+- A quantized row is (tick, lyap, vmin, vmax): the state's
+  ``consensus.lyapunov``, ``min`` and ``max``, as the caller computes them
+  in Python for the first and last rows. ``mean`` is the sum over n as
+  Python divides it (the sum can exceed int64), and lyap repeats CPython's
+  float operations in ``lyapunov``'s order: ``(double)v - mean`` (C and
+  CPython both convert the integer to the nearest double), then
+  ``pow(fabs(d), 2.0)``, which is what ``float ** 2`` calls, added left to
+  right from 0.0. ``CC`` keeps those bits: ``-fno-builtin-pow`` stops the
   compiler from turning the ``pow`` into ``d * d``, which rounds apart from
   glibc's ``pow`` on about one square in a thousand, and
   ``-ffp-contract=off`` forbids fused multiply-adds. Where ``Run.squares``
@@ -109,8 +107,6 @@ typedef struct run {  /* ckernel.Run */
     int64_t all_negative, all_positive;   /* binary */
     int64_t q;                            /* quantized */
     double mean;                          /* quantized: sum / n, as Python divides */
-    double lyap;                          /* quantized row: lyapunov(), min, max */
-    int64_t vmin, vmax;
     double *squares;                      /* quantized row: memo of each value's term, at
                                              v - lo; -1.0 until computed; or NULL */
     int64_t lo;
@@ -195,8 +191,9 @@ static inline double square(const run_t *r, int64_t v)
     return pow(fabs((double)v - r->mean), 2.0);
 }
 
-/* lyapunov(), min and max of the values, in CPython's float operations and order. */
-static void quantized_row(const run_t *r, double *lyap, int64_t *vmin, int64_t *vmax)
+/* Fills lyapunov(), min and max of the values into row, in CPython's float operations
+   and order. */
+static void quantized_row(const run_t *r, quantized_row_t *row)
 {
     const int64_t *val = r->state;
     double *squares = r->squares, total = 0.0;
@@ -216,9 +213,9 @@ static void quantized_row(const run_t *r, double *lyap, int64_t *vmin, int64_t *
         if (v > most)
             most = v;
     }
-    *lyap = total;
-    *vmin = least;
-    *vmax = most;
+    row->lyap = total;
+    row->vmin = least;
+    row->vmax = most;
 }
 
 int64_t qc_quantized(run_t *r, int64_t limit)
@@ -244,20 +241,16 @@ int64_t qc_quantized(run_t *r, int64_t limit)
             outside += IN_QQ1(a) - IN_QQ1(na) + IN_QQ1(b) - IN_QQ1(nb);
             if (outside == 0) {
                 r->counter = 0;
-                if (r->stride)
-                    quantized_row(r, &r->lyap, &r->vmin, &r->vmax);
                 return k;
             }
         }
         if (row_due(r, k - 1 - done)) {
             quantized_row_t *row = (quantized_row_t *)r->rows + r->nrows++;
             row->tick = r->tick + k - 1;
-            quantized_row(r, &row->lyap, &row->vmin, &row->vmax);
+            quantized_row(r, row);
         }
     }
     r->counter = outside;
-    if (r->stride)
-        quantized_row(r, &r->lyap, &r->vmin, &r->vmax);
     r->tick += limit;
     return limit;
 }
@@ -274,9 +267,8 @@ class Run(ctypes.Structure):
 
     _fields_ = [("bitgen", _P), ("n", _I), ("deg", _P), ("off", _P), ("flat", _P),
                 ("state", _P), ("counter", _I), ("table", _P), ("all_negative", _I),
-                ("all_positive", _I), ("q", _I), ("mean", _D), ("lyap", _D), ("vmin", _I),
-                ("vmax", _I), ("squares", _P), ("lo", _I), ("stride", _I), ("due", _I),
-                ("tick", _I), ("rows", _P), ("nrows", _I)]
+                ("all_positive", _I), ("q", _I), ("mean", _D), ("squares", _P), ("lo", _I),
+                ("stride", _I), ("due", _I), ("tick", _I), ("rows", _P), ("nrows", _I)]
 
 
 # The trace rows the loops write: binary_row_t and quantized_row_t.

@@ -26,11 +26,11 @@ discards the draws of its last batch past the convergence tick, so there
 the generator's position after a run is unspecified. Both read the same
 stream and give the same ticks, states and traces; the per-tick steppers
 (``binary_step``/``quantized_step``) are the reference both are tested
-against, tick for tick, for the same seed. A traced run's rows come from
-the kernel: the C loop writes them into a buffer of _TRACE_ROWS rows per
-run, which comes back to Python once per call, and computes a quantized
-row (``lyapunov``, min, max) float for float as ``lyapunov`` does; the
-batch kernel records them in Python from its counters and values.
+against, tick for tick, for the same seed. A traced run's first and last
+rows come from the state, which a compiled call copies back from C, through
+one Python ``row`` per protocol. The C loop writes the rows in between into
+a buffer of _TRACE_ROWS rows per run, a quantized row float for float as
+``lyapunov`` does; the batch kernel calls ``row`` for them too.
 
 A state holds only its node values, tick and conserved sum: counts are
 computed from the values, and each kernel keeps its own counters for a run.
@@ -303,8 +303,8 @@ def _run_kernel(g: Graph, s, max_ticks: int, stride: int, step, row):
     ticks into the run that it reaches without converging, and carries the
     ticks to the next row from call to call, so a call may start anywhere.
     Calls are cut at _CHUNK ticks and at _TRACE_ROWS * ``stride`` ticks,
-    which hold at most _TRACE_ROWS rows; ``row(tick)`` gives the rows of the
-    first and the final tick.
+    which hold at most _TRACE_ROWS rows. ``row(tick)`` computes the rows of
+    the first and the final tick from the state each ``step`` leaves.
     """
     if max_ticks and not all(g.adjacency):  # cheaper than deg.all() on small graphs
         raise ValueError("every node needs a neighbor to run a protocol")
@@ -377,7 +377,8 @@ def _trace_rows(run: ckernel.Run, tick: int, stride: int, row_type):
 
 @lru_cache(maxsize=1)
 def _csr_pointers(g: Graph) -> tuple:
-    """``csr(g)``'s arrays and their addresses: the memo keeps the arrays alive."""
+    """``csr(g)``'s arrays and their addresses; a caller holds the arrays while it uses
+    the addresses, since the next graph evicts them from the memo."""
     arrays = csr(g)
     return arrays, tuple(a.ctypes.data for a in arrays)
 
@@ -432,8 +433,9 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
 
         step = _batch_step(g, rng, apply, s.tick, stride, row)
     else:
+        csr_arrays, csr_addresses = _csr_pointers(g)  # the arrays live as long as the run
         c_opinions = (c_int8 * n)(*opinions)
-        run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_opinions),
+        run = ckernel.Run(ckernel.bitgen(rng), n, *csr_addresses, addressof(c_opinions),
                           packed, _binary_table(n)[2], all_negative, all_positive)
         rows = _trace_rows(run, s.tick, stride, ckernel.BINARY_ROW)
         loop, address, lock = kernel.binary, addressof(run), rng.bit_generator.lock
@@ -443,12 +445,11 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
             with lock:
                 k = loop(address, limit)
             packed = run.counter
+            opinions[:] = np.frombuffer(c_opinions, np.int8).tolist()
             return k, packed == all_negative or packed == all_positive, rows()
 
     converged = packed in (all_negative, all_positive)
     ticks, trace = _run_kernel(g, s, 0 if converged else max_ticks, stride, step, row)
-    if kernel is not None:
-        opinions[:] = np.frombuffer(c_opinions, np.int8).tolist()
     converged = packed in (all_negative, all_positive)
     detail = (("all_positive" if packed == all_positive else "all_negative") if converged
               else "timeout")
@@ -465,6 +466,10 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
     lo, hi = min(values), max(values)
     # Values in (-2**62, 2**62) keep every difference the C loop takes inside int64.
     kernel = ckernel.load() if -_C_VALUE_LIMIT < lo and hi < _C_VALUE_LIMIT else None
+
+    def row(tick):
+        return tick, lyapunov(s), min(values), max(values)
+
     if kernel is None:
         def apply(us, vs):
             nonlocal off
@@ -481,13 +486,11 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
                     return k
             return None
 
-        def row(tick):
-            return tick, lyapunov(s), min(values), max(values)
-
         step = _batch_step(g, rng, apply, s.tick, stride, row)
     else:
+        csr_arrays, csr_addresses = _csr_pointers(g)  # the arrays live as long as the run
         c_values = (c_int64 * n)(*values)
-        run = ckernel.Run(ckernel.bitgen(rng), n, *_csr_pointers(g)[1], addressof(c_values),
+        run = ckernel.Run(ckernel.bitgen(rng), n, *csr_addresses, addressof(c_values),
                           off, q=q, mean=s.q_sum / n)  # the mean lyapunov() takes
         rows = _trace_rows(run, s.tick, stride, ckernel.QUANTIZED_ROW)
         if stride and hi - lo < _SQUARES_SPAN:
@@ -502,17 +505,10 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
             with lock:
                 k = loop(address, limit)
             off = run.counter
+            values[:] = np.frombuffer(c_values, np.int64).tolist()
             return k, off == 0, rows()
 
-        def row(tick):  # filled by the last call
-            return tick, run.lyap, run.vmin, run.vmax
-
-        if stride:
-            step(0)  # a call of no ticks fills the first tick's row
-
     ticks, trace = _run_kernel(g, s, max_ticks if off else 0, stride, step, row)
-    if kernel is not None:
-        values[:] = np.frombuffer(c_values, np.int64).tolist()
     converged = off == 0
     detail = f"q={q} r={s.r}" if converged else "timeout"
     header = _QUANTIZED_TRACE_HEADER if stride else ()

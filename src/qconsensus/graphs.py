@@ -21,6 +21,7 @@ import numpy as np
 from .rows import data_lines
 
 TOPOLOGY_KINDS = ("star", "line", "lollipop", "complete", "erdos_renyi", "edge_list")
+ER_MAX_SAMPLES = 1000  # samples erdos_renyi_graph draws before it gives up
 
 
 class GraphConstructionError(ValueError):
@@ -168,13 +169,13 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
 
     Deterministic re-seeding (rather than drawing again from one stream)
     makes the produced graph a pure function of (n, p, seed). The number
-    of rejected samples is recorded in graph.meta["er_retries"].
+    of rejected samples is recorded in graph.meta["er_retries"]. After
+    ER_MAX_SAMPLES disconnected samples it raises GraphConstructionError.
     """
     if not (0.0 < p <= 1.0):
         raise GraphConstructionError(f"erdos_renyi requires 0 < p <= 1, got p={p}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    retries = 0
-    while True:
+    for retries in range(ER_MAX_SAMPLES):
         rng = np.random.default_rng(seed + retries)
         mask = rng.random(len(pairs)) < p
         g = Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
@@ -182,7 +183,8 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
             g.meta["er_retries"] = retries
             g.meta["er_seed"] = seed + retries
             return g
-        retries += 1
+    raise GraphConstructionError(f"erdos_renyi found no connected G(n={n}, p={p}) in "
+                                 f"{ER_MAX_SAMPLES} samples")
 
 
 def build_graph(spec: TopologySpec) -> Graph:

@@ -4,7 +4,7 @@ A sweep measures mean convergence ticks over a fixed number of rounds per
 graph size. Every round's RNG stream is derived from (master seed, n,
 round index), and an Erdős-Rényi graph's sampling seed from (master seed,
 n), both through ``seed_sequence``, so a config fully determines every
-record regardless of execution order or worker count.
+record, whatever order the rounds run in.
 """
 
 from __future__ import annotations
@@ -192,6 +192,8 @@ class SweepConfig:
             raise ValueError(f"max_ticks must be >= 0, got {self.max_ticks}")
         if self.lo > self.hi:
             raise ValueError(f"lo must be <= hi, got lo={self.lo}, hi={self.hi}")
+        if not -2**63 <= self.lo <= self.hi < 2**63:  # the range rng.integers draws from
+            raise ValueError(f"lo and hi must fit in int64, got lo={self.lo}, hi={self.hi}")
         if not self.n_values:
             raise ValueError("n_values must not be empty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):

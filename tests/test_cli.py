@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qconsensus.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, _topology_spec, build_parser, main
+from qconsensus.graphs import ER_MAX_SAMPLES
 from qconsensus.harness import DESK_N_VALUES, SweepConfig, fit_scaling, run_sweep
 
 from conftest import KERNEL_PATHS, kernel_path
@@ -45,6 +46,18 @@ def test_simulate_json_format(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["topology"] == "line"
     assert rows[0]["converged"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("hitting", "--topo", "erdos_renyi", "--n", "2", "--p", "1e-9"),
+    ("simulate", "--topo", "erdos_renyi", "--n", "50", "--p", "0.01", "--protocol", "binary"),
+])
+def test_an_erdos_renyi_graph_past_its_sample_bound_is_a_usage_error(argv, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: erdos_renyi found no connected G(n=")
+    assert captured.err.endswith(f" in {ER_MAX_SAMPLES} samples\n")
 
 
 def test_simulate_byte_identical_outputs(tmp_path):
@@ -132,6 +145,12 @@ def test_sweep_rejects_lo_above_hi(capsys):
      "q_setting1 requires n >= 3, got 2"),
     (("--topo", "star", "--protocol", "binary", "--n-values", "5,7", "--fit"),
      "--fit needs at least 3 n-values, got 2"),
+    (("--topo", "line", "--protocol", "quantized", "--n-values", "5,7,9",
+      "--lo", "-9223372036854775809"),
+     "lo and hi must fit in int64, got lo=-9223372036854775809, hi=100"),
+    (("--topo", "line", "--protocol", "quantized", "--n-values", "5,7,9",
+      "--hi", "9223372036854775808"),
+     "lo and hi must fit in int64, got lo=1, hi=9223372036854775808"),
 ])
 def test_sweep_rejects_a_bad_config_before_its_header(argv, message, tmp_path, capsys):
     edges = tmp_path / "g.txt"

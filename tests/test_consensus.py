@@ -1,4 +1,6 @@
+import gc
 import shutil
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -720,13 +722,13 @@ def test_quantized_trace_rows_at_the_memo_cap_match_the_stepper(spread):
 
 def test_a_budget_past_int64_runs_as_the_default_budget(monkeypatch):
     # ctypes keeps only the low 64 bits of an int64 argument (2**64 + 1 would
-    # pass as 1, 2**70 as 0), so each compiled call must get a limit that fits.
-    # A limit of 0 is the first call of a traced quantized run, which fills its first row.
+    # pass as 1, 2**70 as 0), so each compiled call must get a limit that fits,
+    # and no call asks for 0 ticks.
     kernel = ckernel.load()
     if kernel is not None:
         def checked(loop):
             def call(address, limit):
-                assert 0 <= limit < 2**63, limit
+                assert 0 < limit < 2**63, limit
                 return loop(address, limit)
             return call
 
@@ -749,6 +751,39 @@ def test_a_budget_past_int64_runs_as_the_default_budget(monkeypatch):
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+@needs_cc
+@pytest.mark.parametrize("protocol", ["binary", "quantized"])
+def test_a_compiled_run_holds_its_csr_arrays_when_the_memo_drops_them(protocol, monkeypatch):
+    # A compiled call releases the GIL, so another thread's run on another graph can
+    # evict the one-entry memo of g's arrays between two calls of a run on g. Evict it
+    # before every call, 5 ticks apart: the run must still hold the arrays its calls read.
+    kernel = ckernel.load()
+    monkeypatch.setattr(consensus, "_CHUNK", 5)
+    g, other = line_graph(9), star_graph(4)
+    flat = weakref.ref(consensus._csr_pointers(g)[0][2])
+    calls = []
+
+    def evicting(loop):
+        def call(address, limit):
+            consensus._csr_pointers(other)
+            gc.collect()
+            assert flat() is not None, "a compiled call would read freed memory"
+            calls.append(limit)
+            return loop(address, limit)
+        return call
+
+    monkeypatch.setattr(ckernel, "load", lambda: SimpleNamespace(
+        **{**vars(kernel), protocol: evicting(getattr(kernel, protocol))}))
+    for stride in (0, 7):
+        calls.clear()
+        s = _never_converges_within_100(protocol, g.n, 0)
+        res = run_to_convergence(protocol, g, s, np.random.default_rng(3), 100, stride)
+        assert not res.converged and len(calls) == 20
+        gc.collect()
+        assert flat() is None  # and a finished run lets them go
+        flat = weakref.ref(consensus._csr_pointers(g)[0][2])
 
 
 @needs_cc

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qconsensus
+from qconsensus import graphs
 from qconsensus.graphs import (
     Graph,
     GraphConstructionError,
@@ -99,6 +100,18 @@ def test_erdos_renyi_reseeds_until_connected():
     assert g.meta["er_seed"] == 1 + g.meta["er_retries"]
     again = erdos_renyi_graph(20, 0.08, 1)
     assert again.adjacency == g.adjacency
+
+
+def test_erdos_renyi_gives_up_after_its_sample_bound(monkeypatch):
+    with pytest.raises(GraphConstructionError, match=re.escape(
+            f"no connected G(n=2, p=1e-09) in {graphs.ER_MAX_SAMPLES} samples")):
+        erdos_renyi_graph(2, 1e-9, 0)
+    # (20, 0.08, 1) draws 247 samples: the bound counts the connected one too.
+    monkeypatch.setattr(graphs, "ER_MAX_SAMPLES", 247)
+    assert erdos_renyi_graph(20, 0.08, 1).meta["er_retries"] == 246
+    monkeypatch.setattr(graphs, "ER_MAX_SAMPLES", 246)
+    with pytest.raises(GraphConstructionError, match=r"p=0\.08\) in 246 samples"):
+        erdos_renyi_graph(20, 0.08, 1)
 
 
 def test_is_connected():
