@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired before/after benchmark of one layer, in one process.
 
-    python3 scripts/bench_ab.py {kernel,exact,walks,runs} [...] [--out PATH]
+    python3 scripts/bench_ab.py {kernel,exact,walks,runs,graphs} [...] [--out PATH]
 
 "Before" is the whole ``src/qconsensus`` tree at HEAD when ``src/`` has
 uncommitted changes, else at HEAD~1, extracted with ``git archive`` into a
@@ -43,6 +43,12 @@ machine and the revisions. Workloads:
   500 runs each of binary ``majority_one`` on star(5) and line(5), run ri
   of a case on ``round_rng(RUNS_SEED, n, ri)``. Both sides must give
   identical ticks and outcomes.
+- ``graphs`` (graphs.py, 15 repeats): s/call of ``build_graph`` over the
+  desk ER sweep (``topology_spec`` with master seed GRAPHS_SEED), of
+  ER(481) on the same rule, of the lollipop(300) edge list with nodes
+  relabelled by a GRAPHS_SEED permutation, of complete(481), and over the
+  desk line and lollipop sweeps. Both sides must give the same adjacency
+  and ``meta``.
 
 A disagreement between the sides exits with an error.
 """
@@ -78,7 +84,7 @@ import numpy as np  # noqa: E402
 
 from qconsensus import consensus, graphs, harness, walks  # noqa: E402
 from qconsensus.graphs import TopologySpec, build_graph, er_probability  # noqa: E402
-from qconsensus.harness import lollipop_clique_size  # noqa: E402
+from qconsensus.harness import DESK_N_VALUES, lollipop_clique_size, topology_spec  # noqa: E402
 
 TICKS_PER_CASE = 200_000
 SMALL_STRIDE_TICKS = 20_000
@@ -86,6 +92,7 @@ SHORT_RUNS = 40_000
 TRACE_STRIDE = 100
 TABLE_RTOL = 1e-9
 RUNS_SEED = 41
+GRAPHS_SEED = 11
 BEFORE_PACKAGE = "qconsensus_before"
 
 
@@ -266,6 +273,36 @@ def runs_cases() -> list[Case]:
     return cases
 
 
+# ------------------------------------------------------------------ graphs
+
+def build_all(side, specs) -> tuple[float, list]:
+    """Time ``side``'s build_graph over ``specs``, each passed as ``side``'s own TopologySpec."""
+    own = [side.graphs.TopologySpec(**vars(spec)) for spec in specs]
+    t = perf_counter()
+    built = [side.graphs.build_graph(spec) for spec in own]
+    return perf_counter() - t, [(g.adjacency, g.meta) for g in built]
+
+
+def graphs_cases() -> list[Case]:
+    def sweep(kind):
+        return [topology_spec(kind, n, GRAPHS_SEED) for n in DESK_N_VALUES[kind]]
+
+    base = lollipop(300)
+    perm = np.random.default_rng(GRAPHS_SEED).permutation(base.n).tolist()
+    relabelled = tuple(sorted((perm[u], perm[v]) for u, v in base.edges()))
+    inputs = (
+        ("build_graph/desk ER sweep", sweep("erdos_renyi")),
+        ("build_graph/ER(481)", [topology_spec("erdos_renyi", 481, GRAPHS_SEED)]),
+        ("build_graph/relabelled lollipop(300) edges",
+         [TopologySpec("edge_list", base.n, edges=relabelled)]),
+        ("build_graph/complete(481)", [TopologySpec("complete", 481)]),
+        ("build_graph/desk line sweep", sweep("line")),
+        ("build_graph/desk lollipop sweep", sweep("lollipop")),
+    )
+    return [Case(name, "s/call", lambda side, rep, specs=specs: build_all(side, specs))
+            for name, specs in inputs]
+
+
 @dataclass
 class Workload:
     title: str
@@ -284,6 +321,8 @@ WORKLOADS = {
                       walks_cases, None),
     "runs": Workload("paired per-run fixed cost of short protocol runs, one process",
                      ("graphs", "harness", "consensus"), 15, runs_cases, lambda a, b: a == b),
+    "graphs": Workload("paired graph construction before/after, one process", ("graphs",), 15,
+                       graphs_cases, lambda a, b: a == b),
 }
 
 

@@ -132,8 +132,9 @@ def cmd_sweep(args) -> int:
         rounds=args.rounds, master_seed=args.seed, m=args.m, p=args.p,
         lo=args.lo, hi=args.hi, max_ticks=args.max_ticks,
     )
+    sweep = iter_sweep(cfg)
     with _open_out(args.out) as fh:
-        records = write_sweep_table(fh, args.format, cfg, iter_sweep(cfg))
+        records = write_sweep_table(fh, args.format, cfg, sweep)
     if args.rounds_out:
         write_rounds_csv(records, _resolve_out(args.rounds_out))
     if args.curves_out:

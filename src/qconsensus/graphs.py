@@ -4,6 +4,13 @@ Nodes are dense integers 0..n-1. Generator conventions are fixed so that
 exact-value tests can address specific nodes: star puts the hub at node 0,
 line orders nodes 0..n-1 along the path, lollipop builds the clique on
 nodes 0..m-1 and hangs the tail off node m-1.
+
+Construction and validation run on numpy arrays. Edges become rows through
+one sort of the keys u*n + v of both directions (``_rows``), and ``Graph``
+checks integer adjacencies in numpy (``_numpy_accepts``). The Python walks
+``_check_rows`` and ``_check_edges`` only name the fault of an input numpy
+rejected, and check an input numpy cannot hold exactly (floats, strings,
+integers past int64), which is never truncated.
 """
 
 from __future__ import annotations
@@ -30,7 +37,14 @@ class GraphConstructionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected simple graph as sorted adjacency lists."""
+    """Immutable undirected simple graph as sorted adjacency lists.
+
+    Construction checks that the rows lie in 0..n-1, hold no self-loop, are
+    strictly increasing and are symmetric. Integer rows are checked in numpy;
+    the Python walk runs only to name the fault of rows numpy rejected, and
+    to check entries numpy cannot hold exactly, such as floats, strings or
+    integers past int64.
+    """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -41,50 +55,25 @@ class Graph:
             raise GraphConstructionError("node count must be >= 1")
         if len(self.adjacency) != self.n:
             raise GraphConstructionError("adjacency length must equal node count")
-        for i, nbrs in enumerate(self.adjacency):
-            if not nbrs:
-                continue
-            increasing = all(map(operator.lt, nbrs, nbrs[1:]))
-            # a strictly increasing row has its extremes at its ends
-            lo, hi = (nbrs[0], nbrs[-1]) if increasing else (min(nbrs), max(nbrs))
-            if lo < 0 or hi >= self.n:
-                raise GraphConstructionError(f"node {i} has a neighbor outside 0..{self.n - 1}")
-            if i in nbrs:
-                raise GraphConstructionError(f"self-loop at node {i}")
-            if not increasing:
-                if len(set(nbrs)) != len(nbrs):
-                    raise GraphConstructionError(f"duplicate neighbor at node {i}")
-                raise GraphConstructionError(f"adjacency of node {i} is not sorted")
-        # Symmetry in O(E) time and O(n) memory. Each entry j < i of row i
-        # must match the next unread entry above the diagonal of row j: rows
-        # are visited in ascending order, so a symmetric graph consumes each
-        # row's upper part in order, and every upper entry must be consumed.
-        adj = self.adjacency
-        nxt = [bisect.bisect(row, j) for j, row in enumerate(adj)]
-        for i, nbrs in enumerate(adj):
-            for j in nbrs[:bisect.bisect(nbrs, i)]:
-                row = adj[j]
-                k = nxt[j]
-                if k == len(row) or row[k] != i:
-                    if k < len(row) and row[k] < i:
-                        raise GraphConstructionError(f"edge ({j},{row[k]}) is not symmetric")
-                    raise GraphConstructionError(f"edge ({i},{j}) is not symmetric")
-                nxt[j] = k + 1
-        for j, row in enumerate(adj):
-            if nxt[j] < len(row):
-                raise GraphConstructionError(f"edge ({j},{row[nxt[j]]}) is not symmetric")
+        if not _numpy_accepts(self.n, self.adjacency):
+            _check_rows(self.n, self.adjacency)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphConstructionError(f"edge ({u},{v}) outside 0..{n - 1}")
-            if u == v:
-                raise GraphConstructionError(f"self-loop at node {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
+        """The graph of the undirected (u, v) pairs ``edges``; repeats are merged.
+
+        Every edge must join two distinct integer nodes in 0..n-1; the first
+        edge in input order that does not is named.
+        """
+        edges = list(edges)
+        flat = np.array(list(chain.from_iterable(edges)))
+        if flat.dtype.kind == "i" and flat.ndim == 1 and set(map(len, edges)) == {2}:
+            u, v = flat[0::2], flat[1::2]
+            bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+            if not bad.size:
+                return cls(n, _rows(n, u, v))
+            edges = edges[:bad[0] + 1]  # _check_edges raises at its last edge
+        return cls(n, _rows(n, *_check_edges(n, edges)))
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -98,6 +87,121 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
+
+
+def _key_dtype(n: int):
+    """int32 while every key u*n + v of n nodes fits it, else int64."""
+    return np.int32 if n * n < 2**31 else np.int64
+
+
+def _rows(n: int, u: np.ndarray, v: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency rows, of Python ints, of the undirected edges (u[k], v[k]).
+
+    Every end must lie in 0..n-1 and no edge may be a loop; repeats merge.
+    """
+    m = len(u)
+    keys = np.empty(2 * m, _key_dtype(n))
+    ahead, back = keys[:m], keys[m:]
+    ahead[:] = u
+    ahead *= n
+    ahead += v
+    back[:] = v
+    back *= n
+    back += u
+    keys.sort()
+    first = np.ones(2 * m, bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    src, nbr = np.divmod(keys[first], n)
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    flat = tuple(nbr.tolist())
+    return tuple(flat[a:b] for a, b in zip([0, *ends], ends))
+
+
+def _check_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Check each edge in order, with nodes of any type; return the two ends as int64 arrays.
+
+    Raises GraphConstructionError at the first edge outside 0..n-1, looping,
+    or with a node that is not an integer.
+    """
+    ends = []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphConstructionError(f"edge ({u},{v}) outside 0..{n - 1}")
+        if u == v:
+            raise GraphConstructionError(f"self-loop at node {u}")
+        try:
+            ends += map(operator.index, (u, v))
+        except TypeError:
+            raise GraphConstructionError(f"edge ({u},{v}) has a node that is not an "
+                                         "integer") from None
+    flat = np.array(ends, np.int64)
+    return flat[0::2], flat[1::2]
+
+
+def _numpy_accepts(n: int, adjacency) -> bool:
+    """True iff the rows are in 0..n-1, loop-free, strictly increasing and symmetric.
+
+    False also when the rows hold no entry or an entry numpy cannot hold
+    exactly in int64; ``_check_rows`` decides those. np.array, not
+    np.fromiter, converts the entries: fromiter would turn 1.5 into 1 and
+    parse "1", where np.array keeps their kind. The keys i*n + j are
+    strictly increasing iff every row is, and then the graph is symmetric
+    iff the sorted transposed keys j*n + i equal them.
+    """
+    flat = np.array(list(chain.from_iterable(adjacency)))
+    if flat.dtype.kind != "i" or flat.ndim != 1 or flat.min() < 0 or flat.max() >= n:
+        return False
+    dtype = _key_dtype(n)
+    nbr = flat.astype(dtype)
+    del flat
+    keys = np.repeat(np.arange(n, dtype=dtype), np.fromiter(map(len, adjacency), np.intp, n))
+    if (nbr == keys).any():
+        return False
+    transposed = nbr * n
+    transposed += keys
+    keys *= n
+    keys += nbr
+    del nbr
+    if not (keys[1:] > keys[:-1]).all():
+        return False
+    transposed.sort()
+    return bool((transposed == keys).all())
+
+
+def _check_rows(n: int, adjacency) -> None:
+    """Raise GraphConstructionError at the first fault of ``adjacency``, checking
+    entries of any type; return if it has none."""
+    for i, nbrs in enumerate(adjacency):
+        if not nbrs:
+            continue
+        increasing = all(map(operator.lt, nbrs, nbrs[1:]))
+        # a strictly increasing row has its extremes at its ends
+        lo, hi = (nbrs[0], nbrs[-1]) if increasing else (min(nbrs), max(nbrs))
+        if lo < 0 or hi >= n:
+            raise GraphConstructionError(f"node {i} has a neighbor outside 0..{n - 1}")
+        if i in nbrs:
+            raise GraphConstructionError(f"self-loop at node {i}")
+        if not increasing:
+            if len(set(nbrs)) != len(nbrs):
+                raise GraphConstructionError(f"duplicate neighbor at node {i}")
+            raise GraphConstructionError(f"adjacency of node {i} is not sorted")
+    # Symmetry in O(E) time and O(n) memory. Each entry j < i of row i
+    # must match the next unread entry above the diagonal of row j: rows
+    # are visited in ascending order, so a symmetric graph consumes each
+    # row's upper part in order, and every upper entry must be consumed.
+    nxt = [bisect.bisect(row, j) for j, row in enumerate(adjacency)]
+    for i, nbrs in enumerate(adjacency):
+        for j in nbrs[:bisect.bisect(nbrs, i)]:
+            row = adjacency[j]
+            k = nxt[j]
+            if k == len(row) or row[k] != i:
+                if k < len(row) and row[k] < i:
+                    raise GraphConstructionError(f"edge ({j},{row[k]}) is not symmetric")
+                raise GraphConstructionError(f"edge ({i},{j}) is not symmetric")
+            nxt[j] = k + 1
+    for j, row in enumerate(adjacency):
+        if nxt[j] < len(row):
+            raise GraphConstructionError(f"edge ({j},{row[nxt[j]]}) is not symmetric")
 
 
 @dataclass(frozen=True)
@@ -146,7 +250,10 @@ def star_graph(n: int) -> Graph:
 
 def line_graph(n: int) -> Graph:
     """Path 0 - 1 - ... - (n-1)."""
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    rows = [(i - 1, i + 1) for i in range(n)]
+    rows[0] = rows[0][1:]  # drop node -1
+    rows[-1] = rows[-1][:-1]  # drop node n
+    return Graph(n, tuple(rows))
 
 
 def complete_graph(n: int) -> Graph:
@@ -159,26 +266,32 @@ def lollipop_graph(n: int, m: int) -> Graph:
     """Clique on nodes 0..m-1 with a path m-1, m, ..., n-1 hanging off it."""
     if not (3 <= m <= n):
         raise GraphConstructionError(f"lollipop requires 3 <= m <= n, got m={m}, n={n}")
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    edges += [(i, i + 1) for i in range(m - 1, n - 1)]
-    return Graph.from_edges(n, edges)
+    clique = tuple(range(m))
+    rows = [clique[:i] + clique[i + 1:] for i in range(m)]
+    rows += [(i - 1, i + 1) for i in range(m, n)]
+    if n > m:
+        rows[m - 1] += (m,)
+        rows[-1] = (n - 2,)
+    return Graph(n, tuple(rows))
 
 
 def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p), re-sampled with seed+1, seed+2, ... until connected.
 
     Deterministic re-seeding (rather than drawing again from one stream)
-    makes the produced graph a pure function of (n, p, seed). The number
-    of rejected samples is recorded in graph.meta["er_retries"]. After
-    ER_MAX_SAMPLES disconnected samples it raises GraphConstructionError.
+    makes the produced graph a pure function of (n, p, seed). Each sample
+    keeps pair k of the row-major pairs i < j when the k-th of its uniform
+    draws is below p. The number of rejected samples is recorded in
+    graph.meta["er_retries"]. After ER_MAX_SAMPLES disconnected samples it
+    raises GraphConstructionError.
     """
     if not (0.0 < p <= 1.0):
         raise GraphConstructionError(f"erdos_renyi requires 0 < p <= 1, got p={p}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    u, v = np.triu_indices(n, 1)
     for retries in range(ER_MAX_SAMPLES):
         rng = np.random.default_rng(seed + retries)
-        mask = rng.random(len(pairs)) < p
-        g = Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
+        kept = np.flatnonzero(rng.random(len(u)) < p)
+        g = Graph(n, _rows(n, u[kept], v[kept]))
         if is_connected(g):
             g.meta["er_retries"] = retries
             g.meta["er_seed"] = seed + retries

@@ -236,24 +236,32 @@ def round_rng(master_seed: int, n: int, round_index: int):
 
 
 def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRecord]:
-    """Yield one record per n as soon as its rounds finish."""
-    for n in cfg.n_values:
-        g = build_graph(cfg.spec_for(n))
-        budget = cfg.max_ticks_for(n)
-        rounds = []
-        for ri in range(cfg.rounds):
-            rng = round_rng(cfg.master_seed, n, ri)
-            state = initial_state(cfg.protocol, cfg.init, g, rng, cfg.kind, cfg.lo, cfg.hi)
-            result = run_to_convergence(cfg.protocol, g, state, rng, budget)
-            rounds.append((ri, result.ticks, result.converged))
-        ticks = [t for _, t, ok in rounds if ok]
-        if ticks:
-            mean = float(np.mean(ticks))
-            std = float(np.std(ticks, ddof=1)) if len(ticks) > 1 else 0.0
-        else:
-            mean = float("nan")
-            std = float("nan")
-        yield SweepRecord(n, mean, std, len(ticks), cfg.rounds, tuple(rounds))
+    """Yield one record per n as soon as its rounds finish.
+
+    Every n's graph is built before the iterator is returned, so a size whose
+    graph cannot be built (an ER graph past its sample bound) fails before a
+    caller has written anything.
+    """
+    graphs = [build_graph(cfg.spec_for(n)) for n in cfg.n_values]
+    return (_sweep_record(cfg, n, g) for n, g in zip(cfg.n_values, graphs))
+
+
+def _sweep_record(cfg: SweepConfig, n: int, g: Graph) -> SweepRecord:
+    budget = cfg.max_ticks_for(n)
+    rounds = []
+    for ri in range(cfg.rounds):
+        rng = round_rng(cfg.master_seed, n, ri)
+        state = initial_state(cfg.protocol, cfg.init, g, rng, cfg.kind, cfg.lo, cfg.hi)
+        result = run_to_convergence(cfg.protocol, g, state, rng, budget)
+        rounds.append((ri, result.ticks, result.converged))
+    ticks = [t for _, t, ok in rounds if ok]
+    if ticks:
+        mean = float(np.mean(ticks))
+        std = float(np.std(ticks, ddof=1)) if len(ticks) > 1 else 0.0
+    else:
+        mean = float("nan")
+        std = float("nan")
+    return SweepRecord(n, mean, std, len(ticks), cfg.rounds, tuple(rounds))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:

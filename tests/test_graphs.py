@@ -31,7 +31,7 @@ from qconsensus.graphs import (
     write_edge_list,
 )
 from qconsensus.consensus import run_to_convergence
-from qconsensus.harness import init_majority_one, round_rng
+from qconsensus.harness import DESK_N_VALUES, init_majority_one, round_rng, topology_spec
 from qconsensus.walks import sample_hitting
 
 from conftest import connected_graphs, tree_path
@@ -102,6 +102,32 @@ def test_erdos_renyi_reseeds_until_connected():
     assert again.adjacency == g.adjacency
 
 
+def _erdos_renyi_reference(n, p, seed):
+    """erdos_renyi_graph's rule over a Python list of the pairs i < j: (adjacency, meta)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for retries in range(graphs.ER_MAX_SAMPLES):
+        mask = np.random.default_rng(seed + retries).random(len(pairs)) < p
+        nbrs = [set() for _ in range(n)]
+        for i, j in [e for e, keep in zip(pairs, mask) if keep]:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        rows = tuple(tuple(sorted(row)) for row in nbrs)
+        if is_connected(Graph(n, rows)):
+            return rows, {"er_retries": retries, "er_seed": seed + retries}
+    raise AssertionError("no connected sample")
+
+
+def test_erdos_renyi_keeps_the_graphs_of_the_pair_list_rule():
+    specs = [topology_spec("erdos_renyi", n, seed)
+             for seed in (11, 2012) for n in DESK_N_VALUES["erdos_renyi"]]
+    specs += [TopologySpec("erdos_renyi", 20, p=0.08, seed=1)]  # 246 retries
+    specs += [TopologySpec("erdos_renyi", n, p=p, seed=5)
+              for n, p in ((1, 0.5), (2, 0.5), (481, er_probability(481)))]
+    for spec in specs:
+        g = build_graph(spec)
+        assert (g.adjacency, g.meta) == _erdos_renyi_reference(spec.n, spec.p, spec.seed)
+
+
 def test_erdos_renyi_gives_up_after_its_sample_bound(monkeypatch):
     with pytest.raises(GraphConstructionError, match=re.escape(
             f"no connected G(n=2, p=1e-09) in {graphs.ER_MAX_SAMPLES} samples")):
@@ -164,9 +190,15 @@ def test_path_degree_sums_from_rejects_unreachable_nodes():
 
 
 def test_complete_graph_matches_from_edges():
-    for n in (*range(2, 41), 481):
+    # complete, line and lollipop graphs build their rows directly
+    for n in (*range(1, 41), 481):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert complete_graph(n).adjacency == Graph.from_edges(n, pairs).adjacency
+        path = [(i, i + 1) for i in range(n - 1)]
+        assert line_graph(n).adjacency == Graph.from_edges(n, path).adjacency
+        for m in {3, max(3, (2 * n + 1) // 3), n} if n >= 3 else ():
+            edges = [(i, j) for i in range(m) for j in range(i + 1, m)] + path[m - 1:]
+            assert lollipop_graph(n, m).adjacency == Graph.from_edges(n, edges).adjacency
 
 
 def test_graph_rejects_self_loop():
@@ -193,6 +225,8 @@ def test_graph_rejects_duplicates():
         Graph(2, ((1, 1), (0,)))
     with pytest.raises(GraphConstructionError, match="duplicate neighbor at node 0"):
         Graph(4, ((2, 1, 2), (0,), (0,), ()))
+    with pytest.raises(GraphConstructionError, match="duplicate neighbor at node 0"):
+        Graph(2, ((1, 1), (0, 0)))  # symmetric as a multiset
     # the edge builder normalizes repeated edges instead
     assert Graph.from_edges(2, [(0, 1), (1, 0)]).edge_count() == 1
 
@@ -229,6 +263,75 @@ def test_graph_accepts_exactly_the_symmetric_adjacencies(n, data):
     else:
         with pytest.raises(GraphConstructionError, match="is not symmetric"):
             Graph(n, rows)
+
+
+def _walk_verdict(n, rows):
+    """The message of the Python walk's first fault in ``rows``, or None if it finds none."""
+    try:
+        graphs._check_rows(n, rows)
+    except GraphConstructionError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=200)
+def test_the_numpy_check_agrees_with_the_walk(n, data):
+    # A symmetric graph with up to three entries inserted (any value in
+    # -2..n+1: outside, negative, duplicate, self-loop or asymmetric),
+    # deleted (asymmetric) or swapped with the next (unsorted).
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.sets(pairs))
+    rows = [sorted({v for u, v in edges if u == i} | {u for u, v in edges if v == i})
+            for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        row = rows[data.draw(st.integers(0, n - 1))]
+        k = data.draw(st.integers(0, len(row)))
+        op = data.draw(st.sampled_from(("insert", "delete", "swap")))
+        if op == "insert":
+            row.insert(k, data.draw(st.integers(-2, n + 1)))
+        elif op == "delete" and k < len(row):
+            del row[k]
+        elif op == "swap" and k + 1 < len(row):
+            row[k], row[k + 1] = row[k + 1], row[k]
+    rows = tuple(map(tuple, rows))
+    expected = _walk_verdict(n, rows)
+    if any(rows):  # with no entries numpy has nothing to check, and the walk decides
+        assert graphs._numpy_accepts(n, rows) == (expected is None)
+    if expected is None:
+        assert Graph(n, rows).adjacency == rows
+    else:
+        with pytest.raises(GraphConstructionError) as info:
+            Graph(n, rows)
+        assert str(info.value) == expected
+
+
+def test_entries_numpy_cannot_hold_exactly_are_checked_untruncated():
+    with pytest.raises(GraphConstructionError, match=re.escape("edge (1,0) is not symmetric")):
+        Graph(2, ((1.5,), (0,)))
+    with pytest.raises(GraphConstructionError, match=r"node 0 has a neighbor outside 0\.\.1"):
+        Graph(2, ((2**70,), (0,)))
+    assert Graph(2, ((1.0,), (0,))).edge_count() == 1  # equal to an int, as before
+    with pytest.raises(GraphConstructionError, match=re.escape("edge (0,1.5) has a node that")):
+        Graph.from_edges(3, [(0, 1.5)])
+    with pytest.raises(GraphConstructionError, match=re.escape(
+            "edge (0,1180591620717411303424) outside 0..2")):
+        Graph.from_edges(3, [(0, 2**70)])
+
+
+def test_from_edges_names_the_first_bad_edge_in_input_order():
+    for edges, message in (([(0, 1), (1, 3), (2, 2)], "edge (1,3) outside 0..2"),
+                           ([(0, 1), (2, 2), (1, 3)], "self-loop at node 2"),
+                           ([(0, 1), (-1, 2)], "edge (-1,2) outside 0..2")):
+        for given_as in (list, np.array):
+            with pytest.raises(GraphConstructionError, match=re.escape(message)):
+                Graph.from_edges(3, given_as(edges))
+
+
+def test_numpy_integer_edges_give_rows_of_python_ints():
+    for edges in (np.array([[1, 0], [1, 2]]), [(np.int32(1), np.int64(0)), (1, np.int16(2))]):
+        g = Graph.from_edges(3, edges)
+        assert repr(g.adjacency) == "((1,), (0, 2), (1,))"
 
 
 def test_spec_validation_errors():
