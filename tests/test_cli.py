@@ -139,8 +139,6 @@ def test_sweep_rejects_lo_above_hi(capsys):
      "sweeps build one graph per n and cannot use an edge list"),
     (("--topo", "erdos_renyi", "--p", "0", "--protocol", "binary"),
      "erdos_renyi requires 0 < p <= 1, got p=0.0"),
-    (("--topo", "erdos_renyi", "--n-values", "51", "--p", "0.01", "--protocol", "binary"),
-     f"erdos_renyi found no connected G(n=51, p=0.01) in {ER_MAX_SAMPLES} samples"),
     (("--topo", "lollipop", "--m", "2", "--protocol", "binary"),
      "lollipop requires 3 <= m <= n, got m=2, n=9"),
     (("--topo", "line", "--protocol", "quantized", "--init", "q_setting1", "--n-values", "2,3"),
@@ -153,6 +151,8 @@ def test_sweep_rejects_lo_above_hi(capsys):
     (("--topo", "line", "--protocol", "quantized", "--n-values", "5,7,9",
       "--hi", "9223372036854775808"),
      "lo and hi must fit in int64, got lo=1, hi=9223372036854775808"),
+    (("--topo", "erdos_renyi", "--n-values", "51", "--p", "0.01", "--protocol", "binary"),
+     f"erdos_renyi found no connected G(n=51, p=0.01) in {ER_MAX_SAMPLES} samples"),
 ])
 def test_sweep_rejects_a_bad_config_before_its_header(argv, message, tmp_path, capsys):
     edges = tmp_path / "g.txt"
