@@ -7,10 +7,11 @@ nodes 0..m-1 and hangs the tail off node m-1.
 
 Construction and validation run on numpy arrays. Edges become rows through
 one sort of the keys u*n + v of both directions (``_rows``), and ``Graph``
-checks integer adjacencies in numpy (``_numpy_accepts``). The Python walks
-``_check_rows`` and ``_check_edges`` only name the fault of an input numpy
-rejected, and check an input numpy cannot hold exactly (floats, strings,
-integers past int64), which is never truncated.
+checks integer adjacencies in numpy (``_numpy_accepts``). The Python walk
+``_check_rows`` only names the fault of rows numpy rejected, and checks rows
+numpy cannot hold exactly (floats, strings, integers past int64), which are
+never truncated. ``Graph.from_edges`` checks its edges one by one in Python
+(``_check_edges``) before it hands them to ``_rows``.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ class Graph:
         Every edge must join two distinct integer nodes in 0..n-1; the first
         edge in input order that does not is named.
         """
-        edges = list(edges)
-        flat = np.array(list(chain.from_iterable(edges)))
-        if flat.dtype.kind == "i" and flat.ndim == 1 and set(map(len, edges)) == {2}:
-            u, v = flat[0::2], flat[1::2]
-            bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
-            if not bad.size:
-                return cls(n, _rows(n, u, v))
-            edges = edges[:bad[0] + 1]  # _check_edges raises at its last edge
         return cls(n, _rows(n, *_check_edges(n, edges)))
 
     def degree(self, i: int) -> int:
@@ -123,17 +116,18 @@ def _check_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     Raises GraphConstructionError at the first edge outside 0..n-1, looping,
     or with a node that is not an integer.
     """
+    index = operator.index
     ends = []
     for u, v in edges:
+        try:
+            ends += index(u), index(v)
+        except TypeError:
+            raise GraphConstructionError(f"edge ({u},{v}) has a node that is not an "
+                                         "integer") from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphConstructionError(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:
             raise GraphConstructionError(f"self-loop at node {u}")
-        try:
-            ends += map(operator.index, (u, v))
-        except TypeError:
-            raise GraphConstructionError(f"edge ({u},{v}) has a node that is not an "
-                                         "integer") from None
     flat = np.array(ends, np.int64)
     return flat[0::2], flat[1::2]
 

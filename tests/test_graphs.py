@@ -312,8 +312,10 @@ def test_entries_numpy_cannot_hold_exactly_are_checked_untruncated():
     with pytest.raises(GraphConstructionError, match=r"node 0 has a neighbor outside 0\.\.1"):
         Graph(2, ((2**70,), (0,)))
     assert Graph(2, ((1.0,), (0,))).edge_count() == 1  # equal to an int, as before
-    with pytest.raises(GraphConstructionError, match=re.escape("edge (0,1.5) has a node that")):
-        Graph.from_edges(3, [(0, 1.5)])
+    for edge in ((0, 1.5), (0, "1"), ("0", 5), (0, 5.5)):
+        with pytest.raises(GraphConstructionError, match=re.escape(
+                f"edge ({edge[0]},{edge[1]}) has a node that is not an integer")):
+            Graph.from_edges(3, [(0, 1), edge])
     with pytest.raises(GraphConstructionError, match=re.escape(
             "edge (0,1180591620717411303424) outside 0..2")):
         Graph.from_edges(3, [(0, 2**70)])
