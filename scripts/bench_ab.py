@@ -46,9 +46,10 @@ machine and the revisions. Workloads:
 - ``graphs`` (graphs.py, 15 repeats): s/call of ``build_graph`` over the
   desk ER sweep (``topology_spec`` with master seed GRAPHS_SEED), of
   ER(481) on the same rule, of the lollipop(300) edge list with nodes
-  relabelled by a GRAPHS_SEED permutation, of complete(481), and over the
-  desk line and lollipop sweeps. Both sides must give the same adjacency
-  and ``meta``.
+  relabelled by a GRAPHS_SEED permutation, of complete(481), over the
+  desk line and lollipop sweeps, and of the extremal lollipop(961) and
+  complete(961), the largest generated rows. Both sides must give the
+  same adjacency and ``meta``.
 
 A disagreement between the sides exits with an error.
 """
@@ -298,6 +299,8 @@ def graphs_cases() -> list[Case]:
         ("build_graph/complete(481)", [TopologySpec("complete", 481)]),
         ("build_graph/desk line sweep", sweep("line")),
         ("build_graph/desk lollipop sweep", sweep("lollipop")),
+        ("build_graph/extremal lollipop(961)", [topology_spec("lollipop", 961, GRAPHS_SEED)]),
+        ("build_graph/complete(961)", [TopologySpec("complete", 961)]),
     )
     return [Case(name, "s/call", lambda side, rep, specs=specs: build_all(side, specs))
             for name, specs in inputs]

@@ -17,7 +17,8 @@ import numpy as np
 from . import checks as checks_mod
 from . import consensus as cons
 from . import walks
-from .graphs import TOPOLOGY_KINDS, TopologySpec, build_graph, check_nodes, read_edge_list
+from .graphs import (TOPOLOGY_KINDS, Graph, TopologySpec, build_graph, check_nodes,
+                     read_edge_list, require_connected)
 from .harness import (
     DEFAULT_INIT,
     INITS,
@@ -81,14 +82,18 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _topology_spec(args) -> TopologySpec:
-    if args.topo == "edge_list":
-        if not args.edges:
-            raise ValueError("--topo edge_list requires --edges FILE")
-        g = read_edge_list(args.edges)
-        return TopologySpec("edge_list", g.n, edges=tuple(g.edges()))
     if args.n is None:
         raise ValueError("--n is required")
     return topology_spec(args.topo, args.n, args.seed, args.m, args.p)
+
+
+def _graph(args) -> Graph:
+    """The connected graph of the topology flags; an edge-list file is built once, as read."""
+    if args.topo != "edge_list":
+        return build_graph(_topology_spec(args))
+    if not args.edges:
+        raise ValueError("--topo edge_list requires --edges FILE")
+    return require_connected(read_edge_list(args.edges))
 
 
 SIM_HEADER = ("topology", "protocol", "init", "n", "seed", "max_ticks",
@@ -96,7 +101,7 @@ SIM_HEADER = ("topology", "protocol", "init", "n", "seed", "max_ticks",
 
 
 def cmd_simulate(args) -> int:
-    g = build_graph(_topology_spec(args))
+    g = _graph(args)
     rng = np.random.default_rng(seed_sequence(args.seed))
     init = args.init or DEFAULT_INIT[args.protocol]
     state = initial_state(args.protocol, init, g, rng, args.topo, args.lo, args.hi,
@@ -153,7 +158,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    g = build_graph(_topology_spec(args))
+    g = _graph(args)
     if args.all_pairs:
         pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
     else:
@@ -180,7 +185,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_resistance(args) -> int:
-    g = build_graph(_topology_spec(args))
+    g = _graph(args)
     m = walks.edge_weights(g)
     if args.x is not None or args.y is not None:
         if args.x is None or args.y is None:
@@ -193,7 +198,7 @@ def cmd_resistance(args) -> int:
 
 
 def cmd_hitting(args) -> int:
-    g = build_graph(_topology_spec(args))
+    g = _graph(args)
     m = walks.transition_matrix(g, args.walk)
     if args.target is not None:
         h = walks.hitting_times(m, args.target)
@@ -205,7 +210,7 @@ def cmd_hitting(args) -> int:
 
 
 def cmd_meet(args) -> int:
-    g = build_graph(_topology_spec(args))
+    g = _graph(args)
     if args.x is None or args.y is None:
         raise ValueError("--x and --y are required")
     max_ticks = args.max_ticks if args.max_ticks is not None else walks.DEFAULT_TICK_BUDGET

@@ -5,13 +5,13 @@ exact-value tests can address specific nodes: star puts the hub at node 0,
 line orders nodes 0..n-1 along the path, lollipop builds the clique on
 nodes 0..m-1 and hangs the tail off node m-1.
 
-Construction and validation run on numpy arrays. Edges become rows through
-one sort of the keys u*n + v of both directions (``_rows``), and ``Graph``
-checks integer adjacencies in numpy (``_numpy_accepts``). The Python walk
-``_check_rows`` only names the fault of rows numpy rejected, and checks rows
-numpy cannot hold exactly (floats, strings, integers past int64), which are
-never truncated. ``Graph.from_edges`` checks its edges one by one in Python
-(``_check_edges``) before it hands them to ``_rows``.
+Rows are checked where they enter the program and trusted where the
+program builds them. ``Graph(n, adjacency)`` checks the rows it is given
+with the Python walk ``_check_rows``, entries of any type included. The
+generators build valid rows by construction, and ``Graph.from_edges``
+checks each edge (``_check_edges``) before one sort of the keys u*n + v of
+both directions turns the edges into rows (``_rows``); both hand their rows
+to ``Graph._trusted``, which does not check them again.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ class GraphConstructionError(ValueError):
 class Graph:
     """Immutable undirected simple graph as sorted adjacency lists.
 
-    Construction checks that the rows lie in 0..n-1, hold no self-loop, are
-    strictly increasing and are symmetric. Integer rows are checked in numpy;
-    the Python walk runs only to name the fault of rows numpy rejected, and
-    to check entries numpy cannot hold exactly, such as floats, strings or
-    integers past int64.
+    ``Graph(n, adjacency)`` checks that the rows lie in 0..n-1, hold no
+    self-loop, are strictly increasing and are symmetric, and names the
+    first fault. The generators and ``from_edges`` build their rows valid
+    and construct through ``_trusted``, which skips that check.
     """
 
     n: int
@@ -56,8 +55,17 @@ class Graph:
             raise GraphConstructionError("node count must be >= 1")
         if len(self.adjacency) != self.n:
             raise GraphConstructionError("adjacency length must equal node count")
-        if not _numpy_accepts(self.n, self.adjacency):
-            _check_rows(self.n, self.adjacency)
+        _check_rows(self.n, self.adjacency)
+
+    @classmethod
+    def _trusted(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
+        """The graph of rows the program built valid; only the caller's ``n`` is checked."""
+        if n < 1:
+            raise GraphConstructionError("node count must be >= 1")
+        g = object.__new__(cls)
+        for name, value in (("n", n), ("adjacency", adjacency), ("meta", {})):
+            object.__setattr__(g, name, value)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -66,7 +74,7 @@ class Graph:
         Every edge must join two distinct integer nodes in 0..n-1; the first
         edge in input order that does not is named.
         """
-        return cls(n, _rows(n, *_check_edges(n, edges)))
+        return cls._trusted(n, _rows(n, *_check_edges(n, edges)))
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -130,36 +138,6 @@ def _check_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
             raise GraphConstructionError(f"self-loop at node {u}")
     flat = np.array(ends, np.int64)
     return flat[0::2], flat[1::2]
-
-
-def _numpy_accepts(n: int, adjacency) -> bool:
-    """True iff the rows are in 0..n-1, loop-free, strictly increasing and symmetric.
-
-    False also when the rows hold no entry or an entry numpy cannot hold
-    exactly in int64; ``_check_rows`` decides those. np.array, not
-    np.fromiter, converts the entries: fromiter would turn 1.5 into 1 and
-    parse "1", where np.array keeps their kind. The keys i*n + j are
-    strictly increasing iff every row is, and then the graph is symmetric
-    iff the sorted transposed keys j*n + i equal them.
-    """
-    flat = np.array(list(chain.from_iterable(adjacency)))
-    if flat.dtype.kind != "i" or flat.ndim != 1 or flat.min() < 0 or flat.max() >= n:
-        return False
-    dtype = _key_dtype(n)
-    nbr = flat.astype(dtype)
-    del flat
-    keys = np.repeat(np.arange(n, dtype=dtype), np.fromiter(map(len, adjacency), np.intp, n))
-    if (nbr == keys).any():
-        return False
-    transposed = nbr * n
-    transposed += keys
-    keys *= n
-    keys += nbr
-    del nbr
-    if not (keys[1:] > keys[:-1]).all():
-        return False
-    transposed.sort()
-    return bool((transposed == keys).all())
 
 
 def _check_rows(n: int, adjacency) -> None:
@@ -239,7 +217,7 @@ class TopologySpec:
 def star_graph(n: int) -> Graph:
     """Hub at node 0, leaves 1..n-1."""
     adjacency = [tuple(range(1, n))] + [(0,)] * (n - 1)
-    return Graph(n, tuple(adjacency))
+    return Graph._trusted(n, tuple(adjacency))
 
 
 def line_graph(n: int) -> Graph:
@@ -247,13 +225,13 @@ def line_graph(n: int) -> Graph:
     rows = [(i - 1, i + 1) for i in range(n)]
     rows[0] = rows[0][1:]  # drop node -1
     rows[-1] = rows[-1][:-1]  # drop node n
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def complete_graph(n: int) -> Graph:
     """Every pair of nodes joined; row i is 0..n-1 without i."""
     nodes = tuple(range(n))
-    return Graph(n, tuple(nodes[:i] + nodes[i + 1:] for i in range(n)))
+    return Graph._trusted(n, tuple(nodes[:i] + nodes[i + 1:] for i in range(n)))
 
 
 def lollipop_graph(n: int, m: int) -> Graph:
@@ -266,7 +244,7 @@ def lollipop_graph(n: int, m: int) -> Graph:
     if n > m:
         rows[m - 1] += (m,)
         rows[-1] = (n - 2,)
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
@@ -285,7 +263,9 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     for retries in range(ER_MAX_SAMPLES):
         rng = np.random.default_rng(seed + retries)
         kept = np.flatnonzero(rng.random(len(u)) < p)
-        g = Graph(n, _rows(n, u[kept], v[kept]))
+        if len(kept) < n - 1:  # too few edges to connect n nodes
+            continue
+        g = Graph._trusted(n, _rows(n, u[kept], v[kept]))
         if is_connected(g):
             g.meta["er_retries"] = retries
             g.meta["er_seed"] = seed + retries
@@ -307,7 +287,11 @@ def build_graph(spec: TopologySpec) -> Graph:
         return lollipop_graph(spec.n, spec.m)
     if spec.kind == "erdos_renyi":
         return erdos_renyi_graph(spec.n, spec.p, spec.seed)
-    g = Graph.from_edges(spec.n, spec.edges)
+    return require_connected(Graph.from_edges(spec.n, spec.edges))
+
+
+def require_connected(g: Graph) -> Graph:
+    """Return ``g``, the graph of an explicit edge list, if it is connected; else raise."""
     if not is_connected(g):
         raise GraphConstructionError("explicit edge list does not yield a connected graph")
     return g

@@ -393,6 +393,16 @@ def test_edge_list_topology(tmp_path, capsys):
     assert len(out) == 5
 
 
+def test_a_disconnected_edge_list_is_a_usage_error(tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n2 3\n")
+    assert run_cli("hitting", "--topo", "edge_list", "--edges", str(edges),
+                   "--target", "0") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: explicit edge list does not yield a connected graph\n"
+
+
 @pytest.mark.parametrize("line, text", [("1 x", "1 x"), ("0 1 2  # three", "0 1 2")])
 def test_bad_edge_list_line_names_its_file_and_line(line, text, tmp_path, capsys):
     edges = tmp_path / "g.txt"

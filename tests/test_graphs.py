@@ -31,7 +31,8 @@ from qconsensus.graphs import (
     write_edge_list,
 )
 from qconsensus.consensus import run_to_convergence
-from qconsensus.harness import DESK_N_VALUES, init_majority_one, round_rng, topology_spec
+from qconsensus.harness import (DESK_N_VALUES, FULL_N_VALUES, default_n_values, init_majority_one,
+                                round_rng, topology_spec)
 from qconsensus.walks import sample_hitting
 
 from conftest import connected_graphs, tree_path
@@ -90,6 +91,7 @@ def test_erdos_renyi_deterministic():
     a = erdos_renyi_graph(30, 0.2, 11)
     b = erdos_renyi_graph(30, 0.2, 11)
     assert a.adjacency == b.adjacency
+    assert a.meta is not b.meta and star_graph(3).meta == {}  # each graph its own meta
 
 
 def test_erdos_renyi_reseeds_until_connected():
@@ -249,41 +251,32 @@ def test_graph_rejects_bad_shapes_unsorted_rows_and_outside_neighbors():
         Graph(3, ((1, 0), (0,), ()))
 
 
-@given(st.integers(2, 7), st.data())
+def _first_fault(n, rows):
+    """The message of the first fault of ``rows``, found on sets; for asymmetry, its end."""
+    for i, row in enumerate(rows):
+        if not set(row) <= set(range(n)):
+            return f"node {i} has a neighbor outside 0..{n - 1}"
+        if i in row:
+            return f"self-loop at node {i}"
+        if len(set(row)) < len(row):
+            return f"duplicate neighbor at node {i}"
+        if list(row) != sorted(row):
+            return f"adjacency of node {i} is not sorted"
+    arcs = {(i, j) for i, row in enumerate(rows) for j in row}
+    return None if arcs == {(j, i) for i, j in arcs} else "is not symmetric"
+
+
+@given(st.integers(1, 7), st.data())
 @settings(max_examples=200)
 def test_graph_accepts_exactly_the_symmetric_adjacencies(n, data):
-    # A symmetric graph with up to two directed entries toggled; reference:
-    # the set of directed pairs must equal its reverse.
+    # A symmetric graph with up to two directed entries toggled, then up to
+    # three entries inserted (any value in -2..n+1: outside, negative,
+    # duplicate, self-loop or asymmetric), deleted (asymmetric) or swapped
+    # with the next (unsorted). Reference: _first_fault, on sets.
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     edges = data.draw(st.sets(pairs))
     arcs = (edges | {(v, u) for u, v in edges}) ^ data.draw(st.sets(pairs, max_size=2))
-    rows = tuple(tuple(sorted(v for u, v in arcs if u == i)) for i in range(n))
-    if arcs == {(v, u) for u, v in arcs}:
-        assert Graph(n, rows).edge_count() == len(arcs) // 2
-    else:
-        with pytest.raises(GraphConstructionError, match="is not symmetric"):
-            Graph(n, rows)
-
-
-def _walk_verdict(n, rows):
-    """The message of the Python walk's first fault in ``rows``, or None if it finds none."""
-    try:
-        graphs._check_rows(n, rows)
-    except GraphConstructionError as exc:
-        return str(exc)
-    return None
-
-
-@given(st.integers(1, 6), st.data())
-@settings(max_examples=200)
-def test_the_numpy_check_agrees_with_the_walk(n, data):
-    # A symmetric graph with up to three entries inserted (any value in
-    # -2..n+1: outside, negative, duplicate, self-loop or asymmetric),
-    # deleted (asymmetric) or swapped with the next (unsorted).
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    edges = data.draw(st.sets(pairs))
-    rows = [sorted({v for u, v in edges if u == i} | {u for u, v in edges if v == i})
-            for i in range(n)]
+    rows = [sorted(v for u, v in arcs if u == i) for i in range(n)]
     for _ in range(data.draw(st.integers(0, 3))):
         row = rows[data.draw(st.integers(0, n - 1))]
         k = data.draw(st.integers(0, len(row)))
@@ -295,15 +288,43 @@ def test_the_numpy_check_agrees_with_the_walk(n, data):
         elif op == "swap" and k + 1 < len(row):
             row[k], row[k + 1] = row[k + 1], row[k]
     rows = tuple(map(tuple, rows))
-    expected = _walk_verdict(n, rows)
-    if any(rows):  # with no entries numpy has nothing to check, and the walk decides
-        assert graphs._numpy_accepts(n, rows) == (expected is None)
+    expected = _first_fault(n, rows)
     if expected is None:
         assert Graph(n, rows).adjacency == rows
     else:
-        with pytest.raises(GraphConstructionError) as info:
+        with pytest.raises(GraphConstructionError, match=re.escape(expected)):
             Graph(n, rows)
-        assert str(info.value) == expected
+
+
+def _assert_passes_the_walk(g):
+    assert g.n >= 1 and len(g.adjacency) == g.n
+    graphs._check_rows(g.n, g.adjacency)
+
+
+@given(st.integers(1, 40), st.floats(0.3, 1.0), st.integers(0, 10**6), st.data())
+@settings(max_examples=100)
+def test_built_rows_pass_the_walk(n, p, seed, data):
+    # The generators and from_edges build rows that Graph(...) does not check
+    # again; the walk is their oracle.
+    for g in (star_graph(n), line_graph(n), complete_graph(n), erdos_renyi_graph(n, p, seed),
+              *(lollipop_graph(n, m) for m in range(3, n + 1))):
+        _assert_passes_the_walk(g)
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                               max_size=3 * n))
+    edges += [(v, u) for u, v in edges[::2]] + edges[:1]  # both directions and repeats
+    rows = graphs._rows(n, *np.array(edges, np.int64).reshape(-1, 2).T)
+    arcs = {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
+    assert rows == tuple(tuple(sorted(v for u, v in arcs if u == i)) for i in range(n))
+    g = Graph.from_edges(n, edges)
+    assert g.adjacency == rows
+    _assert_passes_the_walk(g)
+
+
+def test_built_rows_pass_the_walk_at_the_sweep_sizes():
+    for kind in ("star", "line", "lollipop", "erdos_renyi", "complete"):
+        for n in sorted({*default_n_values(kind), *FULL_N_VALUES}):
+            _assert_passes_the_walk(build_graph(topology_spec(kind, n, 11)))
 
 
 def test_entries_numpy_cannot_hold_exactly_are_checked_untruncated():
