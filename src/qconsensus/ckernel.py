@@ -1,53 +1,48 @@
 """The compiled protocol loops: one C loop per protocol, built on first use.
 
+Each loop is ``consensus``'s compiled ``step``. The step contract, the
+counters and the end values that stop a run are stated once, in the
+``consensus`` module docstring; this one says how the loops keep them.
+
 Each loop draws its ticks from numpy's own bit generator through the
 ``bitgen_t`` that ``rng.bit_generator.capsule`` wraps: ``next_double``
-twice per tick, node first and then neighbour, truncated as
-``consensus._batch_step`` truncates ``rng.random(2 * m)``. A loop therefore
-reads the stream the batch kernel reads, and a run gives the same ticks,
-states and traces on either path. Callers hold ``rng.bit_generator.lock``
+twice per tick, node first and then neighbour, each product truncated as
+Python's ``int()`` truncates it. Callers hold ``rng.bit_generator.lock``
 during each call, as numpy's own extension examples do.
 
 ``load()`` compiles ``SOURCE`` with ``CC`` into ``CACHE_DIR``, under a name
 keyed on a hash of the source and the command, then loads it with
 ``ctypes``; a successful build deletes the libraries of other hashes there.
 Nothing is built or loaded at import. If no library can be built or loaded
-(no compiler, a compile error, an unwritable cache), ``load()`` returns None
-and the caller runs the batch kernel.
+(no compiler, a compile error, an unwritable cache), ``load()`` returns None.
 
-Both loops take one ``Run``, which holds a run's pointers, constants,
-counters and trace buffer, and a ``limit``. They run at most ``limit``
-ticks, stop on the tick that converges, and return the number of ticks they
-ran; ``Run.counter`` is read on entry and written back on return:
+A loop takes one ``Run``, which holds a run's pointers, constants, counter
+and trace buffer, and a ``limit``. It runs at most ``limit`` ticks, stops on
+the tick that brings ``counter`` to ``end0`` or ``end1``, writes
+``counter`` back and returns the number of ticks it ran:
 
-- ``qc_binary``: ``int8`` opinions; ``table`` holds ``_binary_table(n)`` as
-  75 ``int64`` entries, (new a, new b, change in packed) for opinion pair
-  (a, b) at ``3 * (5 * (a + 2) + (b + 2))``; the counter is ``packed``, and
-  the run has converged when it equals ``all_negative`` or ``all_positive``.
+- ``qc_binary``: ``int8`` opinions; ``table`` holds 75 ``int64`` entries
+  (``binary_table``), (new a, new b, change in the counter) for opinion
+  pair (a, b) at ``3 * (5 * (a + 2) + (b + 2))``.
 - ``qc_quantized``: ``int64`` values, every |value| < 2**62 so that no
-  difference overflows; the counter is ``off``, the number of values outside
-  {q, q + 1}, and the run has converged when it is 0.
+  difference overflows.
 
-A traced run (``stride`` > 0) has the loops write its trace rows into
-``rows``, a buffer of ``BINARY_ROW`` or ``QUANTIZED_ROW`` records, so that
-one call covers many rows. Each loop is an outer loop over segments around
-the unchanged per-tick loop. A segment ends at ``limit`` or where a row is
-due; there the loop writes the row of that tick (``tick`` plus the ticks
-run in the call) to ``rows[nrows++]``. ``due``, the ticks left to the next
-row, carries over from call to call, so a call may start between two rows,
-and a call of at most ``stride`` * capacity ticks writes at most capacity
-rows. ``nrows`` is reset on entry, and a call that returns at ``limit``
-adds it to ``tick``. A loop writes only the rows due inside a call: the
-caller records a run's first row, and its last (the converging tick's, or a
-timeout's off the stride), from the state that the call leaves.
+A traced run (``stride`` > 0) has the loops write the rows due inside a
+call into ``rows``, a buffer of ``BINARY_ROW`` or ``QUANTIZED_ROW`` records.
+Each loop is an outer loop over segments around the unchanged per-tick
+loop. A segment ends at ``limit`` or where a row is due; there the loop
+writes the row of that tick (``tick`` plus the ticks run in the call) to
+``rows[nrows++]``. ``due``, the ticks left to the next row, carries over
+from call to call, so a call of at most ``stride`` * capacity ticks writes
+at most capacity rows. ``nrows`` is reset on entry, and a call that returns
+at ``limit`` adds it to ``tick``. An untraced run has one segment per call
+and computes no row.
 
 - A binary row is (tick, s_plus, s_minus, w_plus, w_minus), computed from
-  ``packed`` and the strong counts at the run's start, which
-  ``all_negative`` = (n + 1) * s_plus and ``all_positive`` = n + (n + 1) *
-  s_minus hold.
+  the counter and the end values, which hold the strong counts at the
+  run's start.
 - A quantized row is (tick, lyap, vmin, vmax): the state's
-  ``consensus.lyapunov``, ``min`` and ``max``, as the caller computes them
-  in Python for the first and last rows. ``mean`` is the sum over n as
+  ``consensus.lyapunov``, ``min`` and ``max``. ``mean`` is the sum over n as
   Python divides it (the sum can exceed int64), and lyap repeats CPython's
   float operations in ``lyapunov``'s order: ``(double)v - mean`` (C and
   CPython both convert the integer to the nearest double), then
@@ -55,19 +50,13 @@ timeout's off the stride), from the state that the call leaves.
   right from 0.0. ``CC`` keeps those bits: ``-fno-builtin-pow`` stops the
   compiler from turning the ``pow`` into ``d * d``, which rounds apart from
   glibc's ``pow`` on about one square in a thousand, and
-  ``-ffp-contract=off`` forbids fused multiply-adds. Where ``Run.squares``
-  is set, a row reads the term of value v from ``squares[v - lo]``, which
-  holds -1.0 until the first read computes the term with that same ``pow``
-  (a square is never negative). The memo covers every value of a run,
-  because values never leave the run's starting [lo, hi]: a swap keeps
-  them, and an exchange moves a > b + 1 to a - 1 and b + 1, both in [b, a].
-  ``consensus._run_quantized`` sets it only on a traced run whose values
-  span fewer than ``consensus._SQUARES_SPAN`` integers; every other row
-  calls ``pow`` per node.
-
-An untraced run has one segment per call, computes no row, and makes one
-call per 2**24 ticks; a traced run makes one call per 2**24 ticks or per
-buffer of rows, whichever is fewer ticks (``consensus._run_kernel``).
+  ``-ffp-contract=off`` forbids fused multiply-adds. Where ``table`` is
+  set, a row reads the term of value v from ``table[v - lo]``, which holds
+  -1.0 until the first read computes the term with that same ``pow`` (a
+  square is never negative). The memo must cover every value of the run;
+  values never leave the run's starting [min, max], since a swap keeps them
+  and an exchange moves a > b + 1 to a - 1 and b + 1, both in [b, a].
+  Without it every row calls ``pow`` per node.
 
 A call passes one address and one integer, which ctypes converts at the
 least cost it has: about 0.7 us a call on a 2-core x86-64 box, where the
@@ -102,14 +91,13 @@ typedef struct run {  /* ckernel.Run */
     int64_t n;
     const int64_t *deg, *off, *flat;      /* graphs.csr(g) */
     void *state;                          /* int8 opinions or int64 values */
-    int64_t counter;                      /* packed or off */
-    const int64_t *table;                 /* binary */
-    int64_t all_negative, all_positive;   /* binary */
+    int64_t counter, end0, end1;          /* packed or off, and the values that end the run */
+    void *table;                          /* binary: the update table; quantized: NULL or the
+                                             rows' memo of each value's term, at v - lo, -1.0
+                                             until computed */
     int64_t q;                            /* quantized */
     double mean;                          /* quantized: sum / n, as Python divides */
-    double *squares;                      /* quantized row: memo of each value's term, at
-                                             v - lo; -1.0 until computed; or NULL */
-    int64_t lo;
+    int64_t lo;                           /* quantized */
     int64_t stride, due, tick;            /* trace: row period, ticks to the next row, and
                                              the tick the call starts from */
     void *rows;                           /* binary_row_t or quantized_row_t [nrows] */
@@ -148,7 +136,7 @@ int64_t qc_binary(run_t *r, int64_t limit)
     const double dn = (double)r->n;
     int8_t *op = r->state;
     const int64_t *table = r->table;
-    const int64_t all_negative = r->all_negative, all_positive = r->all_positive;
+    const int64_t all_negative = r->end0, all_positive = r->end1;
     int64_t packed = r->counter;
     r->nrows = 0;
     for (int64_t done = 0, k = 1; done < limit; done = k - 1) {
@@ -196,7 +184,7 @@ static inline double square(const run_t *r, int64_t v)
 static void quantized_row(const run_t *r, quantized_row_t *row)
 {
     const int64_t *val = r->state;
-    double *squares = r->squares, total = 0.0;
+    double *squares = r->table, total = 0.0;
     int64_t least = val[0], most = val[0];
     for (int64_t i = 0; i < r->n; i++) {
         const int64_t v = val[i];
@@ -222,7 +210,7 @@ int64_t qc_quantized(run_t *r, int64_t limit)
 {
     const double dn = (double)r->n;
     int64_t *val = r->state;
-    const int64_t q = r->q;
+    const int64_t q = r->q, end0 = r->end0, end1 = r->end1;
     int64_t outside = r->counter;
     r->nrows = 0;
     for (int64_t done = 0, k = 1; done < limit; done = k - 1) {
@@ -239,8 +227,8 @@ int64_t qc_quantized(run_t *r, int64_t limit)
             val[u] = na;
             val[v] = nb;
             outside += IN_QQ1(a) - IN_QQ1(na) + IN_QQ1(b) - IN_QQ1(nb);
-            if (outside == 0) {
-                r->counter = 0;
+            if (outside == end0 || outside == end1) {
+                r->counter = outside;
                 return k;
             }
         }
@@ -266,14 +254,17 @@ class Run(ctypes.Structure):
     """The C loops' ``run_t``: a run's pointers, constants and counter."""
 
     _fields_ = [("bitgen", _P), ("n", _I), ("deg", _P), ("off", _P), ("flat", _P),
-                ("state", _P), ("counter", _I), ("table", _P), ("all_negative", _I),
-                ("all_positive", _I), ("q", _I), ("mean", _D), ("squares", _P), ("lo", _I),
+                ("state", _P), ("counter", _I), ("end0", _I), ("end1", _I), ("table", _P),
+                ("q", _I), ("mean", _D), ("lo", _I),
                 ("stride", _I), ("due", _I), ("tick", _I), ("rows", _P), ("nrows", _I)]
 
 
-# The trace rows the loops write: binary_row_t and quantized_row_t.
-BINARY_ROW = np.dtype("i8, i8, i8, i8, i8")  # tick, s_plus, s_minus, w_plus, w_minus
-QUANTIZED_ROW = np.dtype("i8, f8, i8, i8")  # tick, lyapunov, value_min, value_max
+# The trace rows the loops write, binary_row_t and quantized_row_t; their field
+# names are a traced run's CSV header.
+BINARY_ROW = np.dtype([(name, "i8") for name in ("tick", "s_plus", "s_minus", "w_plus",
+                                                  "w_minus")])
+QUANTIZED_ROW = np.dtype([("tick", "i8"), ("lyapunov", "f8"), ("value_min", "i8"),
+                          ("value_max", "i8")])
 
 _LOOP = ctypes.CFUNCTYPE(_I, _P, _I)  # (address of a Run, limit) -> ticks run
 # A prototype of its own, so that ctypes.pythonapi's shared function is left as it is.

@@ -77,7 +77,8 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topo", required=True, choices=TOPOLOGY_KINDS)
     p.add_argument("--n", type=int, help="node count")
     p.add_argument("--m", type=int, help="lollipop clique size (default floor((2n+1)/3))")
-    p.add_argument("--p", type=float, help="ER edge probability (default min(1, 5 ln n / n))")
+    p.add_argument("--p", type=float,
+                   help="ER edge probability (default min(1, 5 ln n / n), and 1 at n = 1)")
     p.add_argument("--edges", help="edge-list file for --topo edge_list")
 
 

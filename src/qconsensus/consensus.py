@@ -14,26 +14,40 @@ every value lies in {q, q+1}.
 
 One tick = one edge activation: a node chosen uniformly, then one of its
 neighbors uniformly, from two uniform floats drawn in (node, neighbor)
-order. ``run_to_convergence`` runs one kernel per protocol, traced or not:
-the compiled C loop of ``ckernel``, which draws each float from the
-generator's own ``bitgen_t`` and stops it at the convergence tick. It is
-built on the first run into ``__pycache__/qckernel-<hash>.so`` beside this
-module. The numpy batch kernel runs instead when no library can be built or
-loaded (no ``cc``, a compile error, an unwritable cache), and for a
-quantized state with a value of magnitude 2**62 or more, which a C
-``int64`` cannot hold with room for a difference. The batch kernel
-discards the draws of its last batch past the convergence tick, so there
-the generator's position after a run is unspecified. Both read the same
-stream and give the same ticks, states and traces; the per-tick steppers
-(``binary_step``/``quantized_step``) are the reference both are tested
-against, tick for tick, for the same seed. A traced run's first and last
-rows come from the state, which a compiled call copies back from C, through
-one Python ``row`` per protocol. The C loop writes the rows in between into
-a buffer of _TRACE_ROWS rows per run, a quantized row float for float as
-``lyapunov`` does; the batch kernel calls ``row`` for them too.
+order. The per-tick steppers (``binary_step``/``quantized_step``) are the
+reference that every kernel is tested against, tick for tick.
+
+``run_to_convergence`` runs one kernel per protocol, traced or not. A run
+keeps one integer counter: binary's ``packed`` = #positive + (n + 1) *
+#annihilations, quantized's ``off``, the number of values outside
+{q, q + 1}. It has converged exactly when the counter equals one of the
+protocol's end values: binary's all-negative (n + 1) * s_plus and
+all-positive n + (n + 1) * s_minus, for the strong counts at the start (a
+sign has no opinion left once all its strong ones are annihilated), and
+quantized's 0. A kernel is a ``step(limit)`` that runs at most ``limit``
+ticks, stops on the tick its counter reaches an end value, and returns
+(ticks run, the counter, the trace rows due inside the call: the row of
+each multiple of the stride into the run that it reaches without
+converging). ``_run_kernel`` alone
+decides when a run is over: it calls ``step`` until the counter is an end
+value or the budget is spent, in calls of at most _CHUNK ticks and
+_TRACE_ROWS rows, and computes a traced run's first and last rows with the
+protocol's ``row(tick, counter)`` from the state a call leaves.
+
+The compiled step runs ``ckernel``'s C loop on a C copy of the state,
+copied back after each call. The loop draws from the generator's own
+``bitgen_t`` and leaves it exactly 2 * ticks floats past the run's start.
+The library is built on the first run into ``__pycache__/qckernel-<hash>.so``
+beside this module. The numpy batch step runs instead when no library can
+be built or loaded (no ``cc``, a compile error, an unwritable cache), and
+for a quantized value of magnitude 2**62 or more, which a C ``int64``
+cannot hold with room for a difference. It discards the draws of its last
+batch past the run's end, so there the generator's position after a run is
+unspecified. Both give the same ticks, states and traces from one stream; a
+quantized row repeats ``lyapunov``'s float operations in their order.
 
 A state holds only its node values, tick and conserved sum: counts are
-computed from the values, and each kernel keeps its own counters for a run.
+computed from the values, and each kernel keeps its own counter for a run.
 """
 
 from __future__ import annotations
@@ -290,47 +304,36 @@ def run_to_convergence(protocol: str, g: Graph, state, rng, max_ticks: int,
     return run(g, state, rng, max_ticks, trace_stride)
 
 
-_BINARY_TRACE_HEADER = ("tick", "s_plus", "s_minus", "w_plus", "w_minus")
-_QUANTIZED_TRACE_HEADER = ("tick", "lyapunov", "value_min", "value_max")
-
-
-def _run_kernel(g: Graph, s, max_ticks: int, stride: int, step, row):
-    """Call ``step(limit)`` until it reports convergence or ``max_ticks`` ticks pass.
-
-    ``step(limit)`` runs at most ``limit`` ticks and returns (ticks run,
-    whether the last of them converged, the trace rows it recorded). With
-    ``stride`` > 0 a kernel records the row of each multiple of ``stride``
-    ticks into the run that it reaches without converging, and carries the
-    ticks to the next row from call to call, so a call may start anywhere.
-    Calls are cut at _CHUNK ticks and at _TRACE_ROWS * ``stride`` ticks,
-    which hold at most _TRACE_ROWS rows. ``row(tick)`` computes the rows of
-    the first and the final tick from the state each ``step`` leaves.
-    """
-    if max_ticks and not all(g.adjacency):  # cheaper than deg.all() on small graphs
+def _run_kernel(protocol: str, g: Graph, s, max_ticks: int, stride: int, step, row, counter: int,
+                ends: dict, row_type) -> SimResult:
+    """Run ``s`` under the module docstring's contract. ``ends`` maps each end value
+    of ``counter`` to its result detail; ``row_type``'s fields name a trace's columns."""
+    if max_ticks and counter not in ends and not all(g.adjacency):  # cheaper than deg.all()
         raise ValueError("every node needs a neighbor to run a protocol")
-    trace = [row(s.tick)] if stride else []
+    trace = [row(s.tick, counter)] if stride else []
     span = min(_CHUNK, _TRACE_ROWS * stride) if stride else _CHUNK
     ticks = 0
-    converged = False
-    while not converged and ticks < max_ticks:
-        k, converged, rows = step(min(max_ticks - ticks, span))
+    while counter not in ends and ticks < max_ticks:
+        k, counter, rows = step(min(max_ticks - ticks, span))
         ticks += k
         trace += rows
     s.tick += ticks
     if stride and trace[-1][0] != s.tick:
-        trace.append(row(s.tick))
-    return ticks, tuple(trace)
+        trace.append(row(s.tick, counter))
+    return SimResult(protocol, g.n, ticks, counter in ends, ends.get(counter, "timeout"),
+                     row_type.names if stride else (), tuple(trace))
 
 
-def _batch_step(g: Graph, rng, apply, tick: int, stride: int, row):
+def _batch_step(g: Graph, rng, apply, tick: int, stride: int, row, counter: int):
     """The fallback ``step``: edges drawn in numpy batches, fed to ``apply`` in Python.
 
     Batches grow from _FIRST_BATCH to _MAX_BATCH ticks (split PCG64 draws
     equal one large draw); truncating a non-negative float64 product equals
-    the steppers' ``int()``. ``apply(us, vs)`` returns how many edges it
-    applied if the run converged on the last of them, else None. With
-    ``stride`` > 0 a batch also ends where a row is due, every ``stride``
-    ticks after ``tick``, and ``row(tick)`` is recorded there.
+    the steppers' ``int()``. ``apply(us, vs, counter)`` applies the edges
+    (us[i], vs[i]) in order, stopping on the one whose update brings the
+    counter to an end value, and returns (how many it applied, or None if it
+    applied all without converging, the counter). With ``stride`` > 0 a batch
+    also ends where a row is due, every ``stride`` ticks after ``tick``.
     """
     n = g.n
     deg, off, flat = csr(g)
@@ -338,7 +341,7 @@ def _batch_step(g: Graph, rng, apply, tick: int, stride: int, row):
     due = stride
 
     def step(limit):
-        nonlocal batch, tick, due
+        nonlocal batch, tick, due, counter
         rows = []
         done = 0
         while done < limit:
@@ -346,33 +349,52 @@ def _batch_step(g: Graph, rng, apply, tick: int, stride: int, row):
             batch = min(2 * batch, _MAX_BATCH)
             r = rng.random(2 * m)
             u = (r[0::2] * n).astype(np.int64)
-            k = apply(u.tolist(), flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)].tolist())
+            v = flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)]
+            k, counter = apply(u.tolist(), v.tolist(), counter)
             if k is not None:
-                return done + k, True, rows
+                return done + k, counter, rows
             done += m
             if stride:
                 due -= m
                 if not due:
-                    rows.append(row(tick + done))
+                    rows.append(row(tick + done, counter))
                     due = stride
         tick += done
-        return done, False, rows
+        return done, counter, rows
 
     return step
 
 
-def _trace_rows(run: ckernel.Run, tick: int, stride: int, row_type):
-    """Point a compiled run at a new buffer of _TRACE_ROWS ``row_type`` rows, one due
-    every ``stride`` ticks after ``tick``; returns ``rows()``, the last call's rows."""
-    if not stride:
-        return lambda: ()
-    buffer = np.empty(_TRACE_ROWS, row_type)
-    # C's int64 cannot hold every stride; a run never reaches a row 2**62 ticks in.
-    run.stride = run.due = min(stride, 1 << 62)
-    run.tick = tick
-    run.rows = buffer.ctypes.data
-    columns = [buffer[name] for name in row_type.names]  # views: they keep the buffer alive
-    return lambda: list(zip(*[column[:run.nrows].tolist() for column in columns]))
+def _compiled_step(g: Graph, rng, loop, c_type, values: list, tick: int, stride: int, row_type,
+                   fields: tuple, held=None):
+    """The compiled ``step``: ``loop`` runs on a C array of ``c_type`` copied from
+    ``values``, which each call copies back. ``fields`` are the ``ckernel.Run`` fields
+    from the counter on, and ``held`` the array they point into, if any. A traced run
+    gets a buffer of _TRACE_ROWS ``row_type`` rows, one due every ``stride`` ticks
+    after ``tick``."""
+    csr_arrays, csr_addresses = _csr_pointers(g)
+    c_values = (c_type * g.n)(*values)
+    run = ckernel.Run(ckernel.bitgen(rng), g.n, *csr_addresses, addressof(c_values), *fields)
+    # The run holds the arrays its calls read, since the next graph evicts csr's memo.
+    run.held = csr_arrays, held
+    columns = ()
+    if stride:
+        buffer = np.empty(_TRACE_ROWS, row_type)
+        # C's int64 cannot hold every stride; a run never reaches a row 2**62 ticks in.
+        run.stride = run.due = min(stride, 1 << 62)
+        run.tick = tick
+        run.rows = buffer.ctypes.data
+        columns = [buffer[name] for name in row_type.names]  # views: they keep the buffer alive
+    address, lock = addressof(run), rng.bit_generator.lock
+
+    def step(limit):
+        with lock:
+            k = loop(address, limit)
+        values[:] = c_values[:]
+        rows = list(zip(*[column[:run.nrows].tolist() for column in columns])) if stride else ()
+        return k, run.counter, rows
+
+    return step
 
 
 @lru_cache(maxsize=1)
@@ -402,15 +424,12 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
     n = g.n
     opinions = s.opinions
     s_plus, s_minus, w_plus, _ = s.counts
-    packed = s_plus + w_plus
-    # packed = #positive + (n + 1) * #annihilations, and #positive is in [0, n].
-    # Annihilating a pair of opposite strong opinions is the only update
-    # that changes the strong counts, and a sign has no opinions left exactly
-    # when all its strong ones are annihilated: each consensus is one value.
+    packed = s_plus + w_plus  # #positive is in [0, n]: divmod by n + 1 splits packed
     all_negative, all_positive = (n + 1) * s_plus, n + (n + 1) * s_minus
+    ends = {all_negative: "all_negative", all_positive: "all_positive"}
     kernel = ckernel.load()
 
-    def row(tick):
+    def row(tick, packed):
         annihilations, pos = divmod(packed, n + 1)
         sp, sm = s_plus - annihilations, s_minus - annihilations
         return tick, sp, sm, pos - sp, n - pos - sm
@@ -418,8 +437,7 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
     if kernel is None:
         table = _binary_table(n)[0]
 
-        def apply(us, vs):
-            nonlocal packed
+        def apply(us, vs, packed):
             for k, u, v in zip(count(1), us, vs):
                 a = opinions[u]
                 b = opinions[v]
@@ -428,33 +446,16 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
                     if d:
                         packed += d
                         if packed == all_negative or packed == all_positive:
-                            return k
-            return None
+                            return k, packed
+            return None, packed
 
-        step = _batch_step(g, rng, apply, s.tick, stride, row)
+        step = _batch_step(g, rng, apply, s.tick, stride, row, packed)
     else:
-        csr_arrays, csr_addresses = _csr_pointers(g)  # the arrays live as long as the run
-        c_opinions = (c_int8 * n)(*opinions)
-        run = ckernel.Run(ckernel.bitgen(rng), n, *csr_addresses, addressof(c_opinions),
-                          packed, _binary_table(n)[2], all_negative, all_positive)
-        rows = _trace_rows(run, s.tick, stride, ckernel.BINARY_ROW)
-        loop, address, lock = kernel.binary, addressof(run), rng.bit_generator.lock
-
-        def step(limit):
-            nonlocal packed
-            with lock:
-                k = loop(address, limit)
-            packed = run.counter
-            opinions[:] = np.frombuffer(c_opinions, np.int8).tolist()
-            return k, packed == all_negative or packed == all_positive, rows()
-
-    converged = packed in (all_negative, all_positive)
-    ticks, trace = _run_kernel(g, s, 0 if converged else max_ticks, stride, step, row)
-    converged = packed in (all_negative, all_positive)
-    detail = (("all_positive" if packed == all_positive else "all_negative") if converged
-              else "timeout")
-    header = _BINARY_TRACE_HEADER if stride else ()
-    return SimResult("binary", n, ticks, converged, detail, header, trace)
+        step = _compiled_step(g, rng, kernel.binary, c_int8, opinions, s.tick, stride,
+                              ckernel.BINARY_ROW,
+                              (packed, all_negative, all_positive, _binary_table(n)[2]))
+    return _run_kernel("binary", g, s, max_ticks, stride, step, row, packed, ends,
+                       ckernel.BINARY_ROW)
 
 
 def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int) -> SimResult:
@@ -462,17 +463,16 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
     values = s.values
     q = s.q
     qp1 = q + 1
-    off = sum(not q <= v <= qp1 for v in values)  # nodes outside {q, q+1}
+    off = sum(not q <= v <= qp1 for v in values)  # the counter: nodes outside {q, q+1}
     lo, hi = min(values), max(values)
     # Values in (-2**62, 2**62) keep every difference the C loop takes inside int64.
     kernel = ckernel.load() if -_C_VALUE_LIMIT < lo and hi < _C_VALUE_LIMIT else None
 
-    def row(tick):
+    def row(tick, counter):
         return tick, lyapunov(s), min(values), max(values)
 
     if kernel is None:
-        def apply(us, vs):
-            nonlocal off
+        def apply(us, vs, off):
             for k, u, v in zip(count(1), us, vs):
                 a = values[u]
                 b = values[v]
@@ -483,36 +483,23 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
                 values[u], values[v] = na, nb = quantized_update(a, b)
                 off += (q <= a <= qp1) - (q <= na <= qp1) + (q <= b <= qp1) - (q <= nb <= qp1)
                 if off == 0:
-                    return k
-            return None
+                    return k, off
+            return None, off
 
-        step = _batch_step(g, rng, apply, s.tick, stride, row)
+        step = _batch_step(g, rng, apply, s.tick, stride, row, off)
     else:
-        csr_arrays, csr_addresses = _csr_pointers(g)  # the arrays live as long as the run
-        c_values = (c_int64 * n)(*values)
-        run = ckernel.Run(ckernel.bitgen(rng), n, *csr_addresses, addressof(c_values),
-                          off, q=q, mean=s.q_sum / n)  # the mean lyapunov() takes
-        rows = _trace_rows(run, s.tick, stride, ckernel.QUANTIZED_ROW)
+        squares = memo = None
         if stride and hi - lo < _SQUARES_SPAN:
             # Every value stays in [lo, hi]: a swap keeps them, and an exchange moves
             # a > b + 1 to a - 1, b + 1. -1.0 marks a term not yet computed.
             squares = np.full(hi - lo + 1, -1.0)
-            run.squares, run.lo = squares.ctypes.data, lo
-        loop, address, lock = kernel.quantized, addressof(run), rng.bit_generator.lock
-
-        def step(limit):
-            nonlocal off
-            with lock:
-                k = loop(address, limit)
-            off = run.counter
-            values[:] = np.frombuffer(c_values, np.int64).tolist()
-            return k, off == 0, rows()
-
-    ticks, trace = _run_kernel(g, s, max_ticks if off else 0, stride, step, row)
-    converged = off == 0
-    detail = f"q={q} r={s.r}" if converged else "timeout"
-    header = _QUANTIZED_TRACE_HEADER if stride else ()
-    return SimResult("quantized", n, ticks, converged, detail, header, trace)
+            memo = squares.ctypes.data
+        # Run's counter, end values, table, q, mean (as lyapunov() takes it) and lo.
+        step = _compiled_step(g, rng, kernel.quantized, c_int64, values, s.tick, stride,
+                              ckernel.QUANTIZED_ROW, (off, 0, 0, memo, q, s.q_sum / n, lo),
+                              squares)
+    return _run_kernel("quantized", g, s, max_ticks, stride, step, row, off,
+                       {0: f"q={q} r={s.r}"}, ckernel.QUANTIZED_ROW)
 
 
 _VOTES = {"+": 1, "-": -1, ".": None}

@@ -11,7 +11,9 @@ with the Python walk ``_check_rows``, entries of any type included. The
 generators build valid rows by construction, and ``Graph.from_edges``
 checks each edge (``_check_edges``) before one sort of the keys u*n + v of
 both directions turns the edges into rows (``_rows``); both hand their rows
-to ``Graph._trusted``, which does not check them again.
+to ``Graph._trusted``, which does not check them again. Every constructor
+rejects fewer than one node before it builds anything: with
+``_require_nodes``, or, for the lollipop, with its own 3 <= m <= n.
 """
 
 from __future__ import annotations
@@ -51,17 +53,14 @@ class Graph:
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphConstructionError("node count must be >= 1")
+        _require_nodes(self.n)
         if len(self.adjacency) != self.n:
             raise GraphConstructionError("adjacency length must equal node count")
         _check_rows(self.n, self.adjacency)
 
     @classmethod
     def _trusted(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
-        """The graph of rows the program built valid; only the caller's ``n`` is checked."""
-        if n < 1:
-            raise GraphConstructionError("node count must be >= 1")
+        """The graph of rows the program built valid, for an ``n`` the caller checked."""
         g = object.__new__(cls)
         for name, value in (("n", n), ("adjacency", adjacency), ("meta", {})):
             object.__setattr__(g, name, value)
@@ -74,6 +73,7 @@ class Graph:
         Every edge must join two distinct integer nodes in 0..n-1; the first
         edge in input order that does not is named.
         """
+        _require_nodes(n)
         return cls._trusted(n, _rows(n, *_check_edges(n, edges)))
 
     def degree(self, i: int) -> int:
@@ -88,6 +88,12 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
+
+
+def _require_nodes(n: int) -> None:
+    """Raise GraphConstructionError unless ``n`` is a node count of at least one."""
+    if n < 1:
+        raise GraphConstructionError("node count must be >= 1")
 
 
 def _key_dtype(n: int):
@@ -216,12 +222,14 @@ class TopologySpec:
 
 def star_graph(n: int) -> Graph:
     """Hub at node 0, leaves 1..n-1."""
+    _require_nodes(n)
     adjacency = [tuple(range(1, n))] + [(0,)] * (n - 1)
     return Graph._trusted(n, tuple(adjacency))
 
 
 def line_graph(n: int) -> Graph:
     """Path 0 - 1 - ... - (n-1)."""
+    _require_nodes(n)
     rows = [(i - 1, i + 1) for i in range(n)]
     rows[0] = rows[0][1:]  # drop node -1
     rows[-1] = rows[-1][:-1]  # drop node n
@@ -230,6 +238,7 @@ def line_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """Every pair of nodes joined; row i is 0..n-1 without i."""
+    _require_nodes(n)
     nodes = tuple(range(n))
     return Graph._trusted(n, tuple(nodes[:i] + nodes[i + 1:] for i in range(n)))
 
@@ -259,6 +268,7 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     """
     if not (0.0 < p <= 1.0):
         raise GraphConstructionError(f"erdos_renyi requires 0 < p <= 1, got p={p}")
+    _require_nodes(n)
     u, v = np.triu_indices(n, 1)
     for retries in range(ER_MAX_SAMPLES):
         rng = np.random.default_rng(seed + retries)
@@ -393,5 +403,6 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def er_probability(n: int) -> float:
-    """The connectivity-safe edge probability 5 ln(n) / n, capped at 1."""
-    return min(1.0, 5.0 * math.log(n) / n)
+    """The connectivity-safe edge probability 5 ln(n) / n, capped at 1; 1 for one node,
+    which is connected at any p, where the formula gives 0."""
+    return 1.0 if n == 1 else min(1.0, 5.0 * math.log(n) / n)

@@ -122,7 +122,7 @@ def topology_spec(kind: str, n: int, seed: int, m: int | None = None,
     """The graph spec of one size of a topology family, for master seed ``seed``.
 
     m = None is the extremal lollipop clique size floor((2n+1)/3); p = None
-    is min(1, 5 ln n / n); an ER graph's sampling seed is derived from
+    is ``er_probability(n)``; an ER graph's sampling seed is derived from
     (seed, n).
     """
     if kind == "lollipop":

@@ -60,6 +60,16 @@ def test_an_erdos_renyi_graph_past_its_sample_bound_is_a_usage_error(argv, capsy
     assert captured.err.endswith(f" in {ER_MAX_SAMPLES} samples\n")
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (("simulate", "--n", "1"), ["erdos_renyi,binary,majority_one,1,0,150,0,1,all_positive"]),
+    (("sweep", "--n-values", "1,3,5"), ["erdos_renyi,binary,majority_one,1,20,20,0.0,0.0,0"]),
+])
+def test_erdos_renyi_on_one_node_runs_with_the_default_p(argv, rows, capsys):
+    # One node is connected at any p; the default must not be 5 ln(1) / 1 = 0.
+    assert run_cli(*argv, "--topo", "erdos_renyi", "--protocol", "binary") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:2] == rows
+
+
 def test_simulate_byte_identical_outputs(tmp_path):
     args = ("simulate", "--topo", "erdos_renyi", "--n", "15", "--protocol", "quantized",
             "--init", "q_setting2", "--seed", "9")

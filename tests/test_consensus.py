@@ -812,6 +812,26 @@ def test_compiled_run_stops_the_generator_at_its_last_tick():
 
 
 @needs_cc
+@pytest.mark.parametrize("stride", [0, 7])
+@pytest.mark.parametrize("protocol, g, seed", [
+    pytest.param("binary", star_graph(21), 5, id="binary-star21"),
+    pytest.param("quantized", line_graph(9), 3, id="quantized-line9"),
+])
+def test_a_compiled_run_leaves_the_generator_two_floats_a_tick_on(protocol, g, seed, stride):
+    # Converged or timed out, traced or not, a compiled run draws exactly the two
+    # floats of each tick it runs, so the next draw is float 2 * ticks + 1 of the stream.
+    ticks = run_to_convergence(protocol, g, _random_state(protocol, g.n, seed),
+                               np.random.default_rng(seed), 10**5).ticks
+    assert ticks > 10 * 7  # many rows at stride 7
+    for budget in (10**5, ticks // 2):
+        rng = np.random.default_rng(seed)
+        res = run_to_convergence(protocol, g, _random_state(protocol, g.n, seed), rng, budget,
+                                 stride)
+        assert res.converged == (budget > ticks) and res.ticks == min(budget, ticks)
+        assert rng.random() == np.random.default_rng(seed).random(2 * res.ticks + 1)[-1]
+
+
+@needs_cc
 def test_a_build_removes_stale_libraries(tmp_path, monkeypatch):
     stale = tmp_path / "qckernel-0123456789abcdef.so"
     stale.write_bytes(b"a library built from an older source")

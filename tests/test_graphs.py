@@ -391,6 +391,22 @@ def test_er_probability_capped():
     assert 0 < er_probability(201) < 1
 
 
+def test_er_probability_of_one_node_is_one():
+    # 5 ln(1) / 1 is 0, which erdos_renyi_graph rejects; one node is connected at any p.
+    assert er_probability(1) == 1.0
+    assert erdos_renyi_graph(1, er_probability(1), 0).adjacency == ((),)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [
+    star_graph, line_graph, complete_graph, lambda n: erdos_renyi_graph(n, 0.5, 1),
+    lambda n: Graph.from_edges(n, []), lambda n: Graph(n, ()),
+], ids=["star", "line", "complete", "erdos_renyi", "from_edges", "Graph"])
+def test_every_constructor_rejects_fewer_than_one_node(build, n):
+    with pytest.raises(GraphConstructionError, match=r"^node count must be >= 1$"):
+        build(n)
+
+
 @given(connected_graphs())
 @settings(max_examples=50)
 def test_random_graph_invariants(g):
