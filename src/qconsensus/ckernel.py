@@ -4,17 +4,31 @@ Each loop is ``consensus``'s compiled ``step``. The step contract, the
 counters and the end values that stop a run are stated once, in the
 ``consensus`` module docstring; this one says how the loops keep them.
 
-Each loop draws its ticks from numpy's own bit generator through the
-``bitgen_t`` that ``rng.bit_generator.capsule`` wraps: ``next_double``
-twice per tick, node first and then neighbour, each product truncated as
-Python's ``int()`` truncates it. Callers hold ``rng.bit_generator.lock``
-during each call, as numpy's own extension examples do.
+Each loop draws its ticks from a numpy ``PCG64`` generator, two doubles per
+tick, node first and then neighbour, each product truncated as Python's
+``int()`` truncates it. It does not call the generator: through the
+``bitgen_t`` that ``rng.bit_generator.capsule`` wraps, it reads numpy's
+``pcg64_state`` and the 128-bit LCG state and increment it points to, once
+per call, and keeps them in registers. Each double is numpy's
+``next_double``, inline: one LCG step, the XSL-RR output of the new state
+(O'Neill's PCG64), and its top 53 bits times 2**-53. Every return writes the
+state back, so a call leaves the generator exactly 2 * ticks doubles on, as
+numpy's own draws would. Callers pass only generators whose
+``bit_generator`` is exactly ``np.random.PCG64``; ``consensus`` runs any
+other on its batch step. They hold ``rng.bit_generator.lock`` during each
+call, as numpy's own extension examples do.
 
 ``load()`` compiles ``SOURCE`` with ``CC`` into ``CACHE_DIR``, under a name
 keyed on a hash of the source and the command, then loads it with
 ``ctypes``; a successful build deletes the libraries of other hashes there.
 Nothing is built or loaded at import. If no library can be built or loaded
 (no compiler, a compile error, an unwritable cache), ``load()`` returns None.
+It also returns None when the library's draws differ from numpy's: it draws
+_GUARD_DRAWS doubles through ``qc_pcg64_doubles`` once and compares them,
+and the generator state they leave, with ``Generator(PCG64(seed)).random``'s.
+That catches a numpy whose PCG64 structs are laid out otherwise (numpy
+emulates the 128-bit integers on compilers without them) before any run
+reads them.
 
 A loop takes one ``Run``, which holds a run's pointers, constants, counter
 and trace buffer, and a ``limit``. It runs at most ``limit`` ticks, stops on
@@ -23,9 +37,15 @@ the tick that brings ``counter`` to ``end0`` or ``end1``, writes
 
 - ``qc_binary``: ``int8`` opinions; ``table`` holds 75 ``int64`` entries
   (``binary_table``), (new a, new b, change in the counter) for opinion
-  pair (a, b) at ``3 * (5 * (a + 2) + (b + 2))``.
+  pair (a, b) at ``3 * (5 * (a + 2) + (b + 2))``. An equal pair's entry is
+  (a, a, 0), so the tick has no branch on the opinions: it writes both
+  ends, adds the change and compares the counter with the end values, a
+  branch almost never taken.
 - ``qc_quantized``: ``int64`` values, every |value| < 2**62 so that no
-  difference overflows.
+  difference overflows. It keeps its branch between a swap and an
+  exchange: on a 2-core x86-64 Xeon, a branch-free exchange (both ends
+  written from selects) took the desk ``q_setting2`` line sweep, 3 rounds
+  per n, from 8.6 to 19.2 ms, best of 12.
 
 A traced run (``stride`` > 0) has the loops write the rows due inside a
 call into ``rows``, a buffer of ``BINARY_ROW`` or ``QUANTIZED_ROW`` records.
@@ -78,13 +98,38 @@ SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
-typedef struct bitgen {  /* numpy/random/bitgen.h */
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
+/* The leading fields of numpy's bitgen_t (numpy/random/bitgen.h) and of the
+   pcg64_state its state points to for a PCG64, and the LCG that points to, as
+   numpy/random/src/pcg64/pcg64.h lays it out where the compiler has 128-bit integers. */
+typedef struct { void *state; } bitgen_t;
+typedef struct { __uint128_t state, inc; } pcg64_random_t;
+typedef struct { pcg64_random_t *pcg_state; } pcg64_state;
+
+#define PCG64_MULT (((__uint128_t)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+static inline pcg64_random_t *pcg64(const bitgen_t *bg)
+{
+    return ((pcg64_state *)bg->state)->pcg_state;
+}
+
+/* numpy's PCG64 next_double on a copy of the LCG: one step, the XSL-RR output of the
+   new state, and its top 53 bits over 2**53. */
+static inline double next_double(pcg64_random_t *g)
+{
+    g->state = g->state * PCG64_MULT + g->inc;
+    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    const unsigned rot = (unsigned)(g->state >> 122);
+    return (double)(int64_t)(((x >> rot) | (x << (-rot & 63))) >> 11) * 0x1.0p-53;
+}
+
+/* k doubles of the generator's stream into out, as its random(k) draws them. */
+void qc_pcg64_doubles(bitgen_t *bg, double *out, int64_t k)
+{
+    pcg64_random_t *const gen = pcg64(bg), g = *gen;
+    for (int64_t i = 0; i < k; i++)
+        out[i] = next_double(&g);
+    gen->state = g.state;
+}
 
 typedef struct run {  /* ckernel.Run */
     bitgen_t *bg;
@@ -107,12 +152,11 @@ typedef struct run {  /* ckernel.Run */
 typedef struct { int64_t tick, s_plus, s_minus, w_plus, w_minus; } binary_row_t;
 typedef struct { int64_t tick; double lyap; int64_t vmin, vmax; } quantized_row_t;
 
-/* One tick's edge: node *u drawn uniformly, then one of its neighbours, returned. */
-static inline int64_t draw_edge(const run_t *r, double dn, int64_t *u)
+/* One tick's edge, drawn from g: node *u uniformly, then one of its neighbours, returned. */
+static inline int64_t draw_edge(const run_t *r, pcg64_random_t *g, double dn, int64_t *u)
 {
-    bitgen_t *bg = r->bg;
-    *u = (int64_t)(bg->next_double(bg->state) * dn);
-    return r->flat[r->off[*u] + (int64_t)(bg->next_double(bg->state) * (double)r->deg[*u])];
+    *u = (int64_t)(next_double(g) * dn);
+    return r->flat[r->off[*u] + (int64_t)(next_double(g) * (double)r->deg[*u])];
 }
 
 /* The last tick of the segment that starts after tick `done` of a call: the tick
@@ -138,22 +182,20 @@ int64_t qc_binary(run_t *r, int64_t limit)
     const int64_t *table = r->table;
     const int64_t all_negative = r->end0, all_positive = r->end1;
     int64_t packed = r->counter;
+    pcg64_random_t *const gen = pcg64(r->bg), g = *gen;
     r->nrows = 0;
     for (int64_t done = 0, k = 1; done < limit; done = k - 1) {
         for (const int64_t end = segment_end(r, done, limit); k <= end; k++) {
-            int64_t u, v = draw_edge(r, dn, &u);
-            int8_t a = op[u], b = op[v];
-            if (a == b)
-                continue;
-            const int64_t *t = table + 3 * (5 * (a + 2) + (b + 2));
+            int64_t u, v = draw_edge(r, &g, dn, &u);
+            /* An equal pair's entry is (a, a, 0), so every pair is written. */
+            const int64_t *t = table + 3 * (5 * (op[u] + 2) + (op[v] + 2));
             op[u] = (int8_t)t[0];
             op[v] = (int8_t)t[1];
-            if (t[2]) {
-                packed += t[2];
-                if (packed == all_negative || packed == all_positive) {
-                    r->counter = packed;
-                    return k;
-                }
+            packed += t[2];
+            if (packed == all_negative || packed == all_positive) {
+                gen->state = g.state;
+                r->counter = packed;
+                return k;
             }
         }
         if (row_due(r, k - 1 - done)) {
@@ -166,6 +208,7 @@ int64_t qc_binary(run_t *r, int64_t limit)
             row->w_minus = r->n - positive - row->s_minus;
         }
     }
+    gen->state = g.state;
     r->counter = packed;
     r->tick += limit;
     return limit;
@@ -212,10 +255,11 @@ int64_t qc_quantized(run_t *r, int64_t limit)
     int64_t *val = r->state;
     const int64_t q = r->q, end0 = r->end0, end1 = r->end1;
     int64_t outside = r->counter;
+    pcg64_random_t *const gen = pcg64(r->bg), g = *gen;
     r->nrows = 0;
     for (int64_t done = 0, k = 1; done < limit; done = k - 1) {
         for (const int64_t end = segment_end(r, done, limit); k <= end; k++) {
-            int64_t u, v = draw_edge(r, dn, &u);
+            int64_t u, v = draw_edge(r, &g, dn, &u);
             int64_t a = val[u], b = val[v];
             if (a - b > -2 && a - b < 2) {
                 val[u] = b;
@@ -228,6 +272,7 @@ int64_t qc_quantized(run_t *r, int64_t limit)
             val[v] = nb;
             outside += IN_QQ1(a) - IN_QQ1(na) + IN_QQ1(b) - IN_QQ1(nb);
             if (outside == end0 || outside == end1) {
+                gen->state = g.state;
                 r->counter = outside;
                 return k;
             }
@@ -238,6 +283,7 @@ int64_t qc_quantized(run_t *r, int64_t limit)
             quantized_row(r, row);
         }
     }
+    gen->state = g.state;
     r->counter = outside;
     r->tick += limit;
     return limit;
@@ -267,6 +313,9 @@ QUANTIZED_ROW = np.dtype([("tick", "i8"), ("lyapunov", "f8"), ("value_min", "i8"
                           ("value_max", "i8")])
 
 _LOOP = ctypes.CFUNCTYPE(_I, _P, _I)  # (address of a Run, limit) -> ticks run
+_DOUBLES = ctypes.CFUNCTYPE(None, _P, _P, _I)  # (bitgen_t address, out, k)
+# The known-answer draws that load() compares with numpy's.
+_GUARD_SEED, _GUARD_DRAWS = 20140905, 64
 # A prototype of its own, so that ctypes.pythonapi's shared function is left as it is.
 _capsule_pointer = ctypes.PYFUNCTYPE(_P, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
@@ -315,16 +364,28 @@ def _build(path: Path) -> None:
                 stale.unlink()
 
 
+def _draws_match(lib) -> bool:
+    """True when ``qc_pcg64_doubles`` draws numpy's PCG64 stream bit for bit and leaves
+    the generator where numpy's own draws leave it."""
+    ours, numpys = (np.random.Generator(np.random.PCG64(_GUARD_SEED)) for _ in range(2))
+    out = np.empty(_GUARD_DRAWS)
+    _DOUBLES(("qc_pcg64_doubles", lib))(bitgen(ours), out.ctypes.data, _GUARD_DRAWS)
+    return (np.array_equal(out, numpys.random(_GUARD_DRAWS))
+            and ours.bit_generator.state == numpys.bit_generator.state)
+
+
 @cache
 def load() -> SimpleNamespace | None:
     """The compiled loops as ``binary`` and ``quantized``; None when no library
-    can be built or loaded."""
+    can be built or loaded, or when its draws differ from numpy's PCG64."""
     path = library_path()
     try:
         if not path.is_file():
             _build(path)
         lib = ctypes.CDLL(str(path))
     except OSError:
+        return None
+    if not _draws_match(lib):
         return None
     return SimpleNamespace(
         binary=_LOOP(("qc_binary", lib)),

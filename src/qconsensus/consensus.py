@@ -36,10 +36,12 @@ protocol's ``row(tick, counter)`` from the state a call leaves.
 
 The compiled step runs ``ckernel``'s C loop on a C copy of the state,
 copied back after each call. The loop draws from the generator's own
-``bitgen_t`` and leaves it exactly 2 * ticks floats past the run's start.
-The library is built on the first run into ``__pycache__/qckernel-<hash>.so``
-beside this module. The numpy batch step runs instead when no library can
-be built or loaded (no ``cc``, a compile error, an unwritable cache), and
+``bitgen_t``, stepping its PCG64 state inline, and leaves it exactly
+2 * ticks floats past the run's start. The library is built on the first
+run into ``__pycache__/qckernel-<hash>.so`` beside this module. The numpy
+batch step runs instead for a generator whose bit generator is not exactly
+``np.random.PCG64``, when no library can be built or loaded (no ``cc``, a
+compile error, an unwritable cache, draws that differ from numpy's), and
 for a quantized value of magnitude 2**62 or more, which a C ``int64``
 cannot hold with room for a difference. It discards the draws of its last
 batch past the run's end, so there the generator's position after a run is
@@ -52,7 +54,8 @@ computed from the values, and each kernel keeps its own counter for a run.
 
 from __future__ import annotations
 
-from ctypes import addressof, c_int8, c_int64
+from array import array
+from ctypes import addressof
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import count
@@ -365,18 +368,25 @@ def _batch_step(g: Graph, rng, apply, tick: int, stride: int, row, counter: int)
     return step
 
 
-def _compiled_step(g: Graph, rng, loop, c_type, values: list, tick: int, stride: int, row_type,
-                   fields: tuple, held=None):
-    """The compiled ``step``: ``loop`` runs on a C array of ``c_type`` copied from
+def _loops(rng):
+    """``ckernel``'s loops when they can draw ``rng``'s stream, which they read as
+    PCG64's; None for any other bit generator, or when no library loads."""
+    return ckernel.load() if type(rng.bit_generator) is np.random.PCG64 else None
+
+
+def _compiled_step(g: Graph, rng, loop, typecode: str, values: list, tick: int, stride: int,
+                   row_type, fields: tuple, held=None):
+    """The compiled ``step``: ``loop`` runs on an ``array`` of ``typecode`` copied from
     ``values``, which each call copies back. ``fields`` are the ``ckernel.Run`` fields
     from the counter on, and ``held`` the array they point into, if any. A traced run
     gets a buffer of _TRACE_ROWS ``row_type`` rows, one due every ``stride`` ticks
     after ``tick``."""
     csr_arrays, csr_addresses = _csr_pointers(g)
-    c_values = (c_type * g.n)(*values)
-    run = ckernel.Run(ckernel.bitgen(rng), g.n, *csr_addresses, addressof(c_values), *fields)
+    c_values = array(typecode, values)
+    run = ckernel.Run(ckernel.bitgen(rng), g.n, *csr_addresses, c_values.buffer_info()[0],
+                      *fields)
     # The run holds the arrays its calls read, since the next graph evicts csr's memo.
-    run.held = csr_arrays, held
+    run.held = csr_arrays, c_values, held
     columns = ()
     if stride:
         buffer = np.empty(_TRACE_ROWS, row_type)
@@ -390,7 +400,7 @@ def _compiled_step(g: Graph, rng, loop, c_type, values: list, tick: int, stride:
     def step(limit):
         with lock:
             k = loop(address, limit)
-        values[:] = c_values[:]
+        values[:] = c_values.tolist()
         rows = list(zip(*[column[:run.nrows].tolist() for column in columns])) if stride else ()
         return k, run.counter, rows
 
@@ -427,7 +437,7 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
     packed = s_plus + w_plus  # #positive is in [0, n]: divmod by n + 1 splits packed
     all_negative, all_positive = (n + 1) * s_plus, n + (n + 1) * s_minus
     ends = {all_negative: "all_negative", all_positive: "all_positive"}
-    kernel = ckernel.load()
+    kernel = _loops(rng)
 
     def row(tick, packed):
         annihilations, pos = divmod(packed, n + 1)
@@ -451,7 +461,7 @@ def _run_binary(g: Graph, s: BinaryState, rng, max_ticks: int, stride: int) -> S
 
         step = _batch_step(g, rng, apply, s.tick, stride, row, packed)
     else:
-        step = _compiled_step(g, rng, kernel.binary, c_int8, opinions, s.tick, stride,
+        step = _compiled_step(g, rng, kernel.binary, "b", opinions, s.tick, stride,
                               ckernel.BINARY_ROW,
                               (packed, all_negative, all_positive, _binary_table(n)[2]))
     return _run_kernel("binary", g, s, max_ticks, stride, step, row, packed, ends,
@@ -466,7 +476,7 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
     off = sum(not q <= v <= qp1 for v in values)  # the counter: nodes outside {q, q+1}
     lo, hi = min(values), max(values)
     # Values in (-2**62, 2**62) keep every difference the C loop takes inside int64.
-    kernel = ckernel.load() if -_C_VALUE_LIMIT < lo and hi < _C_VALUE_LIMIT else None
+    kernel = _loops(rng) if -_C_VALUE_LIMIT < lo and hi < _C_VALUE_LIMIT else None
 
     def row(tick, counter):
         return tick, lyapunov(s), min(values), max(values)
@@ -495,7 +505,7 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
             squares = np.full(hi - lo + 1, -1.0)
             memo = squares.ctypes.data
         # Run's counter, end values, table, q, mean (as lyapunov() takes it) and lo.
-        step = _compiled_step(g, rng, kernel.quantized, c_int64, values, s.tick, stride,
+        step = _compiled_step(g, rng, kernel.quantized, "q", values, s.tick, stride,
                               ckernel.QUANTIZED_ROW, (off, 0, 0, memo, q, s.q_sum / n, lo),
                               squares)
     return _run_kernel("quantized", g, s, max_ticks, stride, step, row, off,

@@ -25,7 +25,7 @@ from .consensus import (
     read_quantized_values,
     run_to_convergence,
 )
-from .graphs import Graph, TopologySpec, build_graph, er_probability
+from .graphs import Graph, GraphConstructionError, TopologySpec, build_graph, er_probability
 from .rows import write_csv, write_table
 
 PROTOCOLS = ("binary", "quantized")
@@ -125,6 +125,8 @@ def topology_spec(kind: str, n: int, seed: int, m: int | None = None,
     is ``er_probability(n)``; an ER graph's sampling seed is derived from
     (seed, n).
     """
+    if n < 1:  # before er_probability and seed_sequence, which reject it in their own words
+        raise GraphConstructionError("n must be >= 1")
     if kind == "lollipop":
         return TopologySpec(kind, n, m=m if m is not None else lollipop_clique_size(n))
     if kind == "erdos_renyi":

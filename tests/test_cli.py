@@ -108,6 +108,16 @@ def test_simulate_trace_out_requires_a_stride(tmp_path, capsys):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("topo", ["erdos_renyi", "star", "lollipop"])
+def test_simulate_rejects_n_below_one_on_every_topology(topo, n, capsys):
+    # An ER spec derives its p and graph seed from n, so n is checked before either.
+    assert run_cli("simulate", "--topo", topo, f"--n={n}", "--protocol", "binary") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be >= 1\n"
+
+
 def test_simulate_rejects_negative_trace_stride(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     code = run_cli("simulate", "--topo", "line", "--n", "7", "--protocol", "binary",

@@ -831,6 +831,58 @@ def test_a_compiled_run_leaves_the_generator_two_floats_a_tick_on(protocol, g, s
         assert rng.random() == np.random.default_rng(seed).random(2 * res.ticks + 1)[-1]
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+@pytest.mark.parametrize("protocol", ["binary", "quantized"])
+def test_other_bit_generators_take_the_batch_step(bit_generator, protocol, monkeypatch):
+    # The loops step PCG64's LCG themselves, so a run on any other bit generator
+    # must never reach them, and still equals the stepper on that generator's stream.
+    def refuse(address, limit):
+        raise AssertionError("a compiled loop ran")
+
+    monkeypatch.setattr(ckernel, "load", lambda: SimpleNamespace(binary=refuse, quantized=refuse))
+    g = build_graph(TopologySpec("lollipop", 12, m=5))
+    with pytest.raises(AssertionError, match="a compiled loop ran"):  # PCG64 reaches them
+        run_to_convergence(protocol, g, _random_state(protocol, g.n, 5),
+                           np.random.default_rng(5), 10**5)
+    for stride in (0, 7):
+        slow, fast = _random_state(protocol, g.n, 5), _random_state(protocol, g.n, 5)
+        expected = _reference_run(protocol, g, slow, np.random.Generator(bit_generator(5)),
+                                  10**5, stride)
+        res = run_to_convergence(protocol, g, fast, np.random.Generator(bit_generator(5)),
+                                 10**5, stride)
+        assert res.converged
+        assert (res.ticks, res.converged, res.detail, res.trace) == expected
+        assert fast == slow
+
+
+@needs_cc
+def test_a_library_whose_draws_differ_from_numpys_is_not_loaded(monkeypatch):
+    assert ckernel._draws_match(ckernel.load().lib)
+    g = build_graph(TopologySpec("lollipop", 12, m=5))
+    expected = [run_to_convergence(protocol, g, _random_state(protocol, g.n, 5),
+                                   np.random.default_rng(5), 10**5, 7)
+                for protocol in ("binary", "quantized")]
+    monkeypatch.setattr(ckernel, "_draws_match", lambda lib: False)
+    ckernel.load.cache_clear()
+    try:
+        assert ckernel.load() is None
+        assert [run_to_convergence(protocol, g, _random_state(protocol, g.n, 5),
+                                   np.random.default_rng(5), 10**5, 7)
+                for protocol in ("binary", "quantized")] == expected
+    finally:
+        ckernel.load.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 101])
+def test_binary_table_leaves_every_equal_pair_and_the_count_alone(n):
+    # qc_binary writes every pair and adds every count change without testing a == b.
+    table, c_table, _ = consensus._binary_table(n)
+    for a in OPINIONS:
+        assert table[a][a] == (a, a, 0)
+        at = 3 * (5 * (a + 2) + (a + 2))
+        assert c_table[at:at + 3] == [a, a, 0]
+
+
 @needs_cc
 def test_a_build_removes_stale_libraries(tmp_path, monkeypatch):
     stale = tmp_path / "qckernel-0123456789abcdef.so"
