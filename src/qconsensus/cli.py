@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.n_values:
+    if args.n_values is not None:
         try:
             n_values = tuple(int(s) for s in args.n_values.split(","))
         except ValueError as exc:

@@ -25,6 +25,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -372,16 +373,20 @@ def bfs_tree(g: Graph, x: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def path_degree_sums_from(g: Graph, x: int) -> list[int]:
-    """Degree sum along bfs_tree(g, x)'s path to every node y, both ends included; < 3n."""
+def tree_path_sums(g: Graph, x: int, term: Callable[[int, int], int]) -> list[int]:
+    """Sum of term(u, v) over the edges u -> v of bfs_tree(g, x)'s path to every node y."""
     order, parent = bfs_tree(g, x)
     if len(order) < g.n:
         raise ValueError(f"node {parent.index(-1)} is unreachable from node {x}")
     sums = [0] * g.n
-    sums[x] = g.degree(x)
     for v in order[1:]:
-        sums[v] = sums[parent[v]] + g.degree(v)
+        sums[v] = sums[parent[v]] + term(parent[v], v)
     return sums
+
+
+def path_degree_sums_from(g: Graph, x: int) -> list[int]:
+    """Degree sum along bfs_tree(g, x)'s path to every node y, both ends included; < 3n."""
+    return [g.degree(x) + s for s in tree_path_sums(g, x, lambda u, v: g.degree(v))]
 
 
 def read_edge_list(path) -> Graph:

@@ -28,8 +28,9 @@ from .consensus import (
 from .graphs import Graph, GraphConstructionError, TopologySpec, build_graph, er_probability
 from .rows import write_csv, write_table
 
-PROTOCOLS = ("binary", "quantized")
-INITS = ("majority_one", "q_setting1", "q_setting2")
+PROTOCOL_INITS = {"binary": ("majority_one",), "quantized": ("q_setting1", "q_setting2")}
+PROTOCOLS = tuple(PROTOCOL_INITS)
+INITS = sum(PROTOCOL_INITS.values(), ())
 DEFAULT_INIT = {"binary": "majority_one", "quantized": "q_setting2"}
 
 # Desk-scale sweep grids (the full-scale grid runs 21..481 step 20).
@@ -58,14 +59,28 @@ def lollipop_clique_size(n: int) -> int:
     return (2 * n + 1) // 3
 
 
+def check_init(protocol: str, init: str, n: int, lo: int = 1, hi: int = 100) -> None:
+    """Raise ValueError unless ``init`` can start a ``protocol`` run on n nodes from [lo, hi];
+    the one statement of each init rule, for single runs and sweeps alike."""
+    if init not in PROTOCOL_INITS.get(protocol, ()):
+        raise ValueError(f"{protocol} protocol cannot use init {init!r}")
+    if init == "majority_one" and n % 2 == 0:
+        raise ValueError(f"odd N required for the majority_one init, got {n}")
+    if init == "q_setting1" and n < 3:
+        raise ValueError(f"q_setting1 requires n >= 3, got {n}")
+    if lo > hi:
+        raise ValueError(f"lo must be <= hi, got lo={lo}, hi={hi}")
+    if not -2**63 <= lo <= hi < 2**63:  # the range rng.integers draws from
+        raise ValueError(f"lo and hi must fit in int64, got lo={lo}, hi={hi}")
+
+
 def init_majority_one(n: int, rng) -> BinaryState:
     """ceil(n/2) strong positive and floor(n/2) strong negative voters.
 
     The one-vote margin makes this the adversarial majority setting; n must
     be odd for the convergence guarantee to apply.
     """
-    if n % 2 == 0:
-        raise ValueError(f"odd N required for the majority_one init, got {n}")
+    check_init("binary", "majority_one", n)
     opinions = [STRONG_NEG] * n
     for i in rng.permutation(n)[: (n + 1) // 2]:
         opinions[i] = STRONG_POS
@@ -78,8 +93,7 @@ def init_q_setting1(g: Graph, rng, exclude: Iterable[int] = ()) -> QuantizedStat
     The sum is n, so the run converges exactly when every node holds 1.
     ``exclude`` removes nodes from eligibility (the hub on star graphs).
     """
-    if g.n < 3:
-        raise ValueError(f"setting-1 init requires n >= 3, got {g.n}")
+    check_init("quantized", "q_setting1", g.n)
     excluded = set(exclude)
     eligible = [i for i in range(g.n) if i not in excluded]
     if len(eligible) < 2:
@@ -93,8 +107,7 @@ def init_q_setting1(g: Graph, rng, exclude: Iterable[int] = ()) -> QuantizedStat
 
 def init_q_setting2(n: int, rng, lo: int = 1, hi: int = 100) -> QuantizedState:
     """i.i.d. uniform integer values in [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"setting-2 init requires lo <= hi, got {lo} > {hi}")
+    check_init("quantized", "q_setting2", n, lo, hi)
     return QuantizedState.from_values(rng.integers(lo, hi + 1, size=n).tolist())
 
 
@@ -149,13 +162,12 @@ def initial_state(protocol: str, init: str, g: Graph, rng, kind: str = "",
         if protocol == "binary":
             return binary_init(g, read_binary_votes(init_file), rng)
         return QuantizedState.from_values(read_quantized_values(init_file))
-    if protocol == "binary" and init == "majority_one":
+    check_init(protocol, init, g.n, lo, hi)
+    if init == "majority_one":
         return init_majority_one(g.n, rng)
-    if protocol == "quantized" and init == "q_setting1":
+    if init == "q_setting1":
         return init_q_setting1(g, rng, (0,) if kind == "star" else ())
-    if protocol == "quantized" and init == "q_setting2":
-        return init_q_setting2(g.n, rng, lo, hi)
-    raise ValueError(f"{protocol} protocol cannot use init {init!r}")
+    return init_q_setting2(g.n, rng, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -163,8 +175,9 @@ class SweepConfig:
     """One sweep: a topology family, a protocol, an init and an n-grid.
 
     m is the lollipop clique size (None = floor((2n+1)/3)); p the ER edge
-    probability (None = min(1, 5 ln n / n)); max_ticks the per-round budget
-    (None = default_max_ticks(n)). Each n's graph spec is validated here.
+    probability (None = min(1, 5 ln n / n), and 1 at n = 1); max_ticks the
+    per-round budget (None = default_max_ticks(n)). Construction validates each
+    n's graph spec and init rules (``check_init``), and the master seed.
     """
 
     kind: str
@@ -182,34 +195,20 @@ class SweepConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.protocol == "binary" and self.init != "majority_one":
-            raise ValueError("binary sweeps use the majority_one init")
-        if self.protocol == "quantized" and self.init == "majority_one":
-            raise ValueError("quantized sweeps use a q_setting init")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.max_ticks is not None and self.max_ticks < 0:
             raise ValueError(f"max_ticks must be >= 0, got {self.max_ticks}")
-        if self.lo > self.hi:
-            raise ValueError(f"lo must be <= hi, got lo={self.lo}, hi={self.hi}")
-        if not -2**63 <= self.lo <= self.hi < 2**63:  # the range rng.integers draws from
-            raise ValueError(f"lo and hi must fit in int64, got lo={self.lo}, hi={self.hi}")
         if not self.n_values:
             raise ValueError("n_values must not be empty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        if self.init == "majority_one":
-            even = [n for n in self.n_values if n % 2 == 0]
-            if even:
-                raise ValueError(f"majority_one requires odd n, got {even}")
-        if self.init == "q_setting1" and self.n_values[0] < 3:
-            raise ValueError(f"q_setting1 requires n >= 3, got {self.n_values[0]}")
         if self.kind == "edge_list":
             raise ValueError("sweeps build one graph per n and cannot use an edge list")
+        seed_sequence(self.master_seed)  # a bad seed fails here, whatever the topology
         for n in self.n_values:
             self.spec_for(n).validate()
+            check_init(self.protocol, self.init, n, self.lo, self.hi)
 
     def spec_for(self, n: int) -> TopologySpec:
         return topology_spec(self.kind, n, self.master_seed, self.m, self.p)

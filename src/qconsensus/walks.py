@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, bfs_tree, check_nodes, csr
+from .graphs import Graph, bfs_tree, check_nodes, csr, tree_path_sums
 
 WALK_KINDS = ("simple", "natural", "biased")
 
@@ -300,12 +300,7 @@ def hitting_bounds_from(g: Graph, x: int) -> list[HittingBound]:
     breadth-first tree from x.
     """
     n = g.n
-    order, parent = bfs_tree(g, x)
-    if len(order) < n:
-        raise ValueError(f"node {parent.index(-1)} is unreachable from node {x}")
-    r_bound = [0] * n
-    for v in order[1:]:
-        r_bound[v] = r_bound[parent[v]] + n * min(g.degree(parent[v]), g.degree(v))
+    r_bound = tree_path_sums(g, x, lambda u, v: n * min(g.degree(u), g.degree(v)))
     general = 3.0 * n**3
     return [HittingBound(general, float(n * r)) for r in r_bound]
 

@@ -184,6 +184,54 @@ def test_sweep_rejects_a_bad_config_before_its_header(argv, message, tmp_path, c
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n, flags, message", [
+    (2, ("--topo", "line", "--protocol", "quantized", "--init", "q_setting1"),
+     "q_setting1 requires n >= 3, got 2"),
+    (5, ("--topo", "line", "--protocol", "quantized", "--lo", "9", "--hi", "3"),
+     "lo must be <= hi, got lo=9, hi=3"),
+    (10, ("--topo", "star", "--protocol", "binary"),
+     "odd N required for the majority_one init, got 10"),
+    (5, ("--topo", "line", "--protocol", "quantized", "--hi", "9223372036854775808"),
+     "lo and hi must fit in int64, got lo=1, hi=9223372036854775808"),
+    (5, ("--topo", "line", "--protocol", "binary", "--init", "q_setting1"),
+     "binary protocol cannot use init 'q_setting1'"),
+])
+def test_simulate_and_sweep_reject_a_bad_init_in_the_same_words(n, flags, message, capsys):
+    for argv in (("simulate", "--n", str(n)), ("sweep", "--n-values", str(n), "--rounds", "1")):
+        assert run_cli(*argv, *flags) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("topo", ["star", "line", "lollipop", "erdos_renyi"])
+def test_sweep_rejects_a_negative_seed_before_its_header(topo, capsys):
+    code = run_cli("sweep", "--topo", topo, "--protocol", "binary", "--n-values", "5",
+                   "--rounds", "1", "--seed", "-1")
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_simulate_binary_rejects_lo_above_hi(capsys):
+    code = run_cli("simulate", "--topo", "line", "--n", "5", "--protocol", "binary",
+                   "--lo", "9", "--hi", "3")
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: lo must be <= hi, got lo=9, hi=3\n"
+
+
+def test_sweep_rejects_empty_n_values(capsys):
+    code = run_cli("sweep", "--topo", "star", "--protocol", "binary", "--n-values", "",
+                   "--rounds", "1")
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --n-values: ")
+
+
 def test_sweep_fit_and_default_grid(capsys):
     args = ("sweep", "--topo", "star", "--protocol", "binary", "--rounds", "1", "--seed", "3")
     assert run_cli(*args, "--fit") == EXIT_OK

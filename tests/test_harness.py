@@ -173,6 +173,19 @@ def test_sweep_config_validation():
         SweepConfig("ring", (9,), "binary", "majority_one", 2, 1)
 
 
+@pytest.mark.parametrize("kind", ["star", "line", "lollipop", "erdos_renyi"])
+def test_sweep_config_rejects_a_negative_seed_at_construction(kind):
+    with pytest.raises(ValueError):
+        SweepConfig(kind, (5,), "binary", "majority_one", 1, master_seed=-1)
+
+
+def test_initial_state_checks_lo_and_hi_for_every_init():
+    g = build_graph(TopologySpec("line", 5))
+    for protocol, init in (("binary", "majority_one"), ("quantized", "q_setting1")):
+        with pytest.raises(ValueError, match="lo must be <= hi, got lo=9, hi=3"):
+            initial_state(protocol, init, g, np.random.default_rng(0), lo=9, hi=3)
+
+
 def test_spec_for_lollipop_uses_extremal_clique():
     cfg = SweepConfig("lollipop", (9, 15), "binary", "majority_one", 1, 1)
     spec = cfg.spec_for(15)
