@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from . import consensus as cons
 from . import walks
-from .graphs import Graph, build_graph, er_probability, path_degree_sums_from, TopologySpec
+from .graphs import (Graph, build_graph, er_probability, path_degree_sums_from, tick_edges,
+                     TopologySpec)
 from .harness import (default_max_ticks, init_majority_one, init_q_setting2,
                       lollipop_clique_size, seed_sequence)
 
@@ -27,6 +29,7 @@ CYCLE_REL_TOL = 1e-6
 CLOSED_FORM_REL_TOL = 1e-6
 UNIFORM_TOL = 1e-10
 MC_SIGMAS = 3  # Monte Carlo means must lie within this many standard errors
+_TICK_CHUNK = 4096  # ticks a conservation check draws per tick_edges call
 
 # Hand-enumerated oracle for the four pairwise voting rules:
 #   1. equal opinions stay put;
@@ -206,6 +209,13 @@ def check_meeting_bounds(cases, coupled, runs: int, seed: int) -> CheckResult:
     return CheckResult("meeting_bounds", ok, "; ".join(details))
 
 
+def _ticks(g: Graph, rng, ticks: int):
+    """(tick, u, v) for ticks 1..``ticks``, drawn by ``tick_edges`` _TICK_CHUNK at a time."""
+    for done in range(0, ticks, _TICK_CHUNK):
+        u, v = tick_edges(g, rng, min(_TICK_CHUNK, ticks - done))
+        yield from zip(count(done + 1), u.tolist(), v.tolist())
+
+
 def check_binary_conservation(graph, ticks: int, seed: int) -> CheckResult:
     """Binary voting from a majority-one start: every update matches the hand table,
     and the strong surplus and count, tracked tick by tick, hold (surplus constant,
@@ -222,10 +232,7 @@ def check_binary_conservation(graph, ticks: int, seed: int) -> CheckResult:
     def fail(what: str) -> CheckResult:
         return CheckResult("binary_conservation", False, f"{what} on {name}")
 
-    for tick in range(1, ticks + 1):
-        u = int(rng.random() * n)
-        nbrs = g.adjacency[u]
-        v = nbrs[int(rng.random() * len(nbrs))]
+    for tick, u, v in _ticks(g, rng, ticks):
         a, b = opinions[u], opinions[v]
         cons.apply_binary_edge(state, u, v)
         na, nb = opinions[u], opinions[v]
@@ -261,10 +268,7 @@ def check_quantized_conservation(graph, ticks: int, seed: int) -> CheckResult:
     def fail(what: str) -> CheckResult:
         return CheckResult("quantized_conservation", False, f"{what} on {name}")
 
-    for tick in range(1, ticks + 1):
-        u = int(rng.random() * n)
-        nbrs = g.adjacency[u]
-        v = nbrs[int(rng.random() * len(nbrs))]
+    for tick, u, v in _ticks(g, rng, ticks):
         a, b = values[u], values[v]
         cons.apply_quantized_edge(state, u, v)
         na, nb = values[u], values[v]

@@ -4,12 +4,12 @@ Each loop is ``consensus``'s compiled ``step``. The step contract, the
 counters and the end values that stop a run are stated once, in the
 ``consensus`` module docstring; this one says how the loops keep them.
 
-Each loop draws its ticks from a numpy ``PCG64`` generator, two doubles per
-tick, node first and then neighbour, each product truncated as Python's
-``int()`` truncates it. It does not call the generator: through the
-``bitgen_t`` that ``rng.bit_generator.capsule`` wraps, it reads numpy's
-``pcg64_state`` and the 128-bit LCG state and increment it points to, once
-per call, and keeps them in registers. Each double is numpy's
+Each loop draws its ticks (``draw_edge``) by the tick law that
+``graphs.tick_edges`` states, from a numpy ``PCG64`` generator; the
+per-tick steppers are its reference. It does not call the generator:
+through the ``bitgen_t`` that ``rng.bit_generator.capsule`` wraps, it reads
+numpy's ``pcg64_state`` and the 128-bit LCG state and increment it points
+to, once per call, and keeps them in registers. Each double is numpy's
 ``next_double``, inline: one LCG step, the XSL-RR output of the new state
 (O'Neill's PCG64), and its top 53 bits times 2**-53. Every return writes the
 state back, so a call leaves the generator exactly 2 * ticks doubles on, as

@@ -88,8 +88,16 @@ def _topology_spec(args) -> TopologySpec:
     return topology_spec(args.topo, args.n, args.seed, args.m, args.p)
 
 
+def _check_topology_flags(args) -> None:
+    """Reject --edges off edge_list and --n/--m/--p on it (``topology_spec`` checks the rest)."""
+    for flag in ("n", "m", "p") if args.topo == "edge_list" else ("edges",):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to --topo {args.topo}")
+
+
 def _graph(args) -> Graph:
     """The connected graph of the topology flags; an edge-list file is built once, as read."""
+    _check_topology_flags(args)
     if args.topo != "edge_list":
         return build_graph(_topology_spec(args))
     if not args.edges:
@@ -102,9 +110,11 @@ SIM_HEADER = ("topology", "protocol", "init", "n", "seed", "max_ticks",
 
 
 def cmd_simulate(args) -> int:
+    init = args.init or DEFAULT_INIT[args.protocol]
+    if args.init_file is not None and init != "file":
+        raise ValueError("--init-file requires --init file")
     g = _graph(args)
     rng = np.random.default_rng(seed_sequence(args.seed))
-    init = args.init or DEFAULT_INIT[args.protocol]
     state = initial_state(args.protocol, init, g, rng, args.topo, args.lo, args.hi,
                           args.init_file)
     max_ticks = args.max_ticks if args.max_ticks is not None else default_max_ticks(g.n)
@@ -123,7 +133,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_topology_flags(args)
     if args.n_values is not None:
+        if args.full_grid:
+            raise ValueError("--full-grid and --n-values cannot be used together")
         try:
             n_values = tuple(int(s) for s in args.n_values.split(","))
         except ValueError as exc:

@@ -12,10 +12,10 @@ unit from the larger value to the smaller when they differ by at least two
 conserved; with sum = q*n + r (0 <= r < n) the protocol converges when
 every value lies in {q, q+1}.
 
-One tick = one edge activation: a node chosen uniformly, then one of its
-neighbors uniformly, from two uniform floats drawn in (node, neighbor)
-order. The per-tick steppers (``binary_step``/``quantized_step``) are the
-reference that every kernel is tested against, tick for tick.
+One tick = one edge activation, drawn by the tick law that
+``graphs.tick_edges`` states. The per-tick steppers
+(``binary_step``/``quantized_step``) are its scalar reference, which every
+kernel is tested against, tick for tick.
 
 ``run_to_convergence`` runs one kernel per protocol, traced or not. A run
 keeps one integer counter: binary's ``packed`` = #positive + (n + 1) *
@@ -63,7 +63,7 @@ from itertools import count
 import numpy as np
 
 from . import ckernel
-from .graphs import Graph, csr
+from .graphs import Graph, csr, tick_edges
 from .rows import data_lines, write_csv
 
 STRONG_POS = 2
@@ -208,16 +208,6 @@ def apply_binary_edge(s: BinaryState, u: int, v: int) -> None:
     s.opinions[u], s.opinions[v] = binary_update(s.opinions[u], s.opinions[v])
 
 
-def binary_step(s: BinaryState, g: Graph, rng) -> BinaryState:
-    """One edge activation; mutates and returns ``s``."""
-    u = int(rng.random() * g.n)
-    nbrs = g.adjacency[u]
-    v = nbrs[int(rng.random() * len(nbrs))]
-    apply_binary_edge(s, u, v)
-    s.tick += 1
-    return s
-
-
 def binary_converged(s: BinaryState) -> bool:
     """True iff every node's sign agrees (strength does not matter)."""
     pos = s.positive
@@ -235,14 +225,24 @@ def apply_quantized_edge(s: QuantizedState, u: int, v: int) -> None:
     s.values[v] = nb
 
 
-def quantized_step(s: QuantizedState, g: Graph, rng) -> QuantizedState:
-    """One edge activation; mutates and returns ``s``."""
-    u = int(rng.random() * g.n)
-    nbrs = g.adjacency[u]
-    v = nbrs[int(rng.random() * len(nbrs))]
-    apply_quantized_edge(s, u, v)
-    s.tick += 1
-    return s
+def _stepper(apply, name: str):
+    """The stepper ``name``, the scalar reference of ``graphs.tick_edges``: a tick calls
+    nothing but ``apply``, which the closure reads as fast as a global."""
+    def step(s, g: Graph, rng):
+        """One edge activation; mutates and returns ``s``."""
+        u = int(rng.random() * g.n)
+        nbrs = g.adjacency[u]
+        v = nbrs[int(rng.random() * len(nbrs))]
+        apply(s, u, v)
+        s.tick += 1
+        return s
+
+    step.__name__ = step.__qualname__ = name
+    return step
+
+
+binary_step = _stepper(apply_binary_edge, "binary_step")
+quantized_step = _stepper(apply_quantized_edge, "quantized_step")
 
 
 def quantized_converged(s: QuantizedState) -> bool:
@@ -330,16 +330,13 @@ def _run_kernel(protocol: str, g: Graph, s, max_ticks: int, stride: int, step, r
 def _batch_step(g: Graph, rng, apply, tick: int, stride: int, row, counter: int):
     """The fallback ``step``: edges drawn in numpy batches, fed to ``apply`` in Python.
 
-    Batches grow from _FIRST_BATCH to _MAX_BATCH ticks (split PCG64 draws
-    equal one large draw); truncating a non-negative float64 product equals
-    the steppers' ``int()``. ``apply(us, vs, counter)`` applies the edges
+    Batches grow from _FIRST_BATCH to _MAX_BATCH ticks, each drawn by one
+    ``tick_edges`` call. ``apply(us, vs, counter)`` applies the edges
     (us[i], vs[i]) in order, stopping on the one whose update brings the
     counter to an end value, and returns (how many it applied, or None if it
     applied all without converging, the counter). With ``stride`` > 0 a batch
     also ends where a row is due, every ``stride`` ticks after ``tick``.
     """
-    n = g.n
-    deg, off, flat = csr(g)
     batch = _FIRST_BATCH
     due = stride
 
@@ -350,9 +347,7 @@ def _batch_step(g: Graph, rng, apply, tick: int, stride: int, row, counter: int)
         while done < limit:
             m = min(batch, limit - done, due) if stride else min(batch, limit - done)
             batch = min(2 * batch, _MAX_BATCH)
-            r = rng.random(2 * m)
-            u = (r[0::2] * n).astype(np.int64)
-            v = flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)]
+            u, v = tick_edges(g, rng, m)
             k, counter = apply(u.tolist(), v.tolist(), counter)
             if k is not None:
                 return done + k, counter, rows

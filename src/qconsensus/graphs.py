@@ -349,6 +349,17 @@ def csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return deg, off, flat
 
 
+def tick_edges(g: Graph, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 edges (u, v) of k ticks under the tick law, the node clock of randomized
+    gossip (Boyd et al. 2006): u uniform, then a uniform neighbour v of u. The floats come
+    in (u, v) order from one ``rng.random(2 * k)``, the stream and truncation of the scalar
+    reference ``consensus.binary_step``. Every node needs a neighbour; callers check."""
+    deg, off, flat = csr(g)
+    r = rng.random(2 * k)
+    u = (r[0::2] * g.n).astype(np.int64)
+    return u, flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)]
+
+
 def bfs_tree(g: Graph, x: int) -> tuple[list[int], list[int]]:
     """Breadth-first visiting order from x, and each node's parent (-1 if unreached).
 

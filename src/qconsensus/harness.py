@@ -136,8 +136,12 @@ def topology_spec(kind: str, n: int, seed: int, m: int | None = None,
 
     m = None is the extremal lollipop clique size floor((2n+1)/3); p = None
     is ``er_probability(n)``; an ER graph's sampling seed is derived from
-    (seed, n).
+    (seed, n). An m or p that ``kind`` does not read is a ValueError.
     """
+    if m is not None and kind != "lollipop":
+        raise ValueError(f"m applies only to lollipop, not {kind}")
+    if p is not None and kind != "erdos_renyi":
+        raise ValueError(f"p applies only to erdos_renyi, not {kind}")
     if n < 1:  # before er_probability and seed_sequence, which reject it in their own words
         raise GraphConstructionError("n must be >= 1")
     if kind == "lollipop":

@@ -1,7 +1,7 @@
 """Random-walk analysis on connected graphs.
 
-Three walk laws are supported, all driven by the same asynchronous clock
-(one tick = pick a node uniformly, then one of its neighbors uniformly):
+Three walk laws are supported, all driven by the same asynchronous clock,
+the tick law of ``graphs.tick_edges``:
 
 * simple:  P[i][j] = 1/deg(i) on edges, zero diagonal.
 * natural: P[i][j] = 1/(n deg(i)) on edges, diagonal 1 - 1/n.
@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, bfs_tree, check_nodes, csr, tree_path_sums
+from .graphs import Graph, bfs_tree, check_nodes, csr, tick_edges, tree_path_sums
 
 WALK_KINDS = ("simple", "natural", "biased")
 
@@ -333,17 +333,24 @@ def potential(h: HittingTable, t: int, x: int, y: int) -> float:
 # ---------------------------------------------------------------------------
 # Monte Carlo simulation of tokens under the tick-level exchange dynamics.
 #
-# One tick activates an edge by picking a node uniformly and then a neighbor
-# uniformly, so edge {u, v} fires with probability p_uv = w_uv per tick and
-# the values at its endpoints swap. A tracked token at u moves on a tick
-# with probability r_u = sum_v p_uv, so the idle ticks before its next move
-# are one geometric draw; meet-all runs move every token, one edge per tick.
+# One tick activates an edge drawn by graphs.tick_edges, so edge {u, v}
+# fires with probability p_uv = w_uv per tick and the values at its
+# endpoints swap. A tracked token at u moves on a tick with probability
+# r_u = sum_v p_uv, so the idle ticks before its next move are one
+# geometric draw; meet-all runs move every token, one edge per tick.
 #
 # All runs of one sample_* call advance in lockstep on one generator,
 # np.random.default_rng(seed): each step draws the next event of every
 # active run at once, and a run leaves the active set when it finishes. A
 # sample of k runs is a function of (seed, k), not a prefix of a larger one.
 # ---------------------------------------------------------------------------
+
+
+def _neighbor_csr(g: Graph) -> tuple:
+    """``csr(g)``; ValueError if a node has no neighbor for a tick to draw."""
+    if not csr(g)[0].all():
+        raise ValueError("every node needs a neighbor")
+    return csr(g)
 
 
 class _Moves:
@@ -355,9 +362,7 @@ class _Moves:
     """
 
     def __init__(self, g: Graph):
-        self.deg, self.off, self.nbr = csr(g)
-        if not self.deg.all():
-            raise ValueError("every node needs a neighbor")
+        self.deg, self.off, self.nbr = _neighbor_csr(g)
         src = np.repeat(np.arange(g.n), self.deg)
         self.p = (1.0 / self.deg[src] + 1.0 / self.deg[self.nbr]) / g.n
         self.key = src * g.n + self.nbr  # the entry's index in a flat n x n array
@@ -496,21 +501,18 @@ def sample_meet_all(g: Graph, start: int, others: Iterable[int], seed, runs: int
         raise ValueError("tokens must start on distinct nodes")
     if not others:
         return np.zeros(runs, dtype=np.int64)
+    _neighbor_csr(g)
     rng = np.random.default_rng(seed)
-    moves = _Moves(g)
-    n = g.n
     # occupant[run, node]: 0 for none, 1 for the designated token, 2.. for
     # the others; unmet[run, token] stays False for tokens 0 and 1
-    occupant = np.zeros((runs, n), dtype=np.int64)
+    occupant = np.zeros((runs, g.n), dtype=np.int64)
     occupant[:, start] = 1
     occupant[:, others] = np.arange(2, len(others) + 2)
     unmet = np.tile(np.arange(len(others) + 2) >= 2, (runs, 1))
 
     def step(occupant, unmet, left):
         rows = np.arange(left.size)
-        r = rng.random(2 * left.size)
-        u = (r[0::2] * n).astype(np.int64)
-        v = moves.nbr[moves.off[u] + (r[1::2] * moves.deg[u]).astype(np.int64)]
+        u, v = tick_edges(g, rng, left.size)
         tu, tv = occupant[rows, u], occupant[rows, v]
         occupant[rows, u], occupant[rows, v] = tv, tu
         met = np.where(tu == 1, tv, np.where(tv == 1, tu, 0))

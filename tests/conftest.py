@@ -22,6 +22,16 @@ def kernel_path(path: str):
         yield
 
 
+def scalar_ticks(g: Graph, rng, k: int) -> list[tuple[int, int]]:
+    """The edges of k ticks drawn a float at a time, as the per-tick steppers draw them."""
+    edges = []
+    for _ in range(k):
+        u = int(rng.random() * g.n)
+        nbrs = g.adjacency[u]
+        edges.append((u, nbrs[int(rng.random() * len(nbrs))]))
+    return edges
+
+
 def tree_path(g: Graph, x: int, y: int) -> list[int]:
     """The path from x to y, both included, along the parents of bfs_tree(g, x)."""
     parent = bfs_tree(g, x)[1]

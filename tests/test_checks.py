@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from qconsensus import checks, walks
@@ -18,6 +19,9 @@ from qconsensus.checks import (
 from qconsensus.cli import EXIT_INVARIANT, main
 from qconsensus.consensus import SimResult
 from qconsensus.graphs import line_graph
+from qconsensus.harness import init_majority_one, init_q_setting2
+
+from conftest import scalar_ticks
 
 LINE9 = ("line(9)", line_graph(9))
 
@@ -103,6 +107,25 @@ def test_quantized_conservation_reports_a_broken_update(monkeypatch, apply, deta
     res = check_quantized_conservation(LINE9, 5000, 2)
     assert not res.ok and res.name == "quantized_conservation"
     assert re.fullmatch(detail + r" on line\(9\)", res.detail), res.detail
+
+
+@pytest.mark.parametrize("check, init, apply", [
+    (check_binary_conservation, init_majority_one, "apply_binary_edge"),
+    (check_quantized_conservation, init_q_setting2, "apply_quantized_edge"),
+])
+def test_conservation_checks_apply_the_scalar_tick_stream(monkeypatch, check, init, apply):
+    graph = checks.named_graph("erdos_renyi", 21, seed=21)
+    ticks = 9000  # more than two of the chunks in which the checks draw their edges
+    edges = []
+
+    def record(s, u, v, original=getattr(cons, apply)):
+        edges.append((u, v))
+        original(s, u, v)
+    monkeypatch.setattr(cons, apply, record)
+    assert check(graph, ticks, 7).ok
+    rng = np.random.default_rng(7)
+    init(graph[1].n, rng)
+    assert edges == scalar_ticks(graph[1], rng, ticks)
 
 
 def _converged_at_once(end=None):

@@ -275,6 +275,47 @@ def test_simulate_init_file(tmp_path, capsys):
         assert f"{count} nodes but the graph has 5" in captured.err
 
 
+def test_simulate_rejects_an_init_file_without_init_file(tmp_path, capsys):
+    votes = tmp_path / "votes.txt"
+    votes.write_text("+\n-\n+\n-\n+\n")
+    for init in ((), ("--init", "majority_one")):
+        assert run_cli("simulate", "--topo", "line", "--n", "5", "--protocol", "binary", *init,
+                       "--init-file", str(votes)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --init-file requires --init file\n"
+
+
+def test_sweep_rejects_full_grid_with_n_values(capsys):
+    assert run_cli("sweep", "--topo", "star", "--protocol", "binary", "--full-grid",
+                   "--n-values", "5", "--rounds", "1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --full-grid and --n-values cannot be used together\n"
+
+
+@pytest.mark.parametrize("topo, flags, message", [
+    ("star", ("--m", "3"), "m applies only to lollipop, not star"),
+    ("erdos_renyi", ("--m", "3"), "m applies only to lollipop, not erdos_renyi"),
+    ("line", ("--p", "0.5"), "p applies only to erdos_renyi, not line"),
+    ("lollipop", ("--p", "0.5"), "p applies only to erdos_renyi, not lollipop"),
+    ("star", ("--edges", "EDGES"), "--edges does not apply to --topo star"),
+    ("edge_list", ("--edges", "EDGES", "--n", "3"), "--n does not apply to --topo edge_list"),
+    ("edge_list", ("--edges", "EDGES", "--m", "3"), "--m does not apply to --topo edge_list"),
+])
+def test_simulate_and_sweep_reject_a_topology_flag_the_topology_does_not_read(
+        topo, flags, message, tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n1 2\n")
+    flags = [str(edges) if a == "EDGES" else a for a in flags]
+    size = () if topo == "edge_list" else ("--n", "5")
+    for argv in (("simulate", *size), ("sweep", "--n-values", "5", "--rounds", "1")):
+        assert run_cli(*argv, "--topo", topo, *flags, "--protocol", "binary") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as info:
         run_cli("simulate", "--topo", "star", "--n", "5", "--protocol", "binary",

@@ -28,6 +28,7 @@ from qconsensus.graphs import (
     path_degree_sums_from,
     read_edge_list,
     star_graph,
+    tick_edges,
     write_edge_list,
 )
 from qconsensus.consensus import run_to_convergence
@@ -35,7 +36,7 @@ from qconsensus.harness import (DESK_N_VALUES, FULL_N_VALUES, default_n_values, 
                                 round_rng, topology_spec)
 from qconsensus.walks import sample_hitting
 
-from conftest import connected_graphs, tree_path
+from conftest import connected_graphs, scalar_ticks, tree_path
 
 
 def test_star_shape():
@@ -480,6 +481,17 @@ def test_csr_memo_returns_each_graphs_own_read_only_arrays():
     assert csr(g1) is csr(g1)
     same_rows = star_graph(5)  # equal adjacency, another graph: its own entry
     assert csr(same_rows) is not csr(g1)
+
+
+@given(connected_graphs(), st.integers(0, 300), st.integers(0, 2**32 - 1),
+       st.sampled_from([np.random.PCG64, np.random.MT19937]))
+@settings(max_examples=60, deadline=None)
+def test_tick_edges_draws_the_ticks_of_the_scalar_draws(g, k, seed, bit_generator):
+    rng, scalar = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    u, v = tick_edges(g, rng, k)
+    assert u.dtype == v.dtype == np.int64
+    assert list(zip(u.tolist(), v.tolist())) == scalar_ticks(g, scalar, k)
+    np.testing.assert_equal(rng.bit_generator.state, scalar.bit_generator.state)
 
 
 def _memo_probe(alternate: bool) -> list:
