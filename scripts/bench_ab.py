@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired before/after benchmark of one layer, in one process.
 
-    python3 scripts/bench_ab.py {kernel,exact,walks,runs,graphs} [...] [--out PATH]
+    python3 scripts/bench_ab.py {kernel,exact,walks,runs,graphs,traces} [...] [--out PATH]
 
 "Before" is the whole ``src/qconsensus`` tree at HEAD when ``src/`` has
 uncommitted changes, else at HEAD~1, extracted with ``git archive`` into a
@@ -50,6 +50,14 @@ machine and the revisions. Workloads:
   desk line and lollipop sweeps, and of the extremal lollipop(961) and
   complete(961), the largest generated rows. Both sides must give the
   same adjacency and ``meta``.
+- ``traces`` (consensus.py and rows.py, 15 repeats): s/call of each side's
+  ``write_trace_csv`` over one set of SimResults per case of a ``bench/``
+  traced unit, run once before timing: line(65) quantized ``q_setting2``,
+  lollipop(45) and star(101) binary ``majority_one``, all at
+  ``trace_stride=100``, on seeds 0, 1, ... until the case's ticks reach
+  its target. Each side rewrites its own files in a temporary directory,
+  as a run of ``bench/`` rewrites its own; the files must match byte for
+  byte.
 
 A disagreement between the sides exits with an error.
 """
@@ -306,6 +314,48 @@ def graphs_cases() -> list[Case]:
             for name, specs in inputs]
 
 
+# ------------------------------------------------------------------ traces
+
+# (topology, n, protocol, init, tick target) of the cases of a bench/ traced unit
+TRACED_CASES = (
+    ("line", 65, "quantized", "q_setting2", 900_000),
+    ("lollipop", 45, "binary", "majority_one", 300_000),
+    ("star", 101, "binary", "majority_one", 450_000),
+)
+
+
+def write_all(side, results, out_dir: Path) -> tuple[float, list]:
+    """Time ``side``'s write_trace_csv of each result into its own file in ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / f"{k}.csv" for k in range(len(results))]
+    t = perf_counter()
+    for result, path in zip(results, paths):
+        side.consensus.write_trace_csv(result, path)
+    elapsed = perf_counter() - t
+    return elapsed, [path.read_bytes() for path in paths]
+
+
+def traces_cases() -> list[Case]:
+    out = tempfile.TemporaryDirectory()  # removed when the process exits
+    cases = []
+    for kind, n, protocol, init, target in TRACED_CASES:
+        g = build_graph(topology_spec(kind, n, 0))
+        results, ticks = [], 0
+        while ticks < target:
+            rng = harness.round_rng(len(results), n, 0)
+            state = harness.initial_state(protocol, init, g, rng, kind)
+            results.append(consensus.run_to_convergence(
+                protocol, g, state, rng, harness.default_max_ticks(n), TRACE_STRIDE))
+            ticks += results[-1].ticks
+        label = f"{protocol}/{kind}({n})/trace_stride={TRACE_STRIDE}"
+        cases.append(Case(
+            label, "s/call",
+            lambda side, rep, results=results, label=label: write_all(
+                side, results, Path(out.name, side.consensus.__name__, label.replace("/", "_"))),
+            extra={"runs": len(results), "rows": sum(len(r.trace) for r in results)}))
+    return cases
+
+
 @dataclass
 class Workload:
     title: str
@@ -326,6 +376,8 @@ WORKLOADS = {
                      ("graphs", "harness", "consensus"), 15, runs_cases, lambda a, b: a == b),
     "graphs": Workload("paired graph construction before/after, one process", ("graphs",), 15,
                        graphs_cases, lambda a, b: a == b),
+    "traces": Workload("paired trace CSV writes before/after, one process", ("consensus",), 15,
+                       traces_cases, lambda a, b: a == b),
 }
 
 

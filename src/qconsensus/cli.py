@@ -134,6 +134,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_topology_flags(args)
+    if args.n is not None:
+        raise ValueError("--n does not apply to sweep: give --n-values")
     if args.n_values is not None:
         if args.full_grid:
             raise ValueError("--full-grid and --n-values cannot be used together")

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import ckernel
 from .graphs import Graph, csr, tick_edges
-from .rows import data_lines, write_csv
+from .rows import data_lines, write_trace_rows
 
 STRONG_POS = 2
 STRONG_NEG = -2
@@ -535,4 +535,5 @@ def write_trace_csv(result: SimResult, path) -> None:
     """The trace of a traced run as CSV; ValueError, with no file written, for an untraced run."""
     if not result.trace_header:
         raise ValueError("the run has no trace: run it with trace_stride > 0")
-    write_csv(path, result.trace_header, result.trace)
+    with open(path, "w", newline="") as fh:
+        write_trace_rows(fh, result.trace_header, result.trace)

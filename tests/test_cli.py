@@ -294,6 +294,18 @@ def test_sweep_rejects_full_grid_with_n_values(capsys):
     assert captured.err == "error: --full-grid and --n-values cannot be used together\n"
 
 
+@pytest.mark.parametrize("grid", [("--n-values", "5,7"), ()])
+def test_sweep_rejects_n_before_writing(grid, tmp_path, capsys):
+    out, rounds = tmp_path / "sweep.csv", tmp_path / "rounds.csv"
+    assert run_cli("sweep", "--topo", "star", "--n", "51", "--protocol", "binary",
+                   "--rounds", "1", *grid, "--out", str(out),
+                   "--rounds-out", str(rounds)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n does not apply to sweep: give --n-values\n"
+    assert not out.exists() and not rounds.exists()
+
+
 @pytest.mark.parametrize("topo, flags, message", [
     ("star", ("--m", "3"), "m applies only to lollipop, not star"),
     ("erdos_renyi", ("--m", "3"), "m applies only to lollipop, not erdos_renyi"),
