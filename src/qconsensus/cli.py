@@ -35,7 +35,7 @@ from .harness import (
     write_rounds_csv,
     write_sweep_table,
 )
-from .rows import write_matrix, write_table
+from .rows import open_out, write_matrix, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,8 +57,7 @@ def _open_out(path: str | None):
     if path is None:
         yield sys.stdout
     else:
-        resolved = _resolve_out(path)
-        with open(resolved, "w", newline="") as fh:
+        with open_out(_resolve_out(path)) as fh:
             yield fh
 
 

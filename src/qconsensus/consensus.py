@@ -59,12 +59,13 @@ from ctypes import addressof
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import count
+from operator import index
 
 import numpy as np
 
 from . import ckernel
 from .graphs import Graph, csr, tick_edges
-from .rows import data_lines, write_trace_rows
+from .rows import data_lines, open_out, write_trace_rows
 
 STRONG_POS = 2
 STRONG_NEG = -2
@@ -84,6 +85,18 @@ _TRACE_ROWS = 4096
 # memoises each value's lyapunov() term: at most 512 KiB of doubles.
 _SQUARES_SPAN = 1 << 16
 _C_VALUE_LIMIT = 1 << 62
+
+
+def _integers(entries, what: str) -> list[int]:
+    """``entries`` as Python ints through ``operator.index``, the rule ``graphs`` applies to
+    edge ends: a numpy integer passes, and a float such as 2.7 or 2.0 is a ValueError."""
+    ints = []
+    for entry in entries:
+        try:
+            ints.append(index(entry))
+        except TypeError:
+            raise ValueError(f"{what} {entry!r} is not an integer") from None
+    return ints
 
 
 def binary_update(a: int, b: int) -> tuple[int, int]:
@@ -123,7 +136,7 @@ class BinaryState:
 
     @classmethod
     def from_opinions(cls, opinions) -> "BinaryState":
-        opinions = list(opinions)
+        opinions = _integers(opinions, "opinion value")
         for o in opinions:
             if o not in OPINION_VALUES:
                 raise ValueError(f"invalid opinion value {o!r}")
@@ -166,7 +179,7 @@ class QuantizedState:
 
     @classmethod
     def from_values(cls, values) -> "QuantizedState":
-        values = [int(v) for v in values]
+        values = _integers(values, "quantized value")
         if not values:
             raise ValueError("quantized state needs at least one node")
         q_sum = sum(values)
@@ -535,5 +548,5 @@ def write_trace_csv(result: SimResult, path) -> None:
     """The trace of a traced run as CSV; ValueError, with no file written, for an untraced run."""
     if not result.trace_header:
         raise ValueError("the run has no trace: run it with trace_stride > 0")
-    with open(path, "w", newline="") as fh:
+    with open_out(path) as fh:
         write_trace_rows(fh, result.trace_header, result.trace)

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rows import data_lines
+from .rows import data_lines, open_out
 
 TOPOLOGY_KINDS = ("star", "line", "lollipop", "complete", "erdos_renyi", "edge_list")
 ER_MAX_SAMPLES = 1000  # samples erdos_renyi_graph draws before it gives up
@@ -413,7 +413,7 @@ def read_edge_list(path) -> Graph:
 
 
 def write_edge_list(g: Graph, path) -> None:
-    with open(path, "w") as fh:
+    with open_out(path) as fh:
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
 

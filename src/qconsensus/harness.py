@@ -26,7 +26,7 @@ from .consensus import (
     run_to_convergence,
 )
 from .graphs import Graph, GraphConstructionError, TopologySpec, build_graph, er_probability
-from .rows import write_csv, write_table
+from .rows import cut, open_out, write_csv, write_table
 
 PROTOCOL_INITS = {"binary": ("majority_one",), "quantized": ("q_setting1", "q_setting2")}
 PROTOCOLS = tuple(PROTOCOL_INITS)
@@ -346,13 +346,17 @@ def write_sweep_table(fh, fmt: str, cfg: SweepConfig, records) -> list[SweepReco
 
     ``fh`` is flushed after the header and after each row, before the next
     record is drawn, so a CSV row reaches its reader as soon as its record
-    exists. Returns the records written, so a caller can pass
+    exists. A regular file is also ``cut`` after the CSV header, so a sweep
+    stopped part way through leaves its header and finished rows, and none of
+    an older file's bytes after them. JSON is written whole after the last
+    record. Returns the records written, so a caller can pass
     ``iter_sweep(cfg)``.
     """
     written = []
 
     def rows():
-        fh.flush()
+        if fmt == "csv":
+            cut(fh)
         for rec in records:
             written.append(rec)
             yield sweep_csv_row(cfg, rec)
@@ -363,7 +367,7 @@ def write_sweep_table(fh, fmt: str, cfg: SweepConfig, records) -> list[SweepReco
 
 
 def write_sweep_csv(cfg: SweepConfig, records, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_out(path) as fh:
         write_sweep_table(fh, "csv", cfg, records)
 
 

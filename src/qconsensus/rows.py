@@ -1,6 +1,14 @@
-"""The one reader of the package's data files, ``data_lines``, and the one
-writer of its tables, as CSV or as JSON, with ``write_trace_rows`` for the
-long number rows of a protocol trace.
+"""The one reader of the package's data files, ``data_lines``, the one opener
+of its output files, ``open_out``, and the one writer of its tables, as CSV
+or as JSON, with ``write_trace_rows`` for the long number rows of a protocol
+trace.
+
+``open_out`` overwrites an existing file in place and, when it closes, cuts a
+regular file to the bytes written (``cut``); it never opens with ``O_TRUNC``.
+ext4 starts writeback on ``close()`` of a file that was truncated to zero and
+then rewritten, which made each rewrite of a small file cost several times
+its write. Nothing is ``fsync``-ed: after a crash a rewritten file may hold
+old, new or mixed bytes, but the rewrite never leaves it empty.
 
 Cells are written as ``csv`` and ``json`` write them: both write a float, a
 numpy float64 included, as its ``repr``, the shortest text that reads back
@@ -13,10 +21,14 @@ would.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from itertools import repeat
-from operator import not_
+from operator import countOf, not_
 
 
 def data_lines(path):
@@ -40,19 +52,15 @@ def write_rows(fh, header, rows) -> None:
     writer.writerows(rows)
 
 
-def _cell_text(cell) -> str:
-    """A number cell's text as ``csv`` writes it: ``float.__repr__`` for a float, a numpy
-    float64 included (its own ``repr`` reads ``np.float64(...)``), else ``str``."""
-    return float.__repr__(cell) if isinstance(cell, float) else str(cell)
-
-
 def _prints_by_value(column) -> bool:
     """Whether equal cells of ``column`` print alike: all of type int, or all of type float
-    with zeros of one sign. 0.0 == -0.0 and 1 == 1.0, but ``csv`` prints each pair
-    differently."""
-    kinds = set(map(type, column))
-    zeros = filter(not_, column)
-    return kinds == {int} or kinds == {float} and len(set(map(str, zeros))) < 2
+    with zeros of one sign. 0.0 == -0.0, 1 == 1.0 and 1 == True, but each pair prints
+    differently. It costs one ``type`` call a cell, and reads the zeros' signs only
+    where a float column holds a zero."""
+    kind = type(column[0])
+    if kind is not int and kind is not float or countOf(map(type, column), kind) < len(column):
+        return False
+    return kind is int or 0.0 not in column or len(set(map(str, filter(not_, column)))) < 2
 
 
 def write_trace_rows(fh, header, rows) -> None:
@@ -62,29 +70,60 @@ def write_trace_rows(fh, header, rows) -> None:
     A trace repeats the cells after the tick wherever its state did not change
     between rows, so their text is made once for each run of consecutive rows that
     print them alike. A run compares the cells of a column by value where equal
-    cells print alike, and by their text elsewhere.
+    cells print alike, and by their text elsewhere. ``csv``'s text for a number
+    is its ``str``, which is what ``%s`` gives, so the lines are joined into one
+    format that takes every tick in one ``%``.
     """
     csv.writer(fh).writerow(header)
     if not rows:
         return
     ticks, *columns = zip(*rows, strict=True)
-    # str is csv's text for an int or a float, though not for a float subclass
-    tick_text = str if set(map(type, ticks)) <= {int, float} else _cell_text
-    keys = zip(*[c if _prints_by_value(c) else map(_cell_text, c) for c in columns]) \
-        if columns else repeat(())
-    line_end = ",%s" * len(columns) + "\r\n"  # %s of a key cell is its csv text
+    keys = zip(*[c if _prints_by_value(c) else map(str, c) for c in columns]) \
+        if columns else repeat((), len(ticks))
+    line_end = ",%s" * len(columns) + "\r\n"
     lines = []
     last = end = None
-    for tick, key in zip(map(tick_text, ticks), keys):
+    for key in keys:
         if key != last:
-            last, end = key, line_end % key
-        lines.append(tick + end)
-    fh.write("".join(lines))
+            # the run's text after the tick; a % in a cell's text is doubled, so that the
+            # one % below fills in only the ticks
+            last, end = key, "%s" + (line_end % key).replace("%", "%%")
+        lines.append(end)
+    fh.write("".join(lines) % ticks)
+
+
+def cut(fh) -> None:
+    """Flush ``fh`` and, if it is a regular file that holds more, cut it at the bytes
+    written so far, so that no byte of an older file is left after them. A device (such as
+    ``/dev/null``), a FIFO, a terminal or an in-memory stream is only flushed."""
+    fh.flush()
+    try:
+        st = os.fstat(fh.fileno())
+    except io.UnsupportedOperation:
+        return
+    if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+        fh.truncate()
+
+
+@contextmanager
+def open_out(path):
+    """Yield ``path`` opened as a text file for writing, with ``newline=""``: the one
+    opener of the package's output files.
+
+    An existing file is overwritten in place, not truncated on open, and on exit,
+    normal or by an exception, ``cut`` to the bytes written.
+    """
+    with open(path, "w", newline="",
+              opener=lambda name, flags: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666)) as fh:
+        try:
+            yield fh
+        finally:
+            cut(fh)
 
 
 def write_csv(path, header, rows) -> None:
-    """write_rows into a new file at ``path``."""
-    with open(path, "w", newline="") as fh:
+    """write_rows into the file at ``path``, through ``open_out``."""
+    with open_out(path) as fh:
         write_rows(fh, header, rows)
 
 

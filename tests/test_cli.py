@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -23,6 +24,13 @@ def test_simulate_smoke(tmp_path, capsys):
     assert out[0] == "topology,protocol,init,n,seed,max_ticks,ticks,converged,outcome"
     cells = out[1].split(",")
     assert cells[0] == "star" and cells[3] == "21" and cells[7] == "1"
+
+
+def test_simulate_writes_its_row_and_trace_to_dev_null(capsys):
+    code = run_cli("simulate", "--topo", "star", "--n", "21", "--protocol", "binary",
+                   "--trace-stride", "1", "--out", os.devnull, "--trace-out", os.devnull)
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_even_n_usage_error(capsys):

@@ -141,6 +141,20 @@ def test_binary_state_rejects_bad_opinion():
         BinaryState.from_opinions([2, 0, 1])
 
 
+def test_binary_state_rejects_an_opinion_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="2.0 is not an integer"):
+        BinaryState.from_opinions([2.0, -2, 2])
+    s = BinaryState.from_opinions(np.array([2, -2, 1]))
+    assert s.opinions == [2, -2, 1] and {type(o) for o in s.opinions} == {int}
+
+
+def test_quantized_state_rejects_a_value_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="2.7 is not an integer"):
+        QuantizedState.from_values([2.7, 0, 1])
+    s = QuantizedState.from_values(np.array([2, 0, 1]))
+    assert (s.values, s.q_sum) == ([2, 0, 1], 3) and {type(v) for v in s.values} == {int}
+
+
 # ------------------------------------------------------------------- steps
 
 def test_binary_step_on_consensus_is_noop():

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from qconsensus.harness import (
     write_sweep_csv,
     write_sweep_table,
 )
+from qconsensus.rows import open_out
 
 
 # ------------------------------------------------------------------- inits
@@ -351,6 +353,44 @@ def test_sweep_rows_stream_each_row_before_the_next_record():
 
     assert write_sweep_table(fh, "csv", cfg, paced()) == records
     assert fh.flushed == fh.getvalue() and len(fh.flushed.splitlines()) == 4
+
+
+def test_a_streamed_sweep_file_holds_only_its_header_and_the_rows_written(tmp_path):
+    cfg = SweepConfig("star", (5, 7, 9), "quantized", "q_setting1", 2, master_seed=9)
+    records = run_sweep(cfg)
+    path = tmp_path / "sweep.csv"
+    path.write_text("an,older,file\n" * 1000)
+
+    def lines_so_far(k):
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(SWEEP_CSV_HEADER)
+        assert [line.split(",")[3] for line in lines[1:]] == [str(r.n) for r in records[:k]]
+
+    def paced():
+        for k, rec in enumerate(records):
+            lines_so_far(k)
+            yield rec
+        lines_so_far(len(records))
+
+    with open_out(path) as fh:
+        assert write_sweep_table(fh, "csv", cfg, paced()) == records
+    lines_so_far(len(records))
+
+
+def test_a_json_sweep_leaves_an_older_file_whole_until_its_last_record(tmp_path):
+    cfg = SweepConfig("star", (5, 7), "quantized", "q_setting1", 2, master_seed=9)
+    records = run_sweep(cfg)
+    path = tmp_path / "sweep.json"
+    path.write_text("an older file\n" * 1000)
+
+    def paced():
+        for rec in records:
+            assert path.read_text() == "an older file\n" * 1000
+            yield rec
+
+    with open_out(path) as fh:
+        assert write_sweep_table(fh, "json", cfg, paced()) == records
+    assert [row["n"] for row in json.loads(path.read_text())] == [5, 7]
 
 
 def test_rounds_csv(tmp_path):

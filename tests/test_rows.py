@@ -1,7 +1,8 @@
 """The table writer adds no formatting rule of its own: ``csv`` writes a float
 cell, a numpy float64 included, as the float's ``repr``, and ``json`` does the
 same with ``null`` for a non-finite one. The trace-row writer writes the bytes
-``csv`` writes."""
+``csv`` writes. Every file writer, rewriting a file, leaves the bytes a fresh
+write gives."""
 
 import csv
 import io
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qconsensus.rows import write_matrix, write_rows, write_trace_rows
+from qconsensus import cli, consensus, graphs, harness
+from qconsensus.rows import write_csv, write_matrix, write_rows, write_trace_rows
 
 # each float with the shortest text that reads back to it
 FLOATS = [
@@ -51,12 +53,16 @@ def test_write_rows_writes_ints_strings_and_none_as_csv_does():
 
 
 # Equal cells that print differently, ints past 2**63, and FLOATS with its NaN.
-SPECIAL_CELLS = [0, 0.0, -0.0, 1, 1.0, 2**63, float(2**63), 2**64 + 1, -(2**70),
+SPECIAL_CELLS = [0, 0.0, -0.0, 1, 1.0, True, False, 2**63, float(2**63), 2**64 + 1, -(2**70),
                  *(x for x, _ in FLOATS)]
 
 
 def _twin(cell):
     """A cell equal to ``cell`` that prints differently, where one is at hand, else ``cell``."""
+    if type(cell) is bool:
+        return int(cell)
+    if type(cell) is int and cell == 1:
+        return True
     if isinstance(cell, float) and cell.is_integer() and abs(cell) < 2**53:
         return -cell if cell == 0 else int(cell)
     if isinstance(cell, int) and abs(cell) < 2**53:
@@ -100,6 +106,30 @@ def test_write_trace_rows_writes_the_bytes_csv_writes(rows):
     assert _written(write_trace_rows, header, rows) == _csv_written(header, rows)
 
 
+def test_write_trace_rows_tells_a_bool_from_the_int_it_equals():
+    rows = [(0, 1, 0, 2), (1, True, False, 2), (2, True, 0, 2), (3, 1, 0, 2)]
+    assert _written(write_trace_rows, ("tick", "a", "b", "c"), rows) == (
+        "tick,a,b,c\r\n0,1,0,2\r\n1,True,False,2\r\n2,True,0,2\r\n3,1,0,2\r\n")
+
+
+class Labelled(float):
+    """A float that prints as its label, so two equal ones can print differently."""
+
+    def __new__(cls, value, label):
+        cell = super().__new__(cls, value)
+        cell.label = label
+        return cell
+
+    def __str__(self):
+        return self.label
+
+
+def test_write_trace_rows_writes_a_float_subclass_as_its_str():
+    rows = [(0, Labelled(0.5, "50%")), (1, Labelled(0.5, "half")), (2, Labelled(0.5, "half"))]
+    assert _written(write_trace_rows, ("tick", "p"), rows) == (
+        "tick,p\r\n0,50%\r\n1,half\r\n2,half\r\n") == _csv_written(("tick", "p"), rows)
+
+
 def test_write_trace_rows_writes_a_float_as_float_repr():
     rows = [(np.float64(x), np.float64(x)) for x, _ in FLOATS]
     assert _written(write_trace_rows, ("a", "b"), rows) == (
@@ -137,3 +167,39 @@ def test_write_matrix_json():
   ]
 }
 """
+
+
+def _traced_result():
+    state = consensus.QuantizedState.from_values([4, 0, 0, 1, 2])
+    return consensus.run_to_convergence("quantized", graphs.star_graph(5), state,
+                                        np.random.default_rng(0), 10_000, 1)
+
+
+SWEEP = harness.SweepConfig("star", (5, 7), "quantized", "q_setting1", 2, master_seed=9)
+
+# each file writer of the package, as a function of the path it writes
+WRITERS = {
+    "rows.write_csv": lambda path: write_csv(path, ("a", "b"), [(1, 0.5), (2, "x")]),
+    "consensus.write_trace_csv": lambda path: consensus.write_trace_csv(_traced_result(), path),
+    "harness.write_sweep_csv": lambda path: harness.write_sweep_csv(
+        SWEEP, harness.run_sweep(SWEEP), path),
+    "graphs.write_edge_list": lambda path: graphs.write_edge_list(graphs.star_graph(5), path),
+    "cli._open_out": lambda path: cli.main([
+        "sweep", "--topo", "line", "--protocol", "binary", "--n-values", "5,7",
+        "--rounds", "2", "--out", str(path)]),
+    "cli._open_out json": lambda path: cli.main([
+        "sweep", "--topo", "line", "--protocol", "binary", "--n-values", "5,7",
+        "--rounds", "2", "--format", "json", "--out", str(path)]),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+def test_a_rewritten_file_holds_the_bytes_of_a_fresh_write(write, tmp_path):
+    fresh = tmp_path / "fresh"
+    write(fresh)
+    expected = fresh.read_bytes()
+    for old in (b"\0" * (len(expected) + 4096), b"#" * (len(expected) // 2)):
+        path = tmp_path / "rewritten"
+        path.write_bytes(old)
+        write(path)
+        assert path.read_bytes() == expected
