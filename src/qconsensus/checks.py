@@ -19,8 +19,8 @@ import numpy as np
 
 from . import consensus as cons
 from . import walks
-from .graphs import (Graph, build_graph, er_probability, path_degree_sums_from, tick_edges,
-                     TopologySpec)
+from .graphs import (Graph, build_graph, er_probability, path_degree_sums_from,
+                     require_neighbors, tick_edges, TopologySpec)
 from .harness import (default_max_ticks, init_majority_one, init_q_setting2,
                       lollipop_clique_size, seed_sequence)
 
@@ -211,6 +211,7 @@ def check_meeting_bounds(cases, coupled, runs: int, seed: int) -> CheckResult:
 
 def _ticks(g: Graph, rng, ticks: int):
     """(tick, u, v) for ticks 1..``ticks``, drawn by ``tick_edges`` _TICK_CHUNK at a time."""
+    require_neighbors(g)
     for done in range(0, ticks, _TICK_CHUNK):
         u, v = tick_edges(g, rng, min(_TICK_CHUNK, ticks - done))
         yield from zip(count(done + 1), u.tolist(), v.tolist())

@@ -172,15 +172,22 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _pair(args, instead: str = "", chosen: bool = False) -> bool:
+    """Whether --x and --y are given: both, or neither when ``chosen`` is the command's
+    other form, named ``instead``; every other mix is a usage error."""
+    given = (args.x is not None) + (args.y is not None)
+    if given != (0 if chosen else 2):
+        raise ValueError("give both --x and --y" + (f", or {instead}" if instead else ""))
+    return given == 2
+
+
 def cmd_bound(args) -> int:
     g = _graph(args)
-    if args.all_pairs:
-        pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
-    else:
-        if args.x is None or args.y is None:
-            raise ValueError("--x and --y are required without --all-pairs")
+    if _pair(args, "--all-pairs", args.all_pairs):
         check_nodes(g.n, args.x, args.y)
         pairs = [(args.x, args.y)]
+    else:
+        pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
     exact = None
     if args.exact:
         exact = walks.hitting_table(walks.transition_matrix(g, "biased"))
@@ -202,9 +209,7 @@ def cmd_bound(args) -> int:
 def cmd_resistance(args) -> int:
     g = _graph(args)
     m = walks.edge_weights(g)
-    if args.x is not None or args.y is not None:
-        if args.x is None or args.y is None:
-            raise ValueError("give both --x and --y, or neither")
+    if _pair(args, "neither", args.x is None and args.y is None):
         r = walks.effective_resistance(m, args.x, args.y)
         _emit_rows(args, ("x", "y", "resistance"), [(args.x, args.y, r)])
     else:
@@ -226,8 +231,7 @@ def cmd_hitting(args) -> int:
 
 def cmd_meet(args) -> int:
     g = _graph(args)
-    if args.x is None or args.y is None:
-        raise ValueError("--x and --y are required")
+    _pair(args)
     max_ticks = args.max_ticks if args.max_ticks is not None else walks.DEFAULT_TICK_BUDGET
     sample = walks.sample_pair_meetings(g, args.x, args.y, args.seed, args.runs,
                                         args.coupling, max_ticks)

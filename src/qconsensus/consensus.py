@@ -64,7 +64,7 @@ from operator import index
 import numpy as np
 
 from . import ckernel
-from .graphs import Graph, csr, tick_edges
+from .graphs import Graph, csr, require_neighbors, tick_edges
 from .rows import data_lines, open_out, write_trace_rows
 
 STRONG_POS = 2
@@ -324,8 +324,8 @@ def _run_kernel(protocol: str, g: Graph, s, max_ticks: int, stride: int, step, r
                 ends: dict, row_type) -> SimResult:
     """Run ``s`` under the module docstring's contract. ``ends`` maps each end value
     of ``counter`` to its result detail; ``row_type``'s fields name a trace's columns."""
-    if max_ticks and counter not in ends and not all(g.adjacency):  # cheaper than deg.all()
-        raise ValueError("every node needs a neighbor to run a protocol")
+    if max_ticks and counter not in ends:
+        require_neighbors(g)
     trace = [row(s.tick, counter)] if stride else []
     span = min(_CHUNK, _TRACE_ROWS * stride) if stride else _CHUNK
     ticks = 0

@@ -12,8 +12,10 @@ generators build valid rows by construction, and ``Graph.from_edges``
 checks each edge (``_check_edges``) before one sort of the keys u*n + v of
 both directions turns the edges into rows (``_rows``); both hand their rows
 to ``Graph._trusted``, which does not check them again. Every constructor
-rejects fewer than one node before it builds anything: with
-``_require_nodes``, or, for the lollipop, with its own 3 <= m <= n.
+checks its parameters before it builds anything: n >= 1 with
+``require_nodes``, and the lollipop's m and ER's p with the spec's rules,
+``TopologySpec.validate``. A tick needs a neighbour at every node:
+``require_neighbors``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class Graph:
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_nodes(self.n)
+        require_nodes(self.n)
         if len(self.adjacency) != self.n:
             raise GraphConstructionError("adjacency length must equal node count")
         _check_rows(self.n, self.adjacency)
@@ -74,7 +76,7 @@ class Graph:
         Every edge must join two distinct integer nodes in 0..n-1; the first
         edge in input order that does not is named.
         """
-        _require_nodes(n)
+        require_nodes(n)
         return cls._trusted(n, _rows(n, *_check_edges(n, edges)))
 
     def degree(self, i: int) -> int:
@@ -91,10 +93,10 @@ class Graph:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
 
-def _require_nodes(n: int) -> None:
+def require_nodes(n: int) -> None:
     """Raise GraphConstructionError unless ``n`` is a node count of at least one."""
     if n < 1:
-        raise GraphConstructionError("node count must be >= 1")
+        raise GraphConstructionError("n must be >= 1")
 
 
 def _key_dtype(n: int):
@@ -205,15 +207,12 @@ class TopologySpec:
     def validate(self) -> None:
         if self.kind not in TOPOLOGY_KINDS:
             raise GraphConstructionError(f"unknown topology kind {self.kind!r}")
-        if self.n < 1:
-            raise GraphConstructionError("n must be >= 1")
-        if self.kind == "lollipop":
-            if self.m is None or not (3 <= self.m <= self.n):
-                raise GraphConstructionError(
-                    f"lollipop requires 3 <= m <= n, got m={self.m}, n={self.n}"
-                )
+        require_nodes(self.n)
+        if self.kind == "lollipop" and (self.m is None or not 3 <= self.m <= self.n):
+            raise GraphConstructionError(
+                f"lollipop requires 3 <= m <= n, got m={self.m}, n={self.n}")
         if self.kind == "erdos_renyi":
-            if self.p is None or not (0.0 < self.p <= 1.0):
+            if self.p is None or not 0.0 < self.p <= 1.0:
                 raise GraphConstructionError(f"erdos_renyi requires 0 < p <= 1, got p={self.p}")
             if self.seed is None:
                 raise GraphConstructionError("erdos_renyi requires a seed")
@@ -223,14 +222,14 @@ class TopologySpec:
 
 def star_graph(n: int) -> Graph:
     """Hub at node 0, leaves 1..n-1."""
-    _require_nodes(n)
+    require_nodes(n)
     adjacency = [tuple(range(1, n))] + [(0,)] * (n - 1)
     return Graph._trusted(n, tuple(adjacency))
 
 
 def line_graph(n: int) -> Graph:
     """Path 0 - 1 - ... - (n-1)."""
-    _require_nodes(n)
+    require_nodes(n)
     rows = [(i - 1, i + 1) for i in range(n)]
     rows[0] = rows[0][1:]  # drop node -1
     rows[-1] = rows[-1][:-1]  # drop node n
@@ -239,15 +238,14 @@ def line_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """Every pair of nodes joined; row i is 0..n-1 without i."""
-    _require_nodes(n)
+    require_nodes(n)
     nodes = tuple(range(n))
     return Graph._trusted(n, tuple(nodes[:i] + nodes[i + 1:] for i in range(n)))
 
 
 def lollipop_graph(n: int, m: int) -> Graph:
     """Clique on nodes 0..m-1 with a path m-1, m, ..., n-1 hanging off it."""
-    if not (3 <= m <= n):
-        raise GraphConstructionError(f"lollipop requires 3 <= m <= n, got m={m}, n={n}")
+    TopologySpec("lollipop", n, m).validate()
     clique = tuple(range(m))
     rows = [clique[:i] + clique[i + 1:] for i in range(m)]
     rows += [(i - 1, i + 1) for i in range(m, n)]
@@ -267,9 +265,7 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     graph.meta["er_retries"]. After ER_MAX_SAMPLES disconnected samples it
     raises GraphConstructionError.
     """
-    if not (0.0 < p <= 1.0):
-        raise GraphConstructionError(f"erdos_renyi requires 0 < p <= 1, got p={p}")
-    _require_nodes(n)
+    TopologySpec("erdos_renyi", n, p=p, seed=seed).validate()
     u, v = np.triu_indices(n, 1)
     for retries in range(ER_MAX_SAMPLES):
         rng = np.random.default_rng(seed + retries)
@@ -353,11 +349,17 @@ def tick_edges(g: Graph, rng, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The int64 edges (u, v) of k ticks under the tick law, the node clock of randomized
     gossip (Boyd et al. 2006): u uniform, then a uniform neighbour v of u. The floats come
     in (u, v) order from one ``rng.random(2 * k)``, the stream and truncation of the scalar
-    reference ``consensus.binary_step``. Every node needs a neighbour; callers check."""
+    reference ``consensus.binary_step``. Every node needs a neighbour: ``require_neighbors``."""
     deg, off, flat = csr(g)
     r = rng.random(2 * k)
     u = (r[0::2] * g.n).astype(np.int64)
     return u, flat[off[u] + (r[1::2] * deg[u]).astype(np.int64)]
+
+
+def require_neighbors(g: Graph) -> None:
+    """Raise ValueError unless every node of ``g`` has a neighbour for a tick to draw."""
+    if not all(g.adjacency):
+        raise ValueError("every node needs a neighbor")
 
 
 def bfs_tree(g: Graph, x: int) -> tuple[list[int], list[int]]:

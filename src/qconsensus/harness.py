@@ -25,7 +25,7 @@ from .consensus import (
     read_quantized_values,
     run_to_convergence,
 )
-from .graphs import Graph, GraphConstructionError, TopologySpec, build_graph, er_probability
+from .graphs import Graph, TopologySpec, build_graph, er_probability, require_nodes
 from .rows import cut, open_out, write_csv, write_table
 
 PROTOCOL_INITS = {"binary": ("majority_one",), "quantized": ("q_setting1", "q_setting2")}
@@ -142,8 +142,7 @@ def topology_spec(kind: str, n: int, seed: int, m: int | None = None,
         raise ValueError(f"m applies only to lollipop, not {kind}")
     if p is not None and kind != "erdos_renyi":
         raise ValueError(f"p applies only to erdos_renyi, not {kind}")
-    if n < 1:  # before er_probability and seed_sequence, which reject it in their own words
-        raise GraphConstructionError("n must be >= 1")
+    require_nodes(n)  # before er_probability and seed_sequence, which reject it in their own words
     if kind == "lollipop":
         return TopologySpec(kind, n, m=m if m is not None else lollipop_clique_size(n))
     if kind == "erdos_renyi":

@@ -31,7 +31,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, bfs_tree, check_nodes, csr, tick_edges, tree_path_sums
+from .graphs import (Graph, bfs_tree, check_nodes, csr, require_neighbors, tick_edges,
+                     tree_path_sums)
 
 WALK_KINDS = ("simple", "natural", "biased")
 
@@ -95,8 +96,6 @@ class HittingTable:
 
 def transition_matrix(g: Graph, kind: str) -> WalkMatrix:
     """The walk matrix of one kind, built from the CSR move tables."""
-    if kind not in WALK_KINDS:
-        raise ValueError(f"unknown walk kind {kind!r}")
     n = g.n
     if n < 2:
         raise ValueError("walk matrices require at least 2 nodes")
@@ -175,8 +174,7 @@ def hitting_times(m: WalkMatrix, target: int) -> np.ndarray:
     A reducible walk raises SolverError.
     """
     n = m.n
-    if not (0 <= target < n):
-        raise ValueError(f"target must be in 0..{n - 1}")
+    check_nodes(n, target)
     _require_irreducible(m)
     idx = [i for i in range(n) if i != target]
     sub = m.p[np.ix_(idx, idx)]
@@ -346,13 +344,6 @@ def potential(h: HittingTable, t: int, x: int, y: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_csr(g: Graph) -> tuple:
-    """``csr(g)``; ValueError if a node has no neighbor for a tick to draw."""
-    if not csr(g)[0].all():
-        raise ValueError("every node needs a neighbor")
-    return csr(g)
-
-
 class _Moves:
     """CSR move tables, O(E) arrays: entry k of row u is the edge (u, nbr[k]).
 
@@ -362,7 +353,8 @@ class _Moves:
     """
 
     def __init__(self, g: Graph):
-        self.deg, self.off, self.nbr = _neighbor_csr(g)
+        require_neighbors(g)
+        self.deg, self.off, self.nbr = csr(g)
         src = np.repeat(np.arange(g.n), self.deg)
         self.p = (1.0 / self.deg[src] + 1.0 / self.deg[self.nbr]) / g.n
         self.key = src * g.n + self.nbr  # the entry's index in a flat n x n array
@@ -501,7 +493,7 @@ def sample_meet_all(g: Graph, start: int, others: Iterable[int], seed, runs: int
         raise ValueError("tokens must start on distinct nodes")
     if not others:
         return np.zeros(runs, dtype=np.int64)
-    _neighbor_csr(g)
+    require_neighbors(g)
     rng = np.random.default_rng(seed)
     # occupant[run, node]: 0 for none, 1 for the designated token, 2.. for
     # the others; unmet[run, token] stays False for tokens 0 and 1

@@ -18,7 +18,7 @@ from qconsensus.checks import (
 )
 from qconsensus.cli import EXIT_INVARIANT, main
 from qconsensus.consensus import SimResult
-from qconsensus.graphs import line_graph
+from qconsensus.graphs import Graph, line_graph
 from qconsensus.harness import init_majority_one, init_q_setting2
 
 from conftest import scalar_ticks
@@ -126,6 +126,13 @@ def test_conservation_checks_apply_the_scalar_tick_stream(monkeypatch, check, in
     rng = np.random.default_rng(7)
     init(graph[1].n, rng)
     assert edges == scalar_ticks(graph[1], rng, ticks)
+
+
+@pytest.mark.parametrize("check", [check_binary_conservation, check_quantized_conservation])
+def test_conservation_checks_reject_a_node_without_a_neighbor(check):
+    # A tick drawn at the isolated node 1 would apply the non-edge (1, 0).
+    with pytest.raises(ValueError, match="^every node needs a neighbor$"):
+        check(("isolated", Graph(3, ((2,), (), (0,)))), 100, 7)
 
 
 def _converged_at_once(end=None):

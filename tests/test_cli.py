@@ -434,6 +434,26 @@ def test_incomplete_pair_or_graph_is_a_usage_error(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+GIVE_PAIR = "give both --x and --y"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bound", "--topo", "star", "--n", "5"), f"{GIVE_PAIR}, or --all-pairs"),
+    (("bound", "--topo", "star", "--n", "5", "--y", "1"), f"{GIVE_PAIR}, or --all-pairs"),
+    (("bound", "--topo", "line", "--n", "5", "--all-pairs", "--x", "0", "--y", "9"),
+     f"{GIVE_PAIR}, or --all-pairs"),
+    (("bound", "--topo", "line", "--n", "5", "--all-pairs", "--x", "0"),
+     f"{GIVE_PAIR}, or --all-pairs"),
+    (("resistance", "--topo", "star", "--n", "5", "--y", "1"), f"{GIVE_PAIR}, or neither"),
+    (("meet", "--topo", "star", "--n", "7", "--x", "1"), GIVE_PAIR),
+])
+def test_every_command_of_a_node_pair_states_one_pair_rule(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_resistance_pair_and_matrix(capsys):
     code = run_cli("resistance", "--topo", "star", "--n", "5", "--x", "1", "--y", "2")
     assert code == EXIT_OK

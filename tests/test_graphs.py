@@ -235,7 +235,7 @@ def test_graph_rejects_duplicates():
 
 
 def test_graph_rejects_bad_shapes_unsorted_rows_and_outside_neighbors():
-    with pytest.raises(GraphConstructionError, match="node count must be >= 1"):
+    with pytest.raises(GraphConstructionError, match="n must be >= 1"):
         Graph(0, ())
     with pytest.raises(GraphConstructionError, match="adjacency length must equal node count"):
         Graph(3, ((1,), (0,)))
@@ -404,7 +404,7 @@ def test_er_probability_of_one_node_is_one():
     lambda n: Graph.from_edges(n, []), lambda n: Graph(n, ()),
 ], ids=["star", "line", "complete", "erdos_renyi", "from_edges", "Graph"])
 def test_every_constructor_rejects_fewer_than_one_node(build, n):
-    with pytest.raises(GraphConstructionError, match=r"^node count must be >= 1$"):
+    with pytest.raises(GraphConstructionError, match=r"^n must be >= 1$"):
         build(n)
 
 
