@@ -59,7 +59,9 @@ machine and the revisions. Workloads:
   as a run of ``bench/`` rewrites its own; the files must match byte for
   byte.
 
-A disagreement between the sides exits with an error.
+The constants that restate ``bench/workloads.py`` (TRACE_STRIDE, TOKEN_RUNS,
+SHORT_RUN_CASES, TRACED_CASES) are checked against it by
+tests/test_scripts.py. A disagreement between the sides exits with an error.
 """
 
 from __future__ import annotations
@@ -230,22 +232,26 @@ def exact_cases() -> list[Case]:
 
 # ------------------------------------------------------------------- walks
 
+# runs of each token sample of a bench/ short-runs unit, in its order
+TOKEN_RUNS = (2000, 300, 300, 200)
+
+
 def walks_cases() -> list[Case]:
     star5, line9, star11 = graphs.star_graph(5), graphs.line_graph(9), graphs.star_graph(11)
     samples = (
-        ("sample_hitting/star(5)", 2000, lambda mod, seed, runs: mod.sample_hitting(
+        ("sample_hitting/star(5)", lambda mod, seed, runs: mod.sample_hitting(
             star5, 1, 2, seed, runs)),
-        ("sample_pair_meetings/line(9)/X", 300, lambda mod, seed, runs:
+        ("sample_pair_meetings/line(9)/X", lambda mod, seed, runs:
             mod.sample_pair_meetings(line9, 0, 8, seed, runs, "X")),
-        ("sample_pair_meetings/line(9)/Xprime", 300, lambda mod, seed, runs:
+        ("sample_pair_meetings/line(9)/Xprime", lambda mod, seed, runs:
             mod.sample_pair_meetings(line9, 0, 8, seed, runs, "Xprime")),
-        ("sample_meet_all/star(11)", 200, lambda mod, seed, runs: mod.sample_meet_all(
+        ("sample_meet_all/star(11)", lambda mod, seed, runs: mod.sample_meet_all(
             star11, 1, [0, *range(2, 11)], seed, runs)),
     )
     return [Case(name, "us/run",
                  lambda side, rep, runs=runs, call=call: timed(call, side.walks, rep, runs),
                  runs, {"runs": runs})
-            for name, runs, call in samples]
+            for (name, call), runs in zip(samples, TOKEN_RUNS, strict=True)]
 
 
 # -------------------------------------------------------------------- runs

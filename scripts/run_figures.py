@@ -2,36 +2,23 @@
 """Run the full measurement grid: four topology families, both protocols,
 all three initial-condition settings, averaged over seeded rounds.
 
-Writes one sweep CSV (plus per-round and reference-curve CSVs) per
-combination into --out-dir and prints a fitted power-law exponent for each.
---full-grid switches every family from the desk-scale sizes to
-n = 21..481 step 20. On one core of a 2-core x86-64 Linux box the desk grid
-takes 0.9-1.7 s and the full grid 2.4-4.4 min, 70% of it line and lollipop
-binary voting.
+Each combination is one `qconsensus sweep --fit` run, which writes its sweep,
+per-round and reference-curve CSVs into --out-dir and prints the combination's
+label and fitted power law to stderr. The first combination that fails stops
+the grid with its exit code. --full-grid switches every family from the
+desk-scale sizes to n = 21..481 step 20.
 """
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qconsensus.harness import (  # noqa: E402
-    SweepConfig,
-    default_n_values,
-    fit_scaling,
-    run_sweep,
-    write_curves_csv,
-    write_rounds_csv,
-    write_sweep_csv,
-)
+from qconsensus import cli  # noqa: E402
+from qconsensus.harness import PROTOCOL_INITS  # noqa: E402
 
-SETTINGS = (
-    ("binary", "majority_one"),
-    ("quantized", "q_setting1"),
-    ("quantized", "q_setting2"),
-)
+SETTINGS = tuple((protocol, init) for protocol, inits in PROTOCOL_INITS.items() for init in inits)
 KINDS = ("star", "line", "lollipop", "erdos_renyi")
 
 
@@ -46,22 +33,21 @@ def main() -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir.resolve()  # absolute, so that $QCONSENSUS_OUT_DIR does not move the files
 
     for kind in args.kinds:
         for protocol, init in SETTINGS:
-            n_values = default_n_values(kind, args.full_grid)
-            cfg = SweepConfig(kind=kind, n_values=n_values, protocol=protocol,
-                              init=init, rounds=args.rounds, master_seed=args.seed)
             label = f"{kind}_{protocol}_{init}"
-            t0 = time.time()
-            records = run_sweep(cfg)
-            elapsed = time.time() - t0
-            write_sweep_csv(cfg, records, out_dir / f"{label}.csv")
-            write_rounds_csv(records, out_dir / f"{label}_rounds.csv")
-            write_curves_csv(cfg, records, out_dir / f"{label}_curves.csv")
-            fit = fit_scaling(records)
-            print(f"{label:45s} exponent={fit.exponent:5.2f} "
-                  f"coeff={fit.coefficient:9.4g} [{elapsed:6.1f}s]")
+            print(f"{label:45s}", end="", file=sys.stderr, flush=True)
+            code = cli.main([
+                "sweep", "--topo", kind, "--protocol", protocol, "--init", init,
+                "--rounds", str(args.rounds), "--seed", str(args.seed),
+                *(["--full-grid"] if args.full_grid else []),
+                "--out", str(out / f"{label}.csv"),
+                "--rounds-out", str(out / f"{label}_rounds.csv"),
+                "--curves-out", str(out / f"{label}_curves.csv"), "--fit"])
+            if code:
+                return code
     print(f"CSV files written to {out_dir}/")
     return 0
 

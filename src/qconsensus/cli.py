@@ -1,8 +1,9 @@
 """Command-line front end: simulation, sweeps and exact analysis as subcommands.
 
-Exit codes: 0 success, 2 usage error, 3 tick-budget timeout, 4 invariant
-failure (``check``). Output goes to stdout unless --out is given; relative
---out paths resolve against $QCONSENSUS_OUT_DIR when that is set.
+Exit codes: 0 success, 1 stdout closed by its reader (``| head``), 2 usage
+error, 3 tick-budget timeout, 4 invariant failure (``check``). Output goes
+to stdout unless --out is given; relative --out paths resolve against
+$QCONSENSUS_OUT_DIR when that is set.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .harness import (
 from .rows import open_out, write_matrix, write_table
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 EXIT_INVARIANT = 4
@@ -264,11 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default stdout)")
-        if with_format:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("simulate", help="run one protocol instance to convergence")
     _add_topology_flags(p)
@@ -344,7 +345,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed reader is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe: stdout's unwritten bytes go nowhere, and no message is printed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     except walks.TickBudgetError as exc:
         print(f"timeout: {exc} (ticks elapsed: {exc.ticks})", file=sys.stderr)
         return EXIT_TIMEOUT

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rows import data_lines, open_out
+from .rows import data_lines
 
 TOPOLOGY_KINDS = ("star", "line", "lollipop", "complete", "erdos_renyi", "edge_list")
 ER_MAX_SAMPLES = 1000  # samples erdos_renyi_graph draws before it gives up
@@ -412,12 +412,6 @@ def read_edge_list(path) -> Graph:
             raise GraphConstructionError(f"{path}:{lineno}: expected 'u v', got {line!r}") from exc
         edges.append((u, v))
     return Graph.from_edges(1 + max([0, *chain.from_iterable(edges)]), edges)
-
-
-def write_edge_list(g: Graph, path) -> None:
-    with open_out(path) as fh:
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
 
 
 def er_probability(n: int) -> float:

@@ -268,10 +268,6 @@ def _sweep_record(cfg: SweepConfig, n: int, g: Graph) -> SweepRecord:
     return SweepRecord(n, mean, std, len(ticks), cfg.rounds, tuple(rounds))
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    return list(iter_sweep(cfg))
-
-
 @dataclass(frozen=True)
 class ScalingFit:
     exponent: float

@@ -33,7 +33,7 @@ from qconsensus.harness import (
     SweepConfig,
     default_n_values,
     fit_scaling,
-    run_sweep,
+    iter_sweep,
 )
 from qconsensus.walks import sample_meet_all, sample_pair_meetings
 
@@ -122,7 +122,7 @@ def test_criterion_8_scaling_exponents():
         cfg = SweepConfig(kind=kind, n_values=default_n_values(kind),
                           protocol="binary", init="majority_one",
                           rounds=20, master_seed=7)
-        fit = fit_scaling(run_sweep(cfg))
+        fit = fit_scaling(list(iter_sweep(cfg)))
         inside = lo <= fit.exponent <= hi
         ok = ok and inside
         details.append(f"{kind}: a={fit.exponent:.2f} in [{lo},{hi}] {'ok' if inside else 'OUT'}")
@@ -136,7 +136,7 @@ def test_criterion_9_star_constant_band():
     n = 101
     cfg = SweepConfig(kind="star", n_values=(n,), protocol="binary",
                       init="majority_one", rounds=20, master_seed=9)
-    rec = run_sweep(cfg)[0]
+    rec = list(iter_sweep(cfg))[0]
     reference = 0.63 * n * n * math.log(n)
     ratio = rec.mean_ticks / reference
     ok = 0.5 <= ratio <= 2.0

@@ -2,12 +2,15 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from qconsensus.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, _topology_spec, build_parser, main
+from qconsensus.cli import (EXIT_CLOSED, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, _topology_spec,
+                            build_parser, main)
 from qconsensus.graphs import ER_MAX_SAMPLES
-from qconsensus.harness import DESK_N_VALUES, SweepConfig, fit_scaling, run_sweep
+from qconsensus.harness import DESK_N_VALUES, SweepConfig, fit_scaling, iter_sweep
 
 from conftest import KERNEL_PATHS, kernel_path
 
@@ -31,6 +34,16 @@ def test_simulate_writes_its_row_and_trace_to_dev_null(capsys):
                    "--trace-stride", "1", "--out", os.devnull, "--trace-out", os.devnull)
     assert code == EXIT_OK
     assert capsys.readouterr().out == ""
+
+
+def test_a_reader_that_closes_early_is_not_a_usage_error():
+    # the 200-node table is far more than a pipe holds, so the CLI is mid-write at the close
+    proc = subprocess.Popen([sys.executable, "-m", "qconsensus", "hitting", "--topo", "line",
+                             "--n", "200"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"node,0,1,")
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == EXIT_CLOSED
 
 
 def test_simulate_even_n_usage_error(capsys):
@@ -246,8 +259,8 @@ def test_sweep_fit_and_default_grid(capsys):
     captured = capsys.readouterr()
     rows = list(csv.DictReader(captured.out.splitlines()))
     assert [int(r["n"]) for r in rows] == list(DESK_N_VALUES["star"])
-    fit = fit_scaling(run_sweep(SweepConfig("star", DESK_N_VALUES["star"], "binary",
-                                            "majority_one", 1, 3)))
+    fit = fit_scaling(list(iter_sweep(SweepConfig("star", DESK_N_VALUES["star"], "binary",
+                                                  "majority_one", 1, 3))))
     assert captured.err == (f"power-law fit: exponent={fit.exponent:.3f} "
                             f"coefficient={fit.coefficient:.4g} residual={fit.residual:.4g}\n")
 

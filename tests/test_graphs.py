@@ -29,7 +29,6 @@ from qconsensus.graphs import (
     read_edge_list,
     star_graph,
     tick_edges,
-    write_edge_list,
 )
 from qconsensus.consensus import run_to_convergence
 from qconsensus.harness import (DESK_N_VALUES, FULL_N_VALUES, default_n_values, init_majority_one,
@@ -372,7 +371,7 @@ def test_spec_validation_errors():
 def test_edge_list_round_trip(tmp_path):
     g = lollipop_graph(8, 5)
     path = tmp_path / "graph.txt"
-    write_edge_list(g, path)
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
     assert read_edge_list(path).adjacency == g.adjacency
 
 

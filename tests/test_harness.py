@@ -27,9 +27,9 @@ from qconsensus.harness import (
     init_q_setting1,
     init_q_setting2,
     initial_state,
+    iter_sweep,
     lollipop_clique_size,
     round_rng,
-    run_sweep,
     seed_sequence,
     write_curves_csv,
     write_rounds_csv,
@@ -222,7 +222,7 @@ def test_default_grids():
 
 def test_run_sweep_single_point():
     cfg = SweepConfig("star", (3,), "quantized", "q_setting1", 1, master_seed=2)
-    records = run_sweep(cfg)
+    records = list(iter_sweep(cfg))
     assert len(records) == 1
     rec = records[0]
     assert rec.n == 3
@@ -234,14 +234,14 @@ def test_run_sweep_single_point():
 
 def test_run_sweep_reproducible():
     cfg = SweepConfig("erdos_renyi", (9, 11), "quantized", "q_setting2", 3, master_seed=42)
-    a = run_sweep(cfg)
-    b = run_sweep(cfg)
+    a = list(iter_sweep(cfg))
+    b = list(iter_sweep(cfg))
     assert a == b  # bit-identical records, including float means
 
 
 def test_sweep_rounds_are_order_independent():
     cfg = SweepConfig("line", (9,), "quantized", "q_setting2", 4, master_seed=3)
-    rec = run_sweep(cfg)[0]
+    rec = list(iter_sweep(cfg))[0]
     # re-running any single round from its derived seed reproduces its ticks
     g = build_graph(cfg.spec_for(9))
     for ri, ticks, ok in rec.round_ticks[::-1]:
@@ -253,7 +253,7 @@ def test_sweep_rounds_are_order_independent():
 
 def test_sweep_records_timeouts_not_fatal():
     cfg = SweepConfig("line", (9,), "quantized", "q_setting2", 3, master_seed=1, max_ticks=1)
-    rec = run_sweep(cfg)[0]
+    rec = list(iter_sweep(cfg))[0]
     assert rec.rounds_total == 3
     assert rec.rounds_converged == 0
     assert math.isnan(rec.mean_ticks)
@@ -262,7 +262,7 @@ def test_sweep_records_timeouts_not_fatal():
 
 def test_sweep_mean_over_converged_rounds_matches_dump():
     cfg = SweepConfig("star", (7,), "quantized", "q_setting2", 5, master_seed=8)
-    rec = run_sweep(cfg)[0]
+    rec = list(iter_sweep(cfg))[0]
     ticks = [t for _, t, ok in rec.round_ticks if ok]
     assert rec.mean_ticks == pytest.approx(float(np.mean(ticks)))
     assert rec.std_ticks == pytest.approx(float(np.std(ticks, ddof=1)))
@@ -318,7 +318,7 @@ def test_fit_recovers_random_power_laws(c, a):
 
 def test_sweep_csv_schema(tmp_path):
     cfg = SweepConfig("star", (5, 7), "quantized", "q_setting1", 2, master_seed=9)
-    records = run_sweep(cfg)
+    records = list(iter_sweep(cfg))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(cfg, records, path)
     with open(path) as fh:
@@ -341,7 +341,7 @@ class FlushLog(io.StringIO):
 
 def test_sweep_rows_stream_each_row_before_the_next_record():
     cfg = SweepConfig("star", (5, 7, 9), "quantized", "q_setting1", 2, master_seed=9)
-    records = run_sweep(cfg)
+    records = list(iter_sweep(cfg))
     fh = FlushLog()
 
     def paced():
@@ -357,7 +357,7 @@ def test_sweep_rows_stream_each_row_before_the_next_record():
 
 def test_a_streamed_sweep_file_holds_only_its_header_and_the_rows_written(tmp_path):
     cfg = SweepConfig("star", (5, 7, 9), "quantized", "q_setting1", 2, master_seed=9)
-    records = run_sweep(cfg)
+    records = list(iter_sweep(cfg))
     path = tmp_path / "sweep.csv"
     path.write_text("an,older,file\n" * 1000)
 
@@ -379,7 +379,7 @@ def test_a_streamed_sweep_file_holds_only_its_header_and_the_rows_written(tmp_pa
 
 def test_a_json_sweep_leaves_an_older_file_whole_until_its_last_record(tmp_path):
     cfg = SweepConfig("star", (5, 7), "quantized", "q_setting1", 2, master_seed=9)
-    records = run_sweep(cfg)
+    records = list(iter_sweep(cfg))
     path = tmp_path / "sweep.json"
     path.write_text("an older file\n" * 1000)
 
@@ -395,7 +395,7 @@ def test_a_json_sweep_leaves_an_older_file_whole_until_its_last_record(tmp_path)
 
 def test_rounds_csv(tmp_path):
     cfg = SweepConfig("star", (5,), "quantized", "q_setting2", 3, master_seed=9)
-    records = run_sweep(cfg)
+    records = list(iter_sweep(cfg))
     path = tmp_path / "rounds.csv"
     write_rounds_csv(records, path)
     rows = path.read_text().strip().splitlines()
@@ -405,7 +405,7 @@ def test_rounds_csv(tmp_path):
 
 def test_curves_csv_has_reference_columns(tmp_path):
     cfg = SweepConfig("star", (21, 41), "binary", "majority_one", 1, master_seed=1)
-    records = run_sweep(cfg)
+    records = list(iter_sweep(cfg))
     path = tmp_path / "curves.csv"
     write_curves_csv(cfg, records, path)
     rows = list(csv.reader(path.read_text().strip().splitlines()))

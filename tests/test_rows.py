@@ -182,8 +182,7 @@ WRITERS = {
     "rows.write_csv": lambda path: write_csv(path, ("a", "b"), [(1, 0.5), (2, "x")]),
     "consensus.write_trace_csv": lambda path: consensus.write_trace_csv(_traced_result(), path),
     "harness.write_sweep_csv": lambda path: harness.write_sweep_csv(
-        SWEEP, harness.run_sweep(SWEEP), path),
-    "graphs.write_edge_list": lambda path: graphs.write_edge_list(graphs.star_graph(5), path),
+        SWEEP, list(harness.iter_sweep(SWEEP)), path),
     "cli._open_out": lambda path: cli.main([
         "sweep", "--topo", "line", "--protocol", "binary", "--n-values", "5,7",
         "--rounds", "2", "--out", str(path)]),
