@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired before/after benchmark of one layer, in one process.
 
-    python3 scripts/bench_ab.py {kernel,exact,walks,runs,graphs,traces} [...] [--out PATH]
+    python3 scripts/bench_ab.py {kernel,exact,walks,runs,graphs,traces,sweep} [...] [--out PATH]
 
 "Before" is the whole ``src/qconsensus`` tree at HEAD when ``src/`` has
 uncommitted changes, else at HEAD~1, extracted with ``git archive`` into a
@@ -58,10 +58,16 @@ machine and the revisions. Workloads:
   its target. Each side rewrites its own files in a temporary directory,
   as a run of ``bench/`` rewrites its own; the files must match byte for
   byte.
+- ``sweep`` (harness.py and what it calls, 15 repeats): s/call of
+  ``list(iter_sweep(cfg))``, graph builds included, for each of the 12
+  combinations of GRID_KINDS x GRID_SETTINGS over its ``DESK_N_VALUES``, at
+  SWEEP_ROUNDS rounds and master seed SWEEP_SEED: one point of a ``bench/``
+  grid unit per case. Both sides must give the same records, floats bit for
+  bit.
 
 The constants that restate ``bench/workloads.py`` (TRACE_STRIDE, TOKEN_RUNS,
-SHORT_RUN_CASES, TRACED_CASES) are checked against it by
-tests/test_scripts.py. A disagreement between the sides exits with an error.
+SHORT_RUN_CASES, TRACED_CASES, GRID_KINDS, GRID_SETTINGS, SWEEP_ROUNDS) are
+checked against it by tests/test_scripts.py. A disagreement between the sides exits with an error.
 """
 
 from __future__ import annotations
@@ -362,6 +368,39 @@ def traces_cases() -> list[Case]:
     return cases
 
 
+# ------------------------------------------------------------------- sweep
+
+# the combinations and rounds of a bench/ grid unit
+GRID_KINDS = ("star", "line", "lollipop", "erdos_renyi")
+GRID_SETTINGS = (
+    ("binary", "majority_one"),
+    ("quantized", "q_setting1"),
+    ("quantized", "q_setting2"),
+)
+SWEEP_ROUNDS = 3
+SWEEP_SEED = 1
+
+
+def sweep_all(side, kind, protocol, init) -> tuple[float, list]:
+    """Time ``side``'s iter_sweep of one desk combination, on ``side``'s own SweepConfig.
+
+    Records are compared as tuples with each float's hex, so that a NaN mean matches.
+    """
+    cfg = side.harness.SweepConfig(kind, DESK_N_VALUES[kind], protocol, init, SWEEP_ROUNDS,
+                                   SWEEP_SEED)
+    t = perf_counter()
+    records = list(side.harness.iter_sweep(cfg))
+    elapsed = perf_counter() - t
+    return elapsed, [(r.n, r.mean_ticks.hex(), r.std_ticks.hex(), r.rounds_converged,
+                      r.rounds_total, r.round_ticks) for r in records]
+
+
+def sweep_cases() -> list[Case]:
+    return [Case(f"iter_sweep/{kind}/{protocol}/{init}", "s/call",
+                 lambda side, rep, combo=(kind, protocol, init): sweep_all(side, *combo))
+            for kind in GRID_KINDS for protocol, init in GRID_SETTINGS]
+
+
 @dataclass
 class Workload:
     title: str
@@ -384,6 +423,8 @@ WORKLOADS = {
                        graphs_cases, lambda a, b: a == b),
     "traces": Workload("paired trace CSV writes before/after, one process", ("consensus",), 15,
                        traces_cases, lambda a, b: a == b),
+    "sweep": Workload("paired desk-grid sweeps before/after, one process", ("harness",), 15,
+                      sweep_cases, lambda a, b: a == b),
 }
 
 

@@ -45,7 +45,17 @@ the tick that brings ``counter`` to ``end0`` or ``end1``, writes
   difference overflows. It keeps its branch between a swap and an
   exchange: on a 2-core x86-64 Xeon, a branch-free exchange (both ends
   written from selects) took the desk ``q_setting2`` line sweep, 3 rounds
-  per n, from 8.6 to 19.2 ms, best of 12.
+  per n, from 8.6 to 19.2 ms, best of 12, and with the counter below, a
+  fully branch-free tick ran quantized line(65) at x0.69 and lollipop(45)
+  at x0.73 (``scripts/bench_ab.py kernel``). An exchange steps the counter of
+  nodes outside {q, q + 1} by ``IN_QQ1`` of its four end values, each one
+  unsigned compare, ``(uint64_t)x - (uint64_t)q <= 1``, with no branch:
+  two signed compares joined by ``&&`` compile to two data-dependent
+  branches, which in an exchange-heavy run go either way about half the
+  time. The compare relies on the value rule: with |x|, |q| < 2**62 (q
+  lies between the run's smallest and largest value), x - q fits int64,
+  and taken in uint64_t it is 0 or 1 exactly when x is q or q + 1 and at
+  least 2**63 when x < q.
 
 A traced run (``stride`` > 0) has the loops write the rows due inside a
 call into ``rows``, a buffer of ``BINARY_ROW`` or ``QUANTIZED_ROW`` records.
@@ -214,7 +224,8 @@ int64_t qc_binary(run_t *r, int64_t limit)
     return limit;
 }
 
-#define IN_QQ1(x) ((x) >= q && (x) <= q + 1)
+/* 1 when x is q or q + 1, with no branch; exact while |x|, |q| < 2**62 (module docstring). */
+#define IN_QQ1(x) ((uint64_t)(x) - (uint64_t)q <= 1)
 
 /* (v - mean) ** 2 as CPython computes it. */
 static inline double square(const run_t *r, int64_t v)

@@ -481,7 +481,7 @@ def _run_quantized(g: Graph, s: QuantizedState, rng, max_ticks: int, stride: int
     values = s.values
     q = s.q
     qp1 = q + 1
-    off = sum(not q <= v <= qp1 for v in values)  # the counter: nodes outside {q, q+1}
+    off = n - values.count(q) - values.count(qp1)  # the counter: nodes outside {q, q+1}
     lo, hi = min(values), max(values)
     # Values in (-2**62, 2**62) keep every difference the C loop takes inside int64.
     kernel = _loops(rng) if -_C_VALUE_LIMIT < lo and hi < _C_VALUE_LIMIT else None

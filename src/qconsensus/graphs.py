@@ -261,18 +261,20 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     Deterministic re-seeding (rather than drawing again from one stream)
     makes the produced graph a pure function of (n, p, seed). Each sample
     keeps pair k of the row-major pairs i < j when the k-th of its uniform
-    draws is below p. The number of rejected samples is recorded in
-    graph.meta["er_retries"]. After ER_MAX_SAMPLES disconnected samples it
-    raises GraphConstructionError.
+    draws is below p; only the kept k are mapped to their pairs. The number
+    of rejected samples is recorded in graph.meta["er_retries"]. After
+    ER_MAX_SAMPLES disconnected samples it raises GraphConstructionError.
     """
     TopologySpec("erdos_renyi", n, p=p, seed=seed).validate()
-    u, v = np.triu_indices(n, 1)
+    rows = np.arange(n - 1)
+    starts = rows * n - rows * (rows + 1) // 2  # pair index of (i, i + 1), row i's first
     for retries in range(ER_MAX_SAMPLES):
         rng = np.random.default_rng(seed + retries)
-        kept = np.flatnonzero(rng.random(len(u)) < p)
+        kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
         if len(kept) < n - 1:  # too few edges to connect n nodes
             continue
-        g = Graph._trusted(n, _rows(n, u[kept], v[kept]))
+        u = np.searchsorted(starts, kept, "right") - 1
+        g = Graph._trusted(n, _rows(n, u, kept - starts[u] + u + 1))
         if is_connected(g):
             g.meta["er_retries"] = retries
             g.meta["er_seed"] = seed + retries

@@ -259,13 +259,17 @@ def _sweep_record(cfg: SweepConfig, n: int, g: Graph) -> SweepRecord:
         result = run_to_convergence(cfg.protocol, g, state, rng, budget)
         rounds.append((ri, result.ticks, result.converged))
     ticks = [t for _, t, ok in rounds if ok]
-    if ticks:
-        mean = float(np.mean(ticks))
-        std = float(np.std(ticks, ddof=1)) if len(ticks) > 1 else 0.0
-    else:
-        mean = float("nan")
-        std = float("nan")
-    return SweepRecord(n, mean, std, len(ticks), cfg.rounds, tuple(rounds))
+    k = len(ticks)
+    mean = std = float("nan")
+    if k:
+        # np.mean(ticks) and np.std(ticks, ddof=1) bit for bit: the reductions they run,
+        # without their Python wrappers.
+        a = np.array(ticks)
+        mean = np.add.reduce(a, dtype=np.float64) / k
+        d = a - mean
+        std = np.sqrt(np.add.reduce(d * d) / (k - 1)) if k > 1 else 0.0
+        mean, std = float(mean), float(std)
+    return SweepRecord(n, mean, std, k, cfg.rounds, tuple(rounds))
 
 
 @dataclass(frozen=True)

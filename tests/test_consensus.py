@@ -701,6 +701,22 @@ def test_quantized_values_at_the_int64_edge_match_the_stepper(values):
                                    start=_start_at(values))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("stride", [0, 1])
+def test_quantized_runs_that_converge_at_the_ends_of_the_c_range_match_the_stepper(sign, stride):
+    # The edge cases above never converge, so they never reach the end test of the
+    # compiled loop's counter of values outside {q, q+1}; these runs do, with q within
+    # 8 of +-(2**62 - 1), the widest values the loop takes.
+    values = [sign * (2**62 - 1 - k) for k in (0, 3, 8, 1, 6)]
+    s = QuantizedState.from_values(values)
+    assert -2**62 < min(values) and max(values) < 2**62 and abs(s.q) > 2**62 - 9
+    _, converged, _, _ = _reference_run("quantized", line_graph(5), s,
+                                        np.random.default_rng(11), 3000, stride)
+    assert converged
+    _assert_kernel_matches_stepper("quantized", line_graph(5), 11, 3000, stride,
+                                   start=_start_at(values))
+
+
 @pytest.mark.parametrize("values", [
     [2**53 - 1, 2**53 + 7, 2**53 + 1, -2**53 - 3, 8, 2**53 - 3],
     [-2**53 - 1, -2**53 - 7, 2**53 - 1, -2**53 - 5, -2**53 - 9, 7],

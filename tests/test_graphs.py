@@ -125,9 +125,13 @@ def test_erdos_renyi_keeps_the_graphs_of_the_pair_list_rule():
     specs += [TopologySpec("erdos_renyi", 20, p=0.08, seed=1)]  # 246 retries
     specs += [TopologySpec("erdos_renyi", n, p=p, seed=5)
               for n, p in ((1, 0.5), (2, 0.5), (481, er_probability(481)))]
+    # p = 1 keeps every pair, the last row's (n - 2, n - 1) included: the complete graph.
+    specs += [TopologySpec("erdos_renyi", n, p=1.0, seed=5) for n in (7, 60)]
     for spec in specs:
         g = build_graph(spec)
         assert (g.adjacency, g.meta) == _erdos_renyi_reference(spec.n, spec.p, spec.seed)
+        if spec.p == 1.0:
+            assert g.adjacency == complete_graph(spec.n).adjacency
 
 
 def test_erdos_renyi_gives_up_after_its_sample_bound(monkeypatch):

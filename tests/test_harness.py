@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qconsensus import harness
 from qconsensus.consensus import (
     QuantizedState,
     binary_init,
@@ -266,6 +268,24 @@ def test_sweep_mean_over_converged_rounds_matches_dump():
     ticks = [t for _, t, ok in rec.round_ticks if ok]
     assert rec.mean_ticks == pytest.approx(float(np.mean(ticks)))
     assert rec.std_ticks == pytest.approx(float(np.std(ticks, ddof=1)))
+
+
+# numpy's pairwise sum adds 8 or more items in another order than fewer
+@example([2**62, 1, 2**62 - 1, 3, 0, 2**61, 7])
+@example([2**62, 1, 2**62 - 1, 3, 0, 2**61, 7, 2**40])
+@example([2**62 - k for k in range(40)])
+@given(st.lists(st.integers(0, 2**62), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_sweep_record_mean_and_std_are_numpys_bit_for_bit(ticks):
+    rounds = iter(ticks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_to_convergence",
+                   lambda *args: SimpleNamespace(ticks=next(rounds), converged=True))
+        cfg = SweepConfig("line", (3,), "quantized", "q_setting1", len(ticks), master_seed=0)
+        [rec] = iter_sweep(cfg)
+    assert [t for _, t, _ in rec.round_ticks] == ticks
+    std = float(np.std(ticks, ddof=1)) if len(ticks) > 1 else 0.0
+    assert (rec.mean_ticks.hex(), rec.std_ticks.hex()) == (float(np.mean(ticks)).hex(), std.hex())
 
 
 # ---------------------------------------------------------------- scaling fit

@@ -61,3 +61,8 @@ def test_bench_ab_restates_the_cases_of_bench_workloads(monkeypatch, tmp_path):
     assert ab.TOKEN_RUNS == workloads.ShortRuns(0, tmp_path).token_runs
     assert ab.SHORT_RUN_CASES == tuple(case[:5] for case in workloads.ShortRuns.PROTOCOL_CASES)
     assert ab.TRACED_CASES == workloads.Traced.CASES
+    assert (ab.GRID_KINDS, ab.GRID_SETTINGS) == (workloads.GRID_KINDS, workloads.GRID_SETTINGS)
+    grid = workloads.Grid(0, tmp_path).configs
+    assert [(c.kind, c.n_values, c.protocol, c.init, c.rounds) for c in grid] == [
+        (kind, ab.DESK_N_VALUES[kind], protocol, init, ab.SWEEP_ROUNDS)
+        for kind in ab.GRID_KINDS for protocol, init in ab.GRID_SETTINGS]
