@@ -32,17 +32,17 @@ machine and the revisions. Workloads:
   and graphs must have the same adjacency.
 - ``walks`` (walks.py, 15 repeats): us/run of the four token samples of one
   ``bench/`` short-runs unit, on seeds 0, 1, ...: ``sample_hitting`` on
-  star(5), 1 -> 2, 2000 runs; ``sample_pair_meetings`` on line(9), 0 and
-  8, X and Xprime, 300 runs each; ``sample_meet_all`` on star(11) from
-  node 1, 200 runs. The sides may draw different streams, so nothing is
-  compared, and each side's mean ticks over all repeats is recorded.
+  star(5), 1 -> 2; ``sample_pair_meetings`` on line(9), 0 and 8, X and
+  Xprime; ``sample_meet_all`` on star(11) from node 1; each with the runs
+  of ``ShortRuns(...).token_runs``. The sides may draw different streams,
+  so nothing is compared, and each side's mean ticks over all repeats is
+  recorded.
 - ``runs`` (graphs.py, harness.py and consensus.py, 15 repeats): us/run of
   ``round_rng`` + ``initial_state`` + ``run_to_convergence``, each side
-  through its own modules, over the three protocol cases of one ``bench/``
-  short-runs unit: 1500 runs of quantized ``q_setting1`` on line(3), and
-  500 runs each of binary ``majority_one`` on star(5) and line(5), run ri
-  of a case on ``round_rng(RUNS_SEED, n, ri)``. Both sides must give
-  identical ticks and outcomes.
+  through its own modules, over the protocol cases of one ``bench/``
+  short-runs unit (``ShortRuns.PROTOCOL_CASES`` at full size), run ri of a
+  case on ``round_rng(RUNS_SEED, n, ri)``. Both sides must give identical
+  ticks and outcomes.
 - ``graphs`` (graphs.py, 15 repeats): s/call of ``build_graph`` over the
   desk ER sweep (``topology_spec`` with master seed GRAPHS_SEED), of
   ER(481) on the same rule, of the lollipop(300) edge list with nodes
@@ -52,22 +52,18 @@ machine and the revisions. Workloads:
   same adjacency and ``meta``.
 - ``traces`` (consensus.py and rows.py, 15 repeats): s/call of each side's
   ``write_trace_csv`` over one set of SimResults per case of a ``bench/``
-  traced unit, run once before timing: line(65) quantized ``q_setting2``,
-  lollipop(45) and star(101) binary ``majority_one``, all at
-  ``trace_stride=100``, on seeds 0, 1, ... until the case's ticks reach
-  its target. Each side rewrites its own files in a temporary directory,
+  traced unit (``Traced.CASES``), run once before timing at ``bench/``'s
+  ``TRACE_STRIDE``, on seeds 0, 1, ... until the case's ticks reach its
+  target. Each side rewrites its own files in a temporary directory,
   as a run of ``bench/`` rewrites its own; the files must match byte for
   byte.
 - ``sweep`` (harness.py and what it calls, 15 repeats): s/call of
-  ``list(iter_sweep(cfg))``, graph builds included, for each of the 12
-  combinations of GRID_KINDS x GRID_SETTINGS over its ``DESK_N_VALUES``, at
-  SWEEP_ROUNDS rounds and master seed SWEEP_SEED: one point of a ``bench/``
-  grid unit per case. Both sides must give the same records, floats bit for
-  bit.
+  ``list(iter_sweep(cfg))``, graph builds included, for each ``SweepConfig``
+  of a ``bench/`` grid unit, ``Grid(SWEEP_SEED, ...).configs``, in its
+  order. Both sides must give the same records, floats bit for bit.
 
-The constants that restate ``bench/workloads.py`` (TRACE_STRIDE, TOKEN_RUNS,
-SHORT_RUN_CASES, TRACED_CASES, GRID_KINDS, GRID_SETTINGS, SWEEP_ROUNDS) are
-checked against it by tests/test_scripts.py. A disagreement between the sides exits with an error.
+The ``bench/`` cases are imported from ``bench/workloads.py``, so the two
+measure the same work. A disagreement between the sides exits with an error.
 """
 
 from __future__ import annotations
@@ -95,9 +91,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
+from workloads import TRACE_STRIDE, Grid, ShortRuns, Traced  # noqa: E402
 
 from qconsensus import consensus, graphs, harness, walks  # noqa: E402
 from qconsensus.graphs import TopologySpec, build_graph, er_probability  # noqa: E402
@@ -106,7 +103,6 @@ from qconsensus.harness import DESK_N_VALUES, lollipop_clique_size, topology_spe
 TICKS_PER_CASE = 200_000
 SMALL_STRIDE_TICKS = 20_000
 SHORT_RUNS = 40_000
-TRACE_STRIDE = 100
 TABLE_RTOL = 1e-9
 RUNS_SEED = 41
 GRAPHS_SEED = 11
@@ -145,6 +141,12 @@ def timed(fn, *args) -> tuple[float, object]:
     t = perf_counter()
     out = fn(*args)
     return perf_counter() - t, out
+
+
+def bench_workload(cls, seed: int = 0):
+    """``bench/``'s workload ``cls`` for ``seed``, made in a directory removed on return."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return cls(seed, Path(tmp))
 
 
 # ------------------------------------------------------------------ kernel
@@ -238,10 +240,6 @@ def exact_cases() -> list[Case]:
 
 # ------------------------------------------------------------------- walks
 
-# runs of each token sample of a bench/ short-runs unit, in its order
-TOKEN_RUNS = (2000, 300, 300, 200)
-
-
 def walks_cases() -> list[Case]:
     star5, line9, star11 = graphs.star_graph(5), graphs.line_graph(9), graphs.star_graph(11)
     samples = (
@@ -257,18 +255,11 @@ def walks_cases() -> list[Case]:
     return [Case(name, "us/run",
                  lambda side, rep, runs=runs, call=call: timed(call, side.walks, rep, runs),
                  runs, {"runs": runs})
-            for (name, call), runs in zip(samples, TOKEN_RUNS, strict=True)]
+            for (name, call), runs in zip(samples, bench_workload(ShortRuns).token_runs,
+                                          strict=True)]
 
 
 # -------------------------------------------------------------------- runs
-
-# (topology, n, protocol, init, runs) of the protocol part of a bench/ short-runs unit
-SHORT_RUN_CASES = (
-    ("line", 3, "quantized", "q_setting1", 1500),
-    ("star", 5, "binary", "majority_one", 500),
-    ("line", 5, "binary", "majority_one", 500),
-)
-
 
 def short_runs(side, kind, n, protocol, init, runs) -> tuple[float, list]:
     """Time ``runs`` whole runs on ``side``'s own graph, stream, init and kernel."""
@@ -286,8 +277,8 @@ def short_runs(side, kind, n, protocol, init, runs) -> tuple[float, list]:
 
 def runs_cases() -> list[Case]:
     cases = []
-    for case in SHORT_RUN_CASES:
-        kind, n, protocol, init, runs = case
+    for kind, n, protocol, init, runs, _ in ShortRuns.PROTOCOL_CASES:
+        case = kind, n, protocol, init, runs
         cases.append(Case(f"{protocol}/{kind}({n})/{init} x{runs}", "us/run",
                           lambda side, rep, case=case: short_runs(side, *case),
                           runs, {"runs": runs}))
@@ -328,14 +319,6 @@ def graphs_cases() -> list[Case]:
 
 # ------------------------------------------------------------------ traces
 
-# (topology, n, protocol, init, tick target) of the cases of a bench/ traced unit
-TRACED_CASES = (
-    ("line", 65, "quantized", "q_setting2", 900_000),
-    ("lollipop", 45, "binary", "majority_one", 300_000),
-    ("star", 101, "binary", "majority_one", 450_000),
-)
-
-
 def write_all(side, results, out_dir: Path) -> tuple[float, list]:
     """Time ``side``'s write_trace_csv of each result into its own file in ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -350,7 +333,7 @@ def write_all(side, results, out_dir: Path) -> tuple[float, list]:
 def traces_cases() -> list[Case]:
     out = tempfile.TemporaryDirectory()  # removed when the process exits
     cases = []
-    for kind, n, protocol, init, target in TRACED_CASES:
+    for kind, n, protocol, init, target in Traced.CASES:
         g = build_graph(topology_spec(kind, n, 0))
         results, ticks = [], 0
         while ticks < target:
@@ -370,24 +353,15 @@ def traces_cases() -> list[Case]:
 
 # ------------------------------------------------------------------- sweep
 
-# the combinations and rounds of a bench/ grid unit
-GRID_KINDS = ("star", "line", "lollipop", "erdos_renyi")
-GRID_SETTINGS = (
-    ("binary", "majority_one"),
-    ("quantized", "q_setting1"),
-    ("quantized", "q_setting2"),
-)
-SWEEP_ROUNDS = 3
 SWEEP_SEED = 1
 
 
-def sweep_all(side, kind, protocol, init) -> tuple[float, list]:
-    """Time ``side``'s iter_sweep of one desk combination, on ``side``'s own SweepConfig.
+def sweep_all(side, cfg) -> tuple[float, list]:
+    """Time ``side``'s iter_sweep of ``cfg`` rebuilt as ``side``'s own SweepConfig.
 
     Records are compared as tuples with each float's hex, so that a NaN mean matches.
     """
-    cfg = side.harness.SweepConfig(kind, DESK_N_VALUES[kind], protocol, init, SWEEP_ROUNDS,
-                                   SWEEP_SEED)
+    cfg = side.harness.SweepConfig(**vars(cfg))
     t = perf_counter()
     records = list(side.harness.iter_sweep(cfg))
     elapsed = perf_counter() - t
@@ -396,9 +370,9 @@ def sweep_all(side, kind, protocol, init) -> tuple[float, list]:
 
 
 def sweep_cases() -> list[Case]:
-    return [Case(f"iter_sweep/{kind}/{protocol}/{init}", "s/call",
-                 lambda side, rep, combo=(kind, protocol, init): sweep_all(side, *combo))
-            for kind in GRID_KINDS for protocol, init in GRID_SETTINGS]
+    return [Case(f"iter_sweep/{cfg.kind}/{cfg.protocol}/{cfg.init}", "s/call",
+                 lambda side, rep, cfg=cfg: sweep_all(side, cfg))
+            for cfg in bench_workload(Grid, SWEEP_SEED).configs]
 
 
 @dataclass

@@ -22,7 +22,7 @@ from . import walks
 from .graphs import (Graph, build_graph, er_probability, path_degree_sums_from,
                      require_neighbors, tick_edges, TopologySpec)
 from .harness import (default_max_ticks, init_majority_one, init_q_setting2,
-                      lollipop_clique_size, seed_sequence)
+                      lollipop_clique_size, round_rng)
 
 COMMUTE_REL_TOL = 1e-6
 CYCLE_REL_TOL = 1e-6
@@ -151,7 +151,7 @@ def check_hitting_bound(graphs) -> CheckResult:
     violations = []
     for name, g in graphs:
         table = walks.hitting_table(walks.transition_matrix(g, "biased"))
-        bound = 3.0 * g.n**3
+        bound = walks.general_hitting_bound(g.n)
         if table.max_hitting() >= bound:
             violations.append(f"{name}: H={table.max_hitting():.1f} >= {bound:.1f}")
         for x in range(g.n):
@@ -304,7 +304,7 @@ def _check_outcomes(check: str, protocol: str, init, wrong_end, graphs, runs: in
     ``wrong_end(start, end)`` says what is wrong with a final state, or None."""
     for gi, (name, g) in enumerate(graphs):
         for ri in range(runs):
-            rng = np.random.default_rng(seed_sequence(seed, gi, ri))
+            rng = round_rng(seed, gi, ri)
             state = init(g.n, rng)
             start = state.copy()
             result = cons.run_to_convergence(protocol, g, state, rng, default_max_ticks(g.n))

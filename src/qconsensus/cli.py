@@ -22,8 +22,8 @@ from .graphs import (TOPOLOGY_KINDS, Graph, TopologySpec, build_graph, check_nod
                      read_edge_list, require_connected)
 from .harness import (
     DEFAULT_INIT,
+    FIT_MIN_SIZES,
     INITS,
-    PROTOCOLS,
     SweepConfig,
     default_max_ticks,
     default_n_values,
@@ -146,8 +146,8 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"bad --n-values: {exc}") from exc
     else:
         n_values = default_n_values(args.topo, args.full_grid)
-    if args.fit and len(n_values) < 3:
-        raise ValueError(f"--fit needs at least 3 n-values, got {len(n_values)}")
+    if args.fit and len(n_values) < FIT_MIN_SIZES:
+        raise ValueError(f"--fit needs at least {FIT_MIN_SIZES} n-values, got {len(n_values)}")
     cfg = SweepConfig(
         kind=args.topo, n_values=n_values, protocol=args.protocol,
         init=args.init or DEFAULT_INIT[args.protocol],
@@ -163,9 +163,9 @@ def cmd_sweep(args) -> int:
         write_curves_csv(cfg, records, _resolve_out(args.curves_out))
     if args.fit:
         converged = sum(1 for rec in records if rec.rounds_converged)
-        if converged < 3:
-            print(f"timeout: {converged} of {len(records)} sizes converged; the fit needs 3",
-                  file=sys.stderr)
+        if converged < FIT_MIN_SIZES:
+            print(f"timeout: {converged} of {len(records)} sizes converged; "
+                  f"the fit needs {FIT_MIN_SIZES}", file=sys.stderr)
             return EXIT_TIMEOUT
         fit = fit_scaling(records)
         print(f"power-law fit: exponent={fit.exponent:.3f} "
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one protocol instance to convergence")
     _add_topology_flags(p)
-    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
+    p.add_argument("--protocol", required=True, choices=cons.PROTOCOLS)
     p.add_argument("--init", choices=(*INITS, "file"))
     p.add_argument("--init-file", help="initial-state file for --init file")
     p.add_argument("--lo", type=int, default=1)
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="measure mean convergence ticks over an n-grid")
     _add_topology_flags(p)
-    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
+    p.add_argument("--protocol", required=True, choices=cons.PROTOCOLS)
     p.add_argument("--init", choices=INITS)
     p.add_argument("--n-values", help="comma-separated n grid (default: desk-scale grid)")
     p.add_argument("--full-grid", action="store_true", help="use the 21..481 step-20 grid")

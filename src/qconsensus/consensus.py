@@ -64,7 +64,7 @@ from operator import index
 import numpy as np
 
 from . import ckernel
-from .graphs import Graph, csr, require_neighbors, tick_edges
+from .graphs import Graph, csr, require_neighbors, require_tick_budget, tick_edges
 from .rows import data_lines, open_out, write_trace_rows
 
 STRONG_POS = 2
@@ -72,6 +72,7 @@ STRONG_NEG = -2
 WEAK_POS = 1
 WEAK_NEG = -1
 OPINION_VALUES = (STRONG_POS, STRONG_NEG, WEAK_POS, WEAK_NEG)
+PROTOCOLS = ("binary", "quantized")
 
 _FIRST_BATCH = 64
 _MAX_BATCH = 8192
@@ -279,6 +280,12 @@ def lyapunov(s: QuantizedState) -> float:
     return total
 
 
+def check_protocol(protocol: str) -> None:
+    """Raise ValueError unless ``protocol`` is one of PROTOCOLS."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Outcome of one protocol run."""
@@ -303,16 +310,14 @@ def run_to_convergence(protocol: str, g: Graph, state, rng, max_ticks: int,
     value per node of ``g``, is mutated in place; the generator's position
     afterwards is unspecified (see the module docstring).
     """
-    if max_ticks < 0:
-        raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
+    require_tick_budget(max_ticks)
     if trace_stride < 0:
         raise ValueError(f"trace_stride must be >= 0, got {trace_stride}")
+    check_protocol(protocol)
     if protocol == "binary":
         state_type, run = BinaryState, _run_binary
-    elif protocol == "quantized":
-        state_type, run = QuantizedState, _run_quantized
     else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+        state_type, run = QuantizedState, _run_quantized
     if not isinstance(state, state_type):
         raise ValueError(f"{protocol} protocol requires a {state_type.__name__}")
     if state.n != g.n:

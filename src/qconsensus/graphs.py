@@ -27,7 +27,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -364,6 +364,12 @@ def require_neighbors(g: Graph) -> None:
         raise ValueError("every node needs a neighbor")
 
 
+def require_tick_budget(max_ticks: int) -> None:
+    """Raise ValueError unless ``max_ticks`` is a tick budget: a count of at least 0."""
+    if max_ticks < 0:
+        raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
+
+
 def bfs_tree(g: Graph, x: int) -> tuple[list[int], list[int]]:
     """Breadth-first visiting order from x, and each node's parent (-1 if unreached).
 
@@ -388,11 +394,19 @@ def bfs_tree(g: Graph, x: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def tree_path_sums(g: Graph, x: int, term: Callable[[int, int], int]) -> list[int]:
-    """Sum of term(u, v) over the edges u -> v of bfs_tree(g, x)'s path to every node y."""
+def reachable_tree(g: Graph, x: int, nodes: Iterable[int]) -> tuple[list[int], list[int]]:
+    """``bfs_tree(g, x)``; raise ValueError at the first of ``nodes`` that it does not reach."""
     order, parent = bfs_tree(g, x)
     if len(order) < g.n:
-        raise ValueError(f"node {parent.index(-1)} is unreachable from node {x}")
+        for k in nodes:
+            if parent[k] < 0:
+                raise ValueError(f"node {k} is unreachable from node {x}")
+    return order, parent
+
+
+def tree_path_sums(g: Graph, x: int, term: Callable[[int, int], int]) -> list[int]:
+    """Sum of term(u, v) over the edges u -> v of bfs_tree(g, x)'s path to every node y."""
+    order, parent = reachable_tree(g, x, range(g.n))
     sums = [0] * g.n
     for v in order[1:]:
         sums[v] = sums[parent[v]] + term(parent[v], v)

@@ -21,15 +21,16 @@ from .consensus import (
     BinaryState,
     QuantizedState,
     binary_init,
+    check_protocol,
     read_binary_votes,
     read_quantized_values,
     run_to_convergence,
 )
-from .graphs import Graph, TopologySpec, build_graph, er_probability, require_nodes
+from .graphs import (Graph, TopologySpec, build_graph, er_probability, require_nodes,
+                     require_tick_budget)
 from .rows import cut, open_out, write_csv, write_table
 
 PROTOCOL_INITS = {"binary": ("majority_one",), "quantized": ("q_setting1", "q_setting2")}
-PROTOCOLS = tuple(PROTOCOL_INITS)
 INITS = sum(PROTOCOL_INITS.values(), ())
 DEFAULT_INIT = {"binary": "majority_one", "quantized": "q_setting2"}
 
@@ -41,6 +42,7 @@ DESK_N_VALUES = {
     "lollipop": tuple(range(9, 64, 6)),
 }
 FULL_N_VALUES = tuple(range(21, 482, 20))
+FIT_MIN_SIZES = 3  # sizes a scaling fit needs
 
 
 def default_n_values(kind: str, full_grid: bool = False) -> tuple[int, ...]:
@@ -196,12 +198,11 @@ class SweepConfig:
     max_ticks: int | None = None
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+        check_protocol(self.protocol)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.max_ticks is not None and self.max_ticks < 0:
-            raise ValueError(f"max_ticks must be >= 0, got {self.max_ticks}")
+        if self.max_ticks is not None:
+            require_tick_budget(self.max_ticks)
         if not self.n_values:
             raise ValueError("n_values must not be empty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
@@ -280,11 +281,13 @@ class ScalingFit:
 
 
 def fit_scaling(records) -> ScalingFit:
-    """Least-squares fit of c * n^a to mean ticks against n in log space, over
-    the ``SweepRecord``s with a converged round."""
-    points = [(rec.n, rec.mean_ticks) for rec in records if rec.rounds_converged]
-    if len(points) < 3:
-        raise ValueError(f"scaling fit needs at least 3 points, got {len(points)}")
+    """Least-squares fit of c * n^a to mean ticks against n in log space, over the
+    ``SweepRecord``s with a converged round and a mean above 0, which has a log."""
+    points = [(rec.n, rec.mean_ticks) for rec in records
+              if rec.rounds_converged and rec.mean_ticks > 0]
+    if len(points) < FIT_MIN_SIZES:
+        raise ValueError(f"scaling fit needs at least {FIT_MIN_SIZES} points, got "
+                         f"{len(points)}: a point is a size with a converged mean above 0")
     x = np.log([p[0] for p in points])
     y = np.log([p[1] for p in points])
     coef = np.polyfit(x, y, 1)

@@ -31,8 +31,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .graphs import (Graph, bfs_tree, check_nodes, csr, require_neighbors, tick_edges,
-                     tree_path_sums)
+from .graphs import (Graph, check_nodes, csr, reachable_tree, require_neighbors,
+                     require_tick_budget, tick_edges, tree_path_sums)
 
 WALK_KINDS = ("simple", "natural", "biased")
 
@@ -288,10 +288,16 @@ class HittingBound(NamedTuple):
     path_refined: float
 
 
+def general_hitting_bound(n: int) -> float:
+    """3 n^3, above the biased-walk hitting time between any two nodes of a connected
+    graph on n nodes: the lemma the O(N^3 log N) convergence bound runs through."""
+    return 3.0 * n**3
+
+
 def hitting_bounds_from(g: Graph, x: int) -> list[HittingBound]:
     """Upper bounds on the biased-walk hitting time H(x, y) for every node y.
 
-    general: 3 n^3, valid on every connected graph.
+    general: ``general_hitting_bound(n)``, valid on every connected graph.
     path_refined: n * sum over shortest-path edges of n * min(deg_i, deg_j),
     i.e. total weight times the resistance bound obtained by chaining the
     per-edge bound r_ij < n * min(deg_i, deg_j) along the path to y in one
@@ -299,7 +305,7 @@ def hitting_bounds_from(g: Graph, x: int) -> list[HittingBound]:
     """
     n = g.n
     r_bound = tree_path_sums(g, x, lambda u, v: n * min(g.degree(u), g.degree(v)))
-    general = 3.0 * n**3
+    general = general_hitting_bound(n)
     return [HittingBound(general, float(n * r)) for r in r_bound]
 
 
@@ -385,13 +391,9 @@ def _check_runs(g: Graph, nodes, runs: int, max_ticks: int) -> None:
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     check_nodes(g.n, *nodes)
-    if max_ticks < 0:
-        raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
+    require_tick_budget(max_ticks)
     # a token that cannot reach the others would run out the budget
-    _, parent = bfs_tree(g, nodes[0])
-    for k in nodes[1:]:
-        if parent[k] < 0:
-            raise ValueError(f"node {k} is unreachable from node {nodes[0]}")
+    reachable_tree(g, nodes[0], nodes[1:])
 
 
 def _lockstep(runs: int, state: tuple, step, max_ticks: int, what: str) -> np.ndarray:

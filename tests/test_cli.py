@@ -275,6 +275,29 @@ def test_sweep_fit_with_too_few_converged_sizes_is_a_timeout(capsys):
     assert captured.err == "timeout: 0 of 3 sizes converged; the fit needs 3\n"
 
 
+def test_sweep_fit_leaves_out_sizes_with_a_mean_of_zero_ticks(capsys):
+    sweep = ("sweep", "--topo", "complete", "--rounds", "1", "--fit")
+    too_few = ("error: scaling fit needs at least 3 points, got {}: "
+               "a point is a size with a converged mean above 0\n")
+    # complete(1) is converged at tick 0; ln(0) has no value to fit
+    assert run_cli(*sweep, "--protocol", "binary", "--n-values", "1,3,5") == EXIT_USAGE
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [(r["n"], r["mean_ticks"]) for r in rows][0] == ("1", "0.0") and len(rows) == 3
+    assert captured.err == too_few.format(2)
+    assert run_cli(*sweep, "--protocol", "quantized", "--init", "q_setting2", "--lo", "5",
+                   "--hi", "5", "--n-values", "3,5,7") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert [r["mean_ticks"] for r in csv.DictReader(captured.out.splitlines())] == ["0.0"] * 3
+    assert captured.err == too_few.format(0)
+    assert run_cli(*sweep, "--protocol", "binary", "--n-values", "1,3,5,7") == EXIT_OK
+    fit = fit_scaling(list(iter_sweep(SweepConfig("complete", (3, 5, 7), "binary",
+                                                  "majority_one", 1, 0))))
+    assert capsys.readouterr().err == (f"power-law fit: exponent={fit.exponent:.3f} "
+                                       f"coefficient={fit.coefficient:.4g} "
+                                       f"residual={fit.residual:.4g}\n")
+
+
 def test_simulate_init_file(tmp_path, capsys):
     init = tmp_path / "values.txt"
     init.write_text("4\n4\n4\n")
@@ -612,6 +635,7 @@ GOLDEN_DIGESTS = {
     "sweep_csv": "76e5dbd26dfd8ffc4d2bdfa5c71ec711611061892ea960fed662c4f51c8418b0",
     "rounds_csv": "474649a941a991d4071b5be4efa29295084463e922b8bbe85501b32ca1e81d83",
     "bound_all_pairs": "442948983d75c24d1da9d7294f29675892010ae848b3f1e4dd492a41d34d2c8a",
+    "curves_csv": "8fdc0afca641a5372640e1608e4c343946d9c35bc6fa1e327c0e3189c7d5f031",
 }
 
 
@@ -621,7 +645,7 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
         return capsys.readouterr().out.encode()
 
     trace, sweep, rounds = tmp_path / "trace.csv", tmp_path / "sweep.csv", tmp_path / "rounds.csv"
-    qtrace = tmp_path / "qtrace.csv"
+    qtrace, curves = tmp_path / "qtrace.csv", tmp_path / "curves.csv"
     sweep_args = ("sweep", "--topo", "erdos_renyi", "--protocol", "quantized",
                   "--n-values", "9,11", "--rounds", "3", "--seed", "5")
     for path in KERNEL_PATHS:
@@ -646,9 +670,14 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
             stdout("simulate", "--topo", "line", "--n", "15", "--protocol", "quantized",
                    "--init", "q_setting2", "--seed", "4", "--trace-stride", "7",
                    "--trace-out", str(qtrace))
+            # line q_setting1's one curve, 0.17*n^3, needs no libm call
+            stdout("sweep", "--topo", "line", "--protocol", "quantized", "--init", "q_setting1",
+                   "--n-values", "5,7,9", "--rounds", "2", "--seed", "5",
+                   "--curves-out", str(curves))
         outputs["trace_binary"] = trace.read_bytes()
         outputs["trace_quantized"] = qtrace.read_bytes()
         outputs["sweep_csv"] = sweep.read_bytes()
         outputs["rounds_csv"] = rounds.read_bytes()
+        outputs["curves_csv"] = curves.read_bytes()
         assert {name: hashlib.sha256(out).hexdigest() for name, out in outputs.items()} \
             == GOLDEN_DIGESTS, path

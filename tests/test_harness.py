@@ -325,6 +325,13 @@ def test_fit_requires_three_points():
         fit_scaling(records([(3, 5.0), (5, 9.0)]) + [timed_out])
 
 
+def test_fit_leaves_out_sizes_with_a_mean_of_zero():
+    points = [(3, 5.0), (5, 9.0), (7, 14.0)]
+    assert fit_scaling(records([(1, 0.0)] + points)) == fit_scaling(records(points))
+    with pytest.raises(ValueError, match="at least 3 points, got 2"):
+        fit_scaling(records([(1, 0.0)] + points[:2]))
+
+
 @given(st.floats(0.1, 100), st.floats(0.1, 3.5))
 @settings(max_examples=40)
 def test_fit_recovers_random_power_laws(c, a):

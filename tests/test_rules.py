@@ -1,4 +1,5 @@
-"""Each graph and node rule has one message, and every entry point that applies it says it."""
+"""Each graph, node and run rule has one message, and every entry point that applies it
+says it."""
 
 import re
 
@@ -10,10 +11,12 @@ from qconsensus.checks import check_binary_conservation, check_quantized_conserv
 from qconsensus.cli import EXIT_USAGE, main
 from qconsensus.consensus import BinaryState, run_to_convergence
 from qconsensus.graphs import (Graph, TopologySpec, bfs_tree, build_graph, check_nodes,
-                               erdos_renyi_graph, lollipop_graph, require_neighbors, star_graph)
+                               erdos_renyi_graph, lollipop_graph, path_degree_sums_from,
+                               require_neighbors, star_graph)
 from qconsensus.harness import SweepConfig, topology_spec
 
 ISOLATED = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])  # node 4 has no neighbor
+SPLIT = Graph.from_edges(4, [(0, 1), (2, 3)])  # nodes 2 and 3 are unreachable from 0
 STAR5 = star_graph(5)
 STAR5_WALK = walks.transition_matrix(STAR5, "biased")
 
@@ -68,6 +71,30 @@ RULES = {
     "unknown walk kind 'lazy'": [
         lambda: walks.transition_matrix(STAR5, "lazy"),
         lambda: walks.WalkMatrix("lazy", STAR5_WALK.p),
+    ],
+    "max_ticks must be >= 0, got -1": [
+        lambda: run_to_convergence("binary", STAR5, BinaryState([2, 2, 2, -2, -2]),
+                                   np.random.default_rng(0), -1),
+        lambda: SweepConfig("star", (5,), "binary", "majority_one", 1, 7, max_ticks=-1),
+        lambda: walks.sample_hitting(STAR5, 0, 2, 0, 5, -1),
+        lambda: walks.sample_pair_meetings(STAR5, 0, 2, 0, 5, "X", -1),
+        lambda: walks.sample_meet_all(STAR5, 0, [2], 0, 5, -1),
+        ("simulate", "--topo", "star", "--n", "5", "--protocol", "binary", "--max-ticks", "-1"),
+        ("sweep", "--topo", "star", "--n-values", "5", "--protocol", "binary",
+         "--max-ticks", "-1"),
+        ("meet", "--topo", "star", "--n", "5", "--x", "0", "--y", "2", "--max-ticks", "-1"),
+    ],
+    "node 2 is unreachable from node 0": [
+        lambda: walks.hitting_bounds_from(SPLIT, 0),
+        lambda: path_degree_sums_from(SPLIT, 0),
+        lambda: walks.sample_hitting(SPLIT, 0, 2, 0, 5),
+        lambda: walks.sample_pair_meetings(SPLIT, 0, 2, 0, 5),
+        lambda: walks.sample_meet_all(SPLIT, 0, [1, 2], 0, 5),
+    ],
+    "unknown protocol 'x'": [
+        lambda: run_to_convergence("x", STAR5, BinaryState([2, 2, 2, -2, -2]),
+                                   np.random.default_rng(0), 10),
+        lambda: SweepConfig("star", (5,), "x", "majority_one", 1, 7),
     ],
 }
 

@@ -4,11 +4,15 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
+
+from qconsensus import consensus, graphs, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
-BENCH = ROOT / "bench"
 
 
 def run(*argv, **env) -> bytes:
@@ -51,18 +55,40 @@ def load(path: Path, monkeypatch):
     return module
 
 
-def test_bench_ab_restates_the_cases_of_bench_workloads(monkeypatch, tmp_path):
+@pytest.fixture
+def bench_ab(monkeypatch):
+    """scripts/bench_ab.py as a module, and bench/workloads.py as it imports it; the
+    environment, import path and modules it changes are restored after the test."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")  # bench_ab sets them on import; undone after the test
-    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports spans from bench/
+        monkeypatch.setenv(var, "1")  # bench_ab sets them on import
+    monkeypatch.setattr(sys, "path", list(sys.path))  # bench_ab puts src/ and bench/ on it
     ab = load(SCRIPTS / "bench_ab.py", monkeypatch)
-    workloads = load(BENCH / "workloads.py", monkeypatch)
-    assert ab.TRACE_STRIDE == workloads.TRACE_STRIDE
-    assert ab.TOKEN_RUNS == workloads.ShortRuns(0, tmp_path).token_runs
-    assert ab.SHORT_RUN_CASES == tuple(case[:5] for case in workloads.ShortRuns.PROTOCOL_CASES)
-    assert ab.TRACED_CASES == workloads.Traced.CASES
-    assert (ab.GRID_KINDS, ab.GRID_SETTINGS) == (workloads.GRID_KINDS, workloads.GRID_SETTINGS)
-    grid = workloads.Grid(0, tmp_path).configs
-    assert [(c.kind, c.n_values, c.protocol, c.init, c.rounds) for c in grid] == [
-        (kind, ab.DESK_N_VALUES[kind], protocol, init, ab.SWEEP_ROUNDS)
-        for kind in ab.GRID_KINDS for protocol, init in ab.GRID_SETTINGS]
+    yield ab, sys.modules["workloads"]
+    for name in ("workloads", "spans"):
+        sys.modules.pop(name, None)
+
+
+def test_bench_ab_takes_its_cases_from_bench_workloads(bench_ab, tmp_path):
+    ab, workloads = bench_ab
+    grid = workloads.Grid(ab.SWEEP_SEED, tmp_path).configs
+    sweep = ab.sweep_cases()
+    assert [case.name for case in sweep] == [f"iter_sweep/{c.kind}/{c.protocol}/{c.init}"
+                                             for c in grid]
+    assert len(sweep) == 12
+
+    runs = ab.runs_cases()
+    assert [(case.name, case.work) for case in runs] == [
+        (f"{protocol}/{kind}({n})/{init} x{full}", full)
+        for kind, n, protocol, init, full, _ in workloads.ShortRuns.PROTOCOL_CASES]
+    assert [case.work for case in ab.walks_cases()] == list(
+        workloads.ShortRuns(0, tmp_path).token_runs)
+    stride = workloads.TRACE_STRIDE
+    assert [case.name for case in ab.traces_cases()] == [
+        f"{protocol}/{kind}({n})/trace_stride={stride}"
+        for kind, n, protocol, init, _ in workloads.Traced.CASES]
+
+    star5 = next(case for case in runs if "star(5)" in case.name)
+    after = types.SimpleNamespace(graphs=graphs, harness=harness, consensus=consensus)
+    seconds, outcomes = star5.run(after, 0)
+    assert seconds > 0 and len(outcomes) == star5.work
+    assert all(converged for _, converged, _ in outcomes)
