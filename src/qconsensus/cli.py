@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_flags(p)
     p.add_argument("--x", type=int)
     p.add_argument("--y", type=int)
-    p.add_argument("--coupling", choices=("X", "Xprime"), default="X")
+    p.add_argument("--coupling", choices=walks.COUPLINGS, default="X")
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--max-ticks", type=int)
     common(p)

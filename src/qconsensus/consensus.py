@@ -286,6 +286,16 @@ def check_protocol(protocol: str) -> None:
         raise ValueError(f"unknown protocol {protocol!r}")
 
 
+def check_state(protocol: str, g: Graph, state) -> None:
+    """Raise ValueError unless ``state`` is a ``protocol`` state with a value per node of ``g``."""
+    check_protocol(protocol)
+    state_type = BinaryState if protocol == "binary" else QuantizedState
+    if not isinstance(state, state_type):
+        raise ValueError(f"{protocol} protocol requires a {state_type.__name__}")
+    if state.n != g.n:
+        raise ValueError(f"the state has {state.n} nodes but the graph has {g.n}")
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Outcome of one protocol run."""
@@ -313,15 +323,8 @@ def run_to_convergence(protocol: str, g: Graph, state, rng, max_ticks: int,
     require_tick_budget(max_ticks)
     if trace_stride < 0:
         raise ValueError(f"trace_stride must be >= 0, got {trace_stride}")
-    check_protocol(protocol)
-    if protocol == "binary":
-        state_type, run = BinaryState, _run_binary
-    else:
-        state_type, run = QuantizedState, _run_quantized
-    if not isinstance(state, state_type):
-        raise ValueError(f"{protocol} protocol requires a {state_type.__name__}")
-    if state.n != g.n:
-        raise ValueError(f"the state has {state.n} nodes but the graph has {g.n}")
+    check_state(protocol, g, state)
+    run = _run_binary if protocol == "binary" else _run_quantized
     return run(g, state, rng, max_ticks, trace_stride)
 
 

@@ -19,9 +19,10 @@ reject the other kinds.
 Exact tables cost O(n^3) each: all-pairs hitting times come from one
 fundamental matrix and all-pairs resistances from one Laplacian
 pseudo-inverse. The per-target solves, hitting_times and
-effective_resistance, are independent O(n^3)-per-call oracles for them. The
-sample_* functions estimate the same quantities (and the two-token
-meeting times) by Monte Carlo under the tick-level dynamics.
+effective_resistance, are independent O(n^3)-per-call oracles for them, and
+first_step_ticks is the guarded solve that hitting_times shares with
+``chains``. The sample_* functions estimate the same quantities (and the
+two-token meeting times) by Monte Carlo under the tick-level dynamics.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .graphs import (Graph, check_nodes, csr, reachable_tree, require_neighbors,
                      require_tick_budget, tick_edges, tree_path_sums)
 
 WALK_KINDS = ("simple", "natural", "biased")
+COUPLINGS = ("X", "Xprime")
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -177,16 +179,20 @@ def hitting_times(m: WalkMatrix, target: int) -> np.ndarray:
     check_nodes(n, target)
     _require_irreducible(m)
     idx = [i for i in range(n) if i != target]
-    sub = m.p[np.ix_(idx, idx)]
-    a = np.eye(n - 1) - sub
-    h_sub = _solve(a, np.ones(n - 1), "hitting-time system")
-    h = np.zeros(n)
-    h[idx] = h_sub
-    residual = float(np.max(np.abs(a @ h_sub - 1.0)))
-    scale = max(1.0, float(np.max(np.abs(h_sub))))
+    return np.insert(first_step_ticks(np.eye(n - 1) - m.p[np.ix_(idx, idx)], "hitting-time"),
+                     target, 0.0)
+
+
+def first_step_ticks(a: np.ndarray, what: str) -> np.ndarray:
+    """The t with a t = 1, for a = I - Q and Q the transient block of an absorbing chain:
+    the expected ticks to absorption. SolverError names ``what`` when ``a`` is singular
+    or the residual, relative to max(1, max |t|), exceeds HITTING_TOL."""
+    t = _solve(a, np.ones(len(a)), f"{what} system")
+    residual = float(np.max(np.abs(a @ t - 1.0)))
+    scale = max(1.0, float(np.max(np.abs(t))))
     if residual / scale > HITTING_TOL:
-        raise SolverError(f"hitting-time residual {residual:.3e} exceeds tolerance")
-    return h
+        raise SolverError(f"{what} residual {residual:.3e} exceeds tolerance")
+    return t
 
 
 def hitting_table(m: WalkMatrix) -> HittingTable:
@@ -387,6 +393,12 @@ class _Moves:
         return self.nbr[np.minimum(np.searchsorted(self.start[1:], point, side="right"), last)]
 
 
+def check_coupling(coupling: str) -> None:
+    """Raise ValueError unless ``coupling`` is one of COUPLINGS."""
+    if coupling not in COUPLINGS:
+        raise ValueError(f"unknown coupling {coupling!r}")
+
+
 def _check_runs(g: Graph, nodes, runs: int, max_ticks: int) -> None:
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -448,8 +460,7 @@ def sample_pair_meetings(g: Graph, x: int, y: int, seed, runs: int, coupling: st
     crossing mass, taking it from the both-stay event and capped by it:
     m = min(1, r_x + r_y) - r_x - r_y + 2p.
     """
-    if coupling not in ("X", "Xprime"):
-        raise ValueError(f"unknown coupling {coupling!r}")
+    check_coupling(coupling)
     _check_runs(g, (x, y), runs, max_ticks)
     if x == y:
         return np.zeros(runs, dtype=np.int64)

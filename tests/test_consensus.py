@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qconsensus import ckernel, consensus
+from qconsensus.chains import convergence_ticks
 from qconsensus.consensus import (
     STRONG_NEG,
     STRONG_POS,
@@ -267,59 +268,11 @@ def test_lyapunov_half_and_half():
 
 # --------------------------------------------------------- run_to_convergence
 
-def _first_step_expected_ticks():
-    """Independent oracle: exact expected ticks for line(3) from (2, 0, 1).
-
-    Enumerates the reachable states of the two-edge activation chain (each
-    edge fires with probability 1/2 per tick) and solves the linear system
-    of first-step equations.
-    """
-    def successors(vals):
-        out = []
-        for (u, v) in ((0, 1), (1, 2)):
-            a, b = vals[u], vals[v]
-            if a - b >= 2:
-                na, nb = a - 1, b + 1
-            elif b - a >= 2:
-                na, nb = a + 1, b - 1
-            else:
-                na, nb = b, a
-            w = list(vals)
-            w[u], w[v] = na, nb
-            out.append(tuple(w))
-        return out
-
-    def absorbed(vals):
-        return all(v in (1, 2) for v in vals)
-
-    states = set()
-    frontier = [(2, 0, 1)]
-    while frontier:
-        state = frontier.pop()
-        if state in states:
-            continue
-        states.add(state)
-        if not absorbed(state):
-            frontier.extend(successors(state))
-    order = {state: i for i, state in enumerate(sorted(states))}
-    a = np.eye(len(states))
-    b = np.zeros(len(states))
-    for state, i in order.items():
-        if absorbed(state):
-            continue
-        b[i] = 1.0
-        for nxt in successors(state):
-            a[i, order[nxt]] -= 0.5
-    expected = np.linalg.solve(a, b)
-    return expected[order[(2, 0, 1)]]
-
-
 def test_line3_quantized_expected_ticks_oracle():
-    expected = _first_step_expected_ticks()
+    [expected] = convergence_ticks(line_graph(3), "quantized", [(2, 0, 1)])
     assert expected == pytest.approx(3.0, abs=1e-12)
     g = line_graph(3)
     runs = 40_000
-    total = 0
     rng = np.random.default_rng(123)
     samples = []
     for _ in range(runs):

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from qconsensus import walks
+from qconsensus import chains, walks
 from qconsensus.checks import check_binary_conservation, check_quantized_conservation
 from qconsensus.cli import EXIT_USAGE, main
 from qconsensus.consensus import BinaryState, run_to_convergence
@@ -54,6 +54,8 @@ RULES = {
         lambda: walks.sample_hitting(ISOLATED, 0, 2, 0, 5),
         lambda: walks.sample_pair_meetings(ISOLATED, 0, 2, 0, 5),
         lambda: walks.sample_meet_all(ISOLATED, 0, [2], 0, 5),
+        lambda: chains.meeting_table(ISOLATED, "X"),
+        lambda: chains.convergence_ticks(ISOLATED, "binary", [(2, -2, 1, 1, 1)]),
         lambda: check_binary_conservation(("isolated", ISOLATED), 10, 0),
         lambda: check_quantized_conservation(("isolated", ISOLATED), 10, 0),
     ],
@@ -95,6 +97,17 @@ RULES = {
         lambda: run_to_convergence("x", STAR5, BinaryState([2, 2, 2, -2, -2]),
                                    np.random.default_rng(0), 10),
         lambda: SweepConfig("star", (5,), "x", "majority_one", 1, 7),
+        lambda: chains.convergence_ticks(STAR5, "x", [(2, 2, 2, -2, -2)]),
+    ],
+    "unknown coupling 'Y'": [
+        lambda: walks.check_coupling("Y"),
+        lambda: walks.sample_pair_meetings(STAR5, 0, 2, 0, 5, "Y"),
+        lambda: chains.meeting_table(STAR5, "Y"),
+    ],
+    "the state has 4 nodes but the graph has 5": [
+        lambda: run_to_convergence("binary", STAR5, BinaryState([2, 2, -2, -2]),
+                                   np.random.default_rng(0), 10),
+        lambda: chains.convergence_ticks(STAR5, "quantized", [(1, 2, 3, 4)]),
     ],
 }
 

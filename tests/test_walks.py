@@ -21,6 +21,7 @@ from qconsensus.graphs import (
     star_graph,
 )
 from qconsensus import walks
+from qconsensus.chains import meeting_table
 from qconsensus.harness import lollipop_clique_size
 from qconsensus.rows import write_matrix
 from qconsensus.walks import (
@@ -680,37 +681,6 @@ def test_meeting_terminates_on_random_graphs(g):
     assert 0 < ticks <= 10**7
 
 
-def _exact_meeting(g, x, y, coupling):
-    """Expected meeting ticks from the ordered-pair chain, one dense solve.
-
-    The per-tick law of sample_pair_meetings over the n(n-1) states (a, b),
-    a != b: with p = p_ab (0 unless adjacent) the tokens meet with mass p
-    (X) or min(1, r_a + r_b) - r_a - r_b + 2p (Xprime), a moves to v != b
-    with p_av, b moves to w != a with p_bw, and the rest stays.
-    """
-    n = g.n
-    p = {(u, v): (1 / g.degree(u) + 1 / g.degree(v)) / n
-         for u in range(n) for v in g.adjacency[u]}
-    r = [sum(p[u, v] for v in g.adjacency[u]) for u in range(n)]
-    states = [(a, b) for a in range(n) for b in range(n) if a != b]
-    index = {state: i for i, state in enumerate(states)}
-    q = np.zeros((len(states), len(states)))
-    for i, (a, b) in enumerate(states):
-        p_join = p.get((a, b), 0.0)
-        if coupling == "X":
-            meet = p_join
-        else:
-            meet = min(1.0, r[a] + r[b]) - r[a] - r[b] + 2 * p_join
-        for v in g.adjacency[a]:
-            if v != b:
-                q[i, index[v, b]] += p[a, v]
-        for w in g.adjacency[b]:
-            if w != a:
-                q[i, index[a, w]] += p[b, w]
-        q[i, i] += 1.0 - meet - (r[a] - p_join) - (r[b] - p_join)
-    return float(np.linalg.solve(np.eye(len(states)) - q, np.ones(len(states)))[index[x, y]])
-
-
 @pytest.mark.parametrize("g,x,y,coupling,exact,seed", [
     (line_graph(9), 0, 8, "X", 124.076, 601),
     (line_graph(9), 0, 8, "Xprime", 103.125, 602),
@@ -723,7 +693,7 @@ def _exact_meeting(g, x, y, coupling):
     (lollipop_graph(8, 5), 1, 3, "Xprime", 12.156, 608),
 ])
 def test_pair_meeting_means_match_the_exact_pair_chain(g, x, y, coupling, exact, seed):
-    chain = _exact_meeting(g, x, y, coupling)
+    chain = meeting_table(g, coupling)[x, y]
     assert chain == pytest.approx(exact, abs=1e-3)
     runs = 20_000
     sample = sample_pair_meetings(g, x, y, seed, runs, coupling)
