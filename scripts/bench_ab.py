@@ -41,7 +41,9 @@ machine and the revisions. Workloads:
   ``round_rng`` + ``initial_state`` + ``run_to_convergence``, each side
   through its own modules, over the protocol cases of one ``bench/``
   short-runs unit (``ShortRuns.PROTOCOL_CASES`` at full size), run ri of a
-  case on ``round_rng(RUNS_SEED, n, ri)``. Both sides must give identical
+  case on ``round_rng(RUNS_SEED, n, ri)``; each of the three is timed on
+  its own and printed on its own line below the total. Both sides must give
+  identical generator states right after ``round_rng``, start states,
   ticks and outcomes.
 - ``graphs`` (graphs.py, 15 repeats): s/call of ``build_graph`` over the
   desk ER sweep (``topology_spec`` with master seed GRAPHS_SEED), of
@@ -116,7 +118,9 @@ class Case:
     ``side`` has one attribute per module of the workload: that side's module.
     A case's value in ``unit`` is seconds/call ("s/call"), work/seconds
     ("Mticks/s", ``work`` in Mticks) or 1e6 * seconds/work ("us/run",
-    ``work`` in runs).
+    ``work`` in runs). The seconds may be a dict of the parts of the call,
+    each timed on its own; the case's value is then their sum's, and each
+    part is also recorded.
     """
 
     name: str
@@ -261,18 +265,32 @@ def walks_cases() -> list[Case]:
 
 # -------------------------------------------------------------------- runs
 
-def short_runs(side, kind, n, protocol, init, runs) -> tuple[float, list]:
-    """Time ``runs`` whole runs on ``side``'s own graph, stream, init and kernel."""
+RUN_PARTS = ("round_rng", "initial_state", "run_to_convergence")
+
+
+def short_runs(side, kind, n, protocol, init, runs) -> tuple[dict, list]:
+    """Time ``runs`` whole runs on ``side``'s own graph, stream, init and kernel, each
+    of RUN_PARTS on its own clock. A run's outcome holds its generator's state right
+    after ``round_rng``, its start state (as text, since each side has its own state
+    classes), ticks, convergence and detail."""
     g = side.graphs.build_graph(side.graphs.TopologySpec(kind, n))
     budget = harness.default_max_ticks(n)
+    seconds = dict.fromkeys(RUN_PARTS, 0.0)
     outcomes = []
-    t = perf_counter()
     for ri in range(runs):
+        t = perf_counter()
         rng = side.harness.round_rng(RUNS_SEED, n, ri)
+        seconds["round_rng"] += perf_counter() - t
+        seeded = rng.bit_generator.state
+        t = perf_counter()
         state = side.harness.initial_state(protocol, init, g, rng, kind)
+        seconds["initial_state"] += perf_counter() - t
+        start = repr(state)
+        t = perf_counter()
         res = side.consensus.run_to_convergence(protocol, g, state, rng, budget)
-        outcomes.append((res.ticks, res.converged, res.detail))
-    return perf_counter() - t, outcomes
+        seconds["run_to_convergence"] += perf_counter() - t
+        outcomes.append((seeded, start, res.ticks, res.converged, res.detail))
+    return seconds, outcomes
 
 
 def runs_cases() -> list[Case]:
@@ -445,12 +463,17 @@ def summary(samples: list[float]) -> dict:
 def measure(case: Case, sides: dict, repeats: int, same) -> dict:
     """Paired repeats of one case; with ``same``, every result must match the first."""
     values = {"before": [], "after": []}
+    parts = {"before": {}, "after": {}}
     samples = {"before": [], "after": []}
     reference = None
     for rep in range(repeats):
         order = ("before", "after") if rep % 2 == 0 else ("after", "before")
         for side in order:
             seconds, result = case.run(sides[side], rep)
+            if isinstance(seconds, dict):
+                for part, s in seconds.items():
+                    parts[side].setdefault(part, []).append(case.value(s))
+                seconds = sum(seconds.values())
             values[side].append(case.value(seconds))
             if same is None:
                 samples[side].append(result)
@@ -472,6 +495,14 @@ def measure(case: Case, sides: dict, repeats: int, same) -> dict:
     print(f"{case.name:40s} {before['median']:10.4g} -> {after['median']:10.4g} {case.unit} "
           f"(x{record['ratio_after_over_before']:.3f}; fastest {before['fastest']:.4g} -> "
           f"{after['fastest']:.4g}, x{record['ratio_fastest']:.3f})", flush=True)
+    if parts["after"]:
+        record["parts"] = {}
+        for part, after_values in parts["after"].items():
+            b, a = summary(parts["before"][part]), summary(after_values)
+            ratio = a["median"] / b["median"]
+            record["parts"][part] = {"before": b, "after": a, "ratio_after_over_before": ratio}
+            print(f"  {part:38s} {b['median']:10.4g} -> {a['median']:10.4g} {case.unit} "
+                  f"(x{ratio:.3f})", flush=True)
     return record
 
 

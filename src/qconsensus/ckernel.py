@@ -1,4 +1,5 @@
-"""The compiled protocol loops: one C loop per protocol, built on first use.
+"""The compiled protocol loops, one C loop per protocol, and compiled seed words; built
+on first use.
 
 Each loop is ``consensus``'s compiled ``step``. The step contract, the
 counters and the end values that stop a run are stated once, in the
@@ -18,17 +19,29 @@ numpy's own draws would. Callers pass only generators whose
 other on its batch step. They hold ``rng.bit_generator.lock`` during each
 call, as numpy's own extension examples do.
 
+The library repeats a second numpy algorithm: ``SeedSequence``'s words, which
+seed every PCG64. ``qc_seed_words`` hashes a list of uint32 entropy words into
+SeedSequence's pool of 4 words with numpy's ``hashmix`` and ``mix``
+(``numpy/random/bit_generator.pyx``), words past the fourth in a third loop,
+and writes ``generate_state``'s uint32 or uint64 words from the pool. ``SeedWords``
+wraps it as numpy's ``ISeedSequence``: ``harness.seed_sequence`` returns one for
+words in [0, 2**32), so a generator is seeded from the same words, bit for bit,
+without numpy's Python-level loop (``harness.round_rng`` went from about 9.3 to
+3.2 us a call, timeit on a 2-core x86-64 box).
+
 ``load()`` compiles ``SOURCE`` with ``CC`` into ``CACHE_DIR``, under a name
 keyed on a hash of the source and the command, then loads it with
 ``ctypes``; a successful build deletes the libraries of other hashes there.
 Nothing is built or loaded at import. If no library can be built or loaded
 (no compiler, a compile error, an unwritable cache), ``load()`` returns None.
-It also returns None when the library's draws differ from numpy's: it draws
-_GUARD_DRAWS doubles through ``qc_pcg64_doubles`` once and compares them,
-and the generator state they leave, with ``Generator(PCG64(seed)).random``'s.
-That catches a numpy whose PCG64 structs are laid out otherwise (numpy
-emulates the 128-bit integers on compilers without them) before any run
-reads them.
+It also returns None when the library differs from numpy in either algorithm:
+it draws _GUARD_DRAWS doubles through ``qc_pcg64_doubles`` once and compares
+them, and the generator state they leave, with
+``Generator(PCG64(seed)).random``'s, and it compares ``qc_seed_words``'s words
+for _GUARD_WORDS, in both dtypes, with ``SeedSequence``'s. That catches a numpy
+whose PCG64 structs are laid out otherwise (numpy emulates the 128-bit
+integers on compilers without them), or whose SeedSequence hashes otherwise,
+before any run or stream reads them.
 
 A loop takes one ``Run``, which holds a run's pointers, constants, counter
 and trace buffer, and a ``limit``. It runs at most ``limit`` ticks, stops on
@@ -97,6 +110,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from array import array
 from contextlib import suppress
 from functools import cache
 from pathlib import Path
@@ -139,6 +153,51 @@ void qc_pcg64_doubles(bitgen_t *bg, double *out, int64_t k)
     for (int64_t i = 0; i < k; i++)
         out[i] = next_double(&g);
     gen->state = g.state;
+}
+
+/* numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on its pool of 4 words. */
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> 16;
+}
+
+/* SeedSequence(words).generate_state into out: n32 uint32 words, or, when wide, n32 / 2
+   uint64 words, each a pair of them low word first, as numpy views them. The counts are
+   C ints, which ctypes passes without a prototype. */
+void qc_seed_words(const uint32_t *words, int nwords, void *out, int n32, int wide)
+{
+    uint32_t pool[4], hash_const = 0x43b0d7e5u;
+    for (int d = 0; d < 4; d++)
+        pool[d] = hashmix(d < nwords ? words[d] : 0, &hash_const);
+    for (int s = 0; s < 4; s++)
+        for (int d = 0; d < 4; d++)
+            if (s != d)
+                pool[d] = mix(pool[d], hashmix(pool[s], &hash_const));
+    for (int s = 4; s < nwords; s++)
+        for (int d = 0; d < 4; d++)
+            pool[d] = mix(pool[d], hashmix(words[s], &hash_const));
+    hash_const = 0x8b51f9ddu;
+    for (int i = 0; i < n32; i++) {
+        uint32_t value = pool[i % 4] ^ hash_const;
+        hash_const *= 0x58f38dedu;
+        value *= hash_const;
+        value ^= value >> 16;
+        if (!wide)
+            ((uint32_t *)out)[i] = value;
+        else if (i % 2)
+            ((uint64_t *)out)[i / 2] |= (uint64_t)value << 32;
+        else
+            ((uint64_t *)out)[i / 2] = value;
+    }
 }
 
 typedef struct run {  /* ckernel.Run */
@@ -325,8 +384,16 @@ QUANTIZED_ROW = np.dtype([("tick", "i8"), ("lyapunov", "f8"), ("value_min", "i8"
 
 _LOOP = ctypes.CFUNCTYPE(_I, _P, _I)  # (address of a Run, limit) -> ticks run
 _DOUBLES = ctypes.CFUNCTYPE(None, _P, _P, _I)  # (bitgen_t address, out, k)
-# The known-answer draws that load() compares with numpy's.
+# (words as bytes, their count, out as a ctypes array, uint32 words out, wide). It holds
+# the GIL for its few dozen multiplies, and it has no argument types: ctypes then passes
+# bytes, an array and small ints as they are, 0.3 us a call on a 2-core x86-64 box
+# against 0.8 us through c_char_p, c_void_p and c_int64 argument types.
+_SEED_WORDS = ctypes.PYFUNCTYPE(None)
+_U32, _U64 = np.dtype(np.uint32), np.dtype(np.uint64)
+# The known-answer draws and seed words that load() compares with numpy's; the words
+# are more than the pool's 4 and reach both ends of [0, 2**32).
 _GUARD_SEED, _GUARD_DRAWS = 20140905, 64
+_GUARD_WORDS = (_GUARD_SEED, 0, 2**32 - 1, 1, 2**31, 7)
 # A prototype of its own, so that ctypes.pythonapi's shared function is left as it is.
 _capsule_pointer = ctypes.PYFUNCTYPE(_P, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
@@ -385,10 +452,47 @@ def _draws_match(lib) -> bool:
             and ours.bit_generator.state == numpys.bit_generator.state)
 
 
+def _seed_state(seed_words, words, n_words: int, dtype) -> np.ndarray:
+    """``np.random.SeedSequence(list(words)).generate_state(n_words, dtype)`` through
+    ``seed_words``, a loaded ``qc_seed_words``, for words in [0, 2**32)."""
+    wide = dtype is np.uint64 or np.dtype(dtype) == _U64
+    if not (wide or np.dtype(dtype) == _U32):
+        raise ValueError("only support uint32 or uint64")
+    out = (ctypes.c_uint32 * (2 * n_words if wide else n_words))()
+    seed_words(array("I", words).tobytes(), len(words), out, len(out), wide)
+    return np.frombuffer(out, _U64 if wide else _U32)
+
+
+def _words_match(seed_words) -> bool:
+    """True when ``qc_seed_words`` gives numpy's SeedSequence words, in both dtypes."""
+    numpys = np.random.SeedSequence(list(_GUARD_WORDS))
+    return all(np.array_equal(_seed_state(seed_words, _GUARD_WORDS, 8, dtype),
+                              numpys.generate_state(8, dtype)) for dtype in (_U32, _U64))
+
+
+class SeedWords:
+    """``np.random.SeedSequence(list(words))`` for words in [0, 2**32), as numpy's
+    ``ISeedSequence``: ``generate_state`` returns the same words, bit for bit, from
+    ``qc_seed_words`` instead of numpy's Python-level loop. ``load()`` registers the
+    class with ``ISeedSequence``, so a generator takes it as its seed."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[int, ...]):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        kernel = load()
+        if kernel is None:  # unpickled, say, where no library loads
+            return np.random.SeedSequence(list(self.words)).generate_state(n_words, dtype)
+        return _seed_state(kernel.seed_words, self.words, n_words, dtype)
+
+
 @cache
 def load() -> SimpleNamespace | None:
-    """The compiled loops as ``binary`` and ``quantized``; None when no library
-    can be built or loaded, or when its draws differ from numpy's PCG64."""
+    """The compiled loops as ``binary`` and ``quantized``, and ``qc_seed_words`` as
+    ``seed_words``; None when no library can be built or loaded, or when its draws differ
+    from numpy's PCG64 or its seed words from numpy's SeedSequence."""
     path = library_path()
     try:
         if not path.is_file():
@@ -396,10 +500,15 @@ def load() -> SimpleNamespace | None:
         lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-    if not _draws_match(lib):
+    seed_words = _SEED_WORDS(("qc_seed_words", lib))
+    if not (_draws_match(lib) and _words_match(seed_words)):
         return None
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(SeedWords)
     return SimpleNamespace(
         binary=_LOOP(("qc_binary", lib)),
         quantized=_LOOP(("qc_quantized", lib)),
+        seed_words=seed_words,
         lib=lib,  # keeps the library loaded while its functions are in use
     )

@@ -72,6 +72,7 @@ STRONG_NEG = -2
 WEAK_POS = 1
 WEAK_NEG = -1
 OPINION_VALUES = (STRONG_POS, STRONG_NEG, WEAK_POS, WEAK_NEG)
+_OPINIONS = frozenset(OPINION_VALUES)
 PROTOCOLS = ("binary", "quantized")
 
 _FIRST_BATCH = 64
@@ -90,14 +91,18 @@ _C_VALUE_LIMIT = 1 << 62
 
 def _integers(entries, what: str) -> list[int]:
     """``entries`` as Python ints through ``operator.index``, the rule ``graphs`` applies to
-    edge ends: a numpy integer passes, and a float such as 2.7 or 2.0 is a ValueError."""
-    ints = []
-    for entry in entries:
-        try:
-            ints.append(index(entry))
-        except TypeError:
-            raise ValueError(f"{what} {entry!r} is not an integer") from None
-    return ints
+    edge ends: a numpy integer passes, and a float such as 2.7 or 2.0 is a ValueError that
+    names the first entry that is not an integer."""
+    entries = entries if isinstance(entries, (list, tuple)) else list(entries)
+    try:
+        return list(map(index, entries))
+    except TypeError:
+        for entry in entries:
+            try:
+                index(entry)
+            except TypeError:
+                raise ValueError(f"{what} {entry!r} is not an integer") from None
+        raise
 
 
 def binary_update(a: int, b: int) -> tuple[int, int]:
@@ -138,9 +143,9 @@ class BinaryState:
     @classmethod
     def from_opinions(cls, opinions) -> "BinaryState":
         opinions = _integers(opinions, "opinion value")
-        for o in opinions:
-            if o not in OPINION_VALUES:
-                raise ValueError(f"invalid opinion value {o!r}")
+        if not _OPINIONS.issuperset(opinions):
+            bad = next(o for o in opinions if o not in _OPINIONS)
+            raise ValueError(f"invalid opinion value {bad!r}")
         return cls(opinions)
 
     @property

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import ckernel
 from .consensus import (
     STRONG_NEG,
     STRONG_POS,
@@ -84,7 +85,7 @@ def init_majority_one(n: int, rng) -> BinaryState:
     """
     check_init("binary", "majority_one", n)
     opinions = [STRONG_NEG] * n
-    for i in rng.permutation(n)[: (n + 1) // 2]:
+    for i in rng.permutation(n)[: (n + 1) // 2].tolist():
         opinions[i] = STRONG_POS
     return BinaryState.from_opinions(opinions)
 
@@ -96,14 +97,16 @@ def init_q_setting1(g: Graph, rng, exclude: Iterable[int] = ()) -> QuantizedStat
     ``exclude`` removes nodes from eligibility (the hub on star graphs).
     """
     check_init("quantized", "q_setting1", g.n)
-    excluded = set(exclude)
-    eligible = [i for i in range(g.n) if i not in excluded]
-    if len(eligible) < 2:
+    skipped = sorted(i for i in set(exclude) if i in range(g.n))
+    if g.n - len(skipped) < 2:
         raise ValueError("setting-1 init needs at least two eligible nodes")
-    i, j = rng.choice(len(eligible), size=2, replace=False)
+    i, j = rng.choice(g.n - len(skipped), size=2, replace=False).tolist()
+    for s in skipped:  # the i-th and j-th eligible nodes: each draw moves past s <= it
+        i += s <= i
+        j += s <= j
     values = [1] * g.n
-    values[eligible[int(i)]] = 2
-    values[eligible[int(j)]] = 0
+    values[i] = 2
+    values[j] = 0
     return QuantizedState.from_values(values)
 
 
@@ -117,19 +120,23 @@ _WORD_TYPES = (int, np.integer)
 _WORD_LIMIT = 2**32
 
 
-def seed_sequence(*words) -> np.random.SeedSequence:
-    """``np.random.SeedSequence(list(words))``, the one way a stream is derived from words.
+def seed_sequence(*words):
+    """``np.random.SeedSequence(list(words))``'s words, the one way a stream is derived
+    from words.
 
-    Words that are integers in [0, 2**32) go in as one uint32 array, which
-    numpy reads as the same entropy words as the list but without coercing
-    each Python int on its own; any other word (negative, wider than 32
-    bits, a float) takes the list path, so it is accepted or rejected
-    exactly as the list is.
+    Words that are integers in [0, 2**32) give a ``ckernel.SeedWords``, whose
+    ``generate_state`` is the compiled ``qc_seed_words``, when ``ckernel.load()``
+    succeeds; without a library they go to numpy as one uint32 array, which numpy
+    reads as the same entropy words as the list but without coercing each Python int
+    on its own. Any other word (negative, wider than 32 bits, a float) takes the list
+    path, so it is accepted or rejected exactly as the list is.
     """
     for w in words:
         if not (isinstance(w, _WORD_TYPES) and 0 <= w < _WORD_LIMIT):
             return np.random.SeedSequence(list(words))
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    if ckernel.load() is None:
+        return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return ckernel.SeedWords(words)
 
 
 def topology_spec(kind: str, n: int, seed: int, m: int | None = None,
@@ -237,7 +244,7 @@ class SweepRecord:
 
 def round_rng(master_seed: int, n: int, round_index: int):
     """Generator for one round, derived from (master seed, n, round index)."""
-    return np.random.default_rng(seed_sequence(master_seed, n, round_index))
+    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, n, round_index)))
 
 
 def iter_sweep(cfg: SweepConfig) -> Iterator[SweepRecord]:

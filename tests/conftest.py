@@ -1,5 +1,6 @@
 """Shared hypothesis strategies and kernel-path switch for the test suite."""
 
+import shutil
 from contextlib import contextmanager
 
 import pytest
@@ -11,6 +12,7 @@ from qconsensus.graphs import Graph, bfs_tree
 # "compiled" runs the loader as it is, which gives the C loops wherever a
 # compiler is found; "batch" makes the loader find none.
 KERNEL_PATHS = ("compiled", "batch")
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 @contextmanager

@@ -1,5 +1,4 @@
 import gc
-import shutil
 import weakref
 from types import SimpleNamespace
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qconsensus import ckernel, consensus
+from qconsensus import ckernel, consensus, harness
 from qconsensus.chains import convergence_ticks
 from qconsensus.consensus import (
     STRONG_NEG,
@@ -48,7 +47,7 @@ from qconsensus.graphs import (
     star_graph,
 )
 
-from conftest import KERNEL_PATHS, connected_graphs, kernel_path
+from conftest import KERNEL_PATHS, connected_graphs, kernel_path, needs_cc
 
 
 OPINIONS = (2, 1, -1, -2)
@@ -154,6 +153,17 @@ def test_quantized_state_rejects_a_value_that_is_not_an_integer():
         QuantizedState.from_values([2.7, 0, 1])
     s = QuantizedState.from_values(np.array([2, 0, 1]))
     assert (s.values, s.q_sum) == ([2, 0, 1], 3) and {type(v) for v in s.values} == {int}
+
+
+@pytest.mark.parametrize("container", [list, tuple, iter])
+def test_a_state_names_its_first_bad_entry(container):
+    # A whole list is checked at once; the message still names its first bad entry.
+    with pytest.raises(ValueError, match=r"^quantized value 2\.7 is not an integer$"):
+        QuantizedState.from_values(container([1, 2.7, "x", 4]))
+    with pytest.raises(ValueError, match=r"^invalid opinion value 3$"):
+        BinaryState.from_opinions(container([2, 3, 0, -1]))
+    with pytest.raises(ValueError, match=r"^opinion value 'x' is not an integer$"):
+        BinaryState.from_opinions(container([2, 3, "x", 2.7]))
 
 
 # ------------------------------------------------------------------- steps
@@ -733,9 +743,6 @@ def test_a_budget_past_int64_runs_as_the_default_budget(monkeypatch):
                     assert runs[1] == runs[2] == runs[0], (path, protocol, stride)
 
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-
-
 @needs_cc
 @pytest.mark.parametrize("protocol", ["binary", "quantized"])
 def test_a_compiled_run_holds_its_csr_arrays_when_the_memo_drops_them(protocol, monkeypatch):
@@ -840,20 +847,27 @@ def test_other_bit_generators_take_the_batch_step(bit_generator, protocol, monke
 
 @needs_cc
 def test_a_library_whose_draws_differ_from_numpys_is_not_loaded(monkeypatch):
-    assert ckernel._draws_match(ckernel.load().lib)
+    kernel = ckernel.load()
+    assert ckernel._draws_match(kernel.lib) and ckernel._words_match(kernel.seed_words)
     g = build_graph(TopologySpec("lollipop", 12, m=5))
-    expected = [run_to_convergence(protocol, g, _random_state(protocol, g.n, 5),
+
+    def runs():
+        return [run_to_convergence(protocol, g, _random_state(protocol, g.n, 5),
                                    np.random.default_rng(5), 10**5, 7)
-                for protocol in ("binary", "quantized")]
-    monkeypatch.setattr(ckernel, "_draws_match", lambda lib: False)
-    ckernel.load.cache_clear()
-    try:
-        assert ckernel.load() is None
-        assert [run_to_convergence(protocol, g, _random_state(protocol, g.n, 5),
-                                   np.random.default_rng(5), 10**5, 7)
-                for protocol in ("binary", "quantized")] == expected
-    finally:
-        ckernel.load.cache_clear()
+                for protocol in ("binary", "quantized")], harness.round_rng(41, 5, 7)
+
+    expected, rng = runs()
+    for guard in ("_draws_match", "_words_match"):  # PCG64 draws, SeedSequence words
+        with monkeypatch.context() as mp:
+            mp.setattr(ckernel, guard, lambda lib: False)
+            ckernel.load.cache_clear()
+            try:
+                assert ckernel.load() is None
+                again, fallback = runs()
+                assert again == expected
+                assert fallback.bit_generator.state == rng.bit_generator.state
+            finally:
+                ckernel.load.cache_clear()
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 101])

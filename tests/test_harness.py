@@ -2,13 +2,14 @@ import csv
 import io
 import json
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qconsensus import harness
+from qconsensus import ckernel, harness
 from qconsensus.consensus import (
     QuantizedState,
     binary_init,
@@ -39,6 +40,8 @@ from qconsensus.harness import (
     write_sweep_table,
 )
 from qconsensus.rows import open_out
+
+from conftest import KERNEL_PATHS, kernel_path, needs_cc
 
 
 # ------------------------------------------------------------------- inits
@@ -91,6 +94,35 @@ def test_q_setting1_excludes_star_hub():
 def test_q_setting1_requires_three_nodes():
     with pytest.raises(ValueError):
         init_q_setting1(line_graph(2), np.random.default_rng(0))
+
+
+def _q_setting1_by_eligible_list(n, rng, exclude):
+    """The values of init_q_setting1 as it was first written: the draws index a list of
+    the eligible nodes."""
+    excluded = set(exclude)
+    eligible = [i for i in range(n) if i not in excluded]
+    i, j = rng.choice(len(eligible), size=2, replace=False)
+    values = [1] * n
+    values[eligible[int(i)]] = 2
+    values[eligible[int(j)]] = 0
+    return values
+
+
+@given(st.integers(3, 40), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(-3, 45), max_size=6))
+@example(9, 0, [0])  # the star hub
+@example(3, 5, [1, 1, 7, -1])  # repeats and out-of-range nodes
+@example(5, 2, [0, 1, 2])  # two eligible nodes left
+def test_q_setting1_picks_the_nodes_of_the_eligible_list(n, seed, exclude):
+    if n - len({i for i in exclude if 0 <= i < n}) < 2:
+        with pytest.raises(ValueError, match="two eligible nodes"):
+            init_q_setting1(line_graph(n), np.random.default_rng(seed), exclude)
+        return
+    for k in range(3):  # several streams per case
+        ours, reference = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+        s = init_q_setting1(line_graph(n), ours, exclude)
+        assert s.values == _q_setting1_by_eligible_list(n, reference, exclude)
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 def test_q_setting2_degenerate_range_converges_immediately():
@@ -475,3 +507,44 @@ def test_seed_sequence_rejects_what_the_word_list_rejects(words):
         np.random.SeedSequence(list(words))
     with pytest.raises(listed.type):
         seed_sequence(*words)
+
+
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9))  # > 4: the third loop
+@settings(max_examples=300)
+@example([2**32 - 1] * 9)
+def test_seed_words_are_numpys(words):
+    numpys = np.random.SeedSequence(list(words))
+    ours = seed_sequence(*words)
+    for k in (1, 4, 8):
+        for dtype in (np.uint32, np.uint64):
+            state = ours.generate_state(k, dtype)
+            assert state.dtype == dtype
+            np.testing.assert_array_equal(state, numpys.generate_state(k, dtype))
+
+
+@needs_cc
+def test_seed_sequence_takes_the_compiled_words_only_for_32_bit_words():
+    assert isinstance(seed_sequence(0, 2**32 - 1), ckernel.SeedWords)
+    assert isinstance(seed_sequence(1, 2**32), np.random.SeedSequence)
+    with pytest.raises(ValueError, match="only support uint32 or uint64"):
+        seed_sequence(1, 2).generate_state(4, np.int64)
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+@pytest.mark.parametrize("words", [(41, 5, 7), (0, 1, 0), (2**32 - 1, 481, 2**32 - 1)])
+def test_round_rng_is_seeded_as_numpy_seeds_the_words(path, words):
+    with kernel_path(path):
+        rng = round_rng(*words)
+    expected = np.random.default_rng(np.random.SeedSequence(list(words)))
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@needs_cc
+def test_seed_words_survive_a_pickle_and_a_missing_library(monkeypatch):
+    rng = round_rng(41, 5, 7)
+    again = pickle.loads(pickle.dumps(rng))
+    assert again.bit_generator.state == rng.bit_generator.state
+    words = rng.bit_generator.seed_seq
+    expected = np.random.SeedSequence([41, 5, 7]).generate_state(4, np.uint64)
+    monkeypatch.setattr(ckernel, "load", lambda: None)
+    np.testing.assert_array_equal(words.generate_state(4, np.uint64), expected)

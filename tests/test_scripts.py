@@ -90,5 +90,18 @@ def test_bench_ab_takes_its_cases_from_bench_workloads(bench_ab, tmp_path):
     star5 = next(case for case in runs if "star(5)" in case.name)
     after = types.SimpleNamespace(graphs=graphs, harness=harness, consensus=consensus)
     seconds, outcomes = star5.run(after, 0)
-    assert seconds > 0 and len(outcomes) == star5.work
-    assert all(converged for _, converged, _ in outcomes)
+    assert tuple(seconds) == ab.RUN_PARTS and min(seconds.values()) > 0
+    assert len(outcomes) == star5.work
+    assert all(converged for *_, converged, _ in outcomes)
+    seeded, start = outcomes[0][:2]
+    assert seeded == harness.round_rng(ab.RUNS_SEED, 5, 0).bit_generator.state
+    assert start.startswith("BinaryState(opinions=[")
+
+
+def test_bench_ab_records_each_timed_part_of_a_case(bench_ab, capsys):
+    ab, _ = bench_ab
+    case = ab.Case("parts", "us/run", lambda side, rep: ({"a": 1e-6, "b": 3e-6}, None), 1.0)
+    record = ab.measure(case, {"before": None, "after": None}, 3, lambda a, b: a == b)
+    assert record["after"]["median"] == pytest.approx(4.0)
+    assert [record["parts"][p]["before"]["median"] for p in "ab"] == pytest.approx([1.0, 3.0])
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["parts", "a", "b"]
