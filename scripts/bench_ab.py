@@ -23,13 +23,15 @@ machine and the revisions. Workloads:
   line(1001)) over SMALL_STRIDE_TICKS; us/run over SHORT_RUNS ``line(3)``
   quantized ``q_setting1`` runs. Both sides must give identical ticks,
   outcomes and traces.
-- ``exact`` (graphs.py and walks.py, 5 repeats): s/call of
+- ``exact`` (graphs.py, walks.py and chains.py, 5 repeats): s/call of
   ``hitting_table`` on extremal lollipops, n = 50/200/481,
-  ``resistance_matrix`` on line(100) and lollipop(80), and
-  ``complete_graph`` at n = 481/1001. Tables must agree to TABLE_RTOL of
-  each column's largest entry (small entries of the O(n^3) tables carry
-  more relative error on slow-mixing graphs, see ``walks.hitting_table``),
-  and graphs must have the same adjacency.
+  ``resistance_matrix`` on line(100) and lollipop(80), ``meeting_table``
+  for coupling X on line(33), lollipop(33) and ER(33) (``topology_spec``
+  with master seed MEETING_SEED), and ``complete_graph`` at n = 481/1001.
+  Tables must agree to TABLE_RTOL of each column's largest entry (small
+  entries of the O(n^3) tables carry more relative error on slow-mixing
+  graphs, see ``walks.hitting_table``), and graphs must have the same
+  adjacency.
 - ``walks`` (walks.py, 15 repeats): us/run of the four token samples of one
   ``bench/`` short-runs unit, on seeds 0, 1, ...: ``sample_hitting`` on
   star(5), 1 -> 2; ``sample_pair_meetings`` on line(9), 0 and 8, X and
@@ -107,6 +109,7 @@ SMALL_STRIDE_TICKS = 20_000
 SHORT_RUNS = 40_000
 TABLE_RTOL = 1e-9
 RUNS_SEED = 41
+MEETING_SEED = 7
 GRAPHS_SEED = 11
 BEFORE_PACKAGE = "qconsensus_before"
 
@@ -236,6 +239,10 @@ def exact_cases() -> list[Case]:
         cases.append(Case(f"resistance_matrix/{name}", "s/call",
                           lambda side, rep, g=g: timed(side.walks.resistance_matrix,
                                                        side.walks.edge_weights(g))))
+    for name, g in (("line(33)", graphs.line_graph(33)), ("lollipop(33)", lollipop(33)),
+                    ("ER(33)", build_graph(topology_spec("erdos_renyi", 33, MEETING_SEED)))):
+        cases.append(Case(f"meeting_table/{name}", "s/call",
+                          lambda side, rep, g=g: timed(side.chains.meeting_table, g, "X")))
     for n in (481, 1001):
         cases.append(Case(f"complete_graph({n})", "s/call",
                           lambda side, rep, n=n: timed(side.graphs.complete_graph, n)))
@@ -406,7 +413,7 @@ WORKLOADS = {
     "kernel": Workload("paired protocol-kernel before/after, one process",
                        ("consensus", "harness"), 15, kernel_cases, lambda a, b: a == b),
     "exact": Workload("paired exact-layer and graph-build before/after, one process",
-                      ("graphs", "walks"), 5, exact_cases, same_table),
+                      ("graphs", "walks", "chains"), 5, exact_cases, same_table),
     "walks": Workload("paired token Monte Carlo before/after, one process", ("walks",), 15,
                       walks_cases, None),
     "runs": Workload("paired per-run fixed cost of short protocol runs, one process",

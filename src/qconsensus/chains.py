@@ -1,7 +1,6 @@
-"""Exact expected ticks of the absorbing chains that the Monte Carlo means estimate: one
-enumerate-and-solve over the states reachable from the starts, on ``walks.first_step_ticks``.
-Both laws reject a reducible walk, from which some start would never absorb. The solve is
-dense, which limits n: line(7) binary reaches about 2.9k states."""
+"""Exact expected ticks of absorbing chains, each a dense solve on ``walks.first_step_ticks``:
+the meeting table is one operator on n(n-1) unknowns (n to about 60), a protocol's convergence
+time spans the states its starts reach (line(7) binary: 2.9k). Reducible walks are rejected."""
 
 from __future__ import annotations
 
@@ -36,25 +35,26 @@ def _expected_ticks(starts: list, moves, done, what: str) -> np.ndarray:
 
 
 def meeting_table(g: Graph, coupling: str) -> np.ndarray:
-    """Expected ticks until two tokens meet, from every pair of start nodes: the
-    per-tick law of ``walks.sample_pair_meetings`` over ordered pairs (Coppersmith,
-    Tetali and Winkler, "Collisions among random walks on a graph", 1993), with p_uv
-    the biased walk's entries and r_u = sum_v p_uv."""
+    """Expected ticks M[a, b] until tokens from a and b meet, under the per-tick law of
+    ``walks.sample_pair_meetings`` (Coppersmith, Tetali and Winkler, 1993): with P the biased
+    walk off its diagonal and r its row sums, (D∘M - PM - MP)[a, b] = 1 for a != b, where
+    D[a, b] is r_a + r_b - P[a, b] ("X") or min(1, r_a + r_b) ("Xprime"), and M[a, a] = 0."""
     check_coupling(coupling)
     m = transition_matrix(g, "biased")
     _require_irreducible(m)
-    p, r = m.p, 1.0 - np.diag(m.p)  # p off the diagonal, and r_u = sum_v p_uv
-
-    def moves(state):
-        a, b = state
-        p_join = p[a, b]
-        meet = p_join if coupling == "X" else min(1.0, r[a] + r[b]) - r[a] - r[b] + 2 * p_join
-        return ([((b, b), meet), (state, 1.0 - meet - (r[a] - p_join) - (r[b] - p_join))]
-                + [((v, b), p[a, v]) for v in g.adjacency[a] if v != b]
-                + [((a, w), p[b, w]) for w in g.adjacency[b] if w != a])
-
-    pairs = [(x, y) for x in range(g.n) for y in range(g.n)]
-    return _expected_ticks(pairs, moves, lambda s: s[0] == s[1], "meeting-time").reshape(g.n, g.n)
+    n, p = g.n, m.p - np.diag(np.diag(m.p))
+    r = p.sum(axis=1)
+    d = r[:, None] + r - p if coupling == "X" else np.minimum(1.0, r[:, None] + r)
+    a = np.zeros((n, n, n, n))  # a[x, y, v, w]: the weight of M[v, w] in (x, y)'s equation
+    for z in range(n):  # P⊗I moves the token at x to v, I⊗P the token at y to w
+        a[:, z, :, z] = a[z, :, z, :] = -p  # they share only a[z, z, z, z] = -p[z, z] = 0
+    off = ~np.eye(n, dtype=bool)
+    a = a[off]  # two steps, so that the n^4 array is freed before the second copy
+    a = a[:, off]
+    a.flat[::len(a) + 1] += d[off]  # a is diag(vec D) - P⊗I - I⊗P on the unknowns
+    t = np.zeros((n, n))
+    t[off] = first_step_ticks(a, "meeting-time")
+    return t
 
 
 def convergence_ticks(g: Graph, protocol: str, starts) -> np.ndarray:

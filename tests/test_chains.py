@@ -88,6 +88,25 @@ def test_complete_graph_meets_every_meeting_bound_with_equality():
         np.testing.assert_allclose(tables["X"][off], bound, rtol=1e-12)
 
 
+@given(connected_graphs(max_n=7))
+@settings(max_examples=40, deadline=None)
+def test_the_meeting_table_is_the_q_setting1_chain(g):
+    # A 2 at a and a 0 at b among 1s converge exactly when the edge joining them fires,
+    # and any other firing that touches one of them moves it: coupling X's meeting.
+    # convergence_ticks enumerates that chain state by state, with no use of the operator.
+    pairs = [(a, b) for a in range(g.n) for b in range(g.n) if a != b]
+    starts = [[2 if i == a else 0 if i == b else 1 for i in range(g.n)] for a, b in pairs]
+    table = meeting_table(g, "X")
+    np.testing.assert_allclose([table[pair] for pair in pairs],
+                               convergence_ticks(g, "quantized", starts), rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", [5, 11, 21, 41])
+def test_star_leaves_meet_in_n_squared_minus_one_over_two_ticks(n):
+    leaves = meeting_table(star_graph(n), "X")[1:, 1:]
+    np.testing.assert_allclose(leaves[~np.eye(n - 1, dtype=bool)], (n * n - 1) / 2, rtol=1e-9)
+
+
 @pytest.mark.parametrize("solve", [
     lambda: meeting_table(SPLIT, "X"),
     lambda: convergence_ticks(SPLIT, "binary", [(STRONG_POS,) * 2 + (STRONG_NEG,) * 2]),

@@ -1,4 +1,5 @@
 import gc
+import subprocess
 import weakref
 from types import SimpleNamespace
 
@@ -922,6 +923,17 @@ def test_failed_build_falls_back_with_identical_results(cc, tmp_path, monkeypatc
     finally:
         ckernel.load.cache_clear()
     assert list(tmp_path.iterdir()) == []  # no library, whole or partial, is left behind
+
+
+@needs_cc
+def test_the_c_source_compiles_without_a_warning(tmp_path):
+    # cc itself, not _build: a build removes the cache's other libraries
+    out = tmp_path / "warnings.so"
+    done = subprocess.run([ckernel.CC[0], "-x", "c", "-", *ckernel.CC[1:], "-Wall", "-Wextra",
+                           "-Werror", "-o", str(out)], input=ckernel.SOURCE.encode(),
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    assert out.is_file()
 
 
 # ------------------------------------------------------------------ file IO

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qconsensus import consensus, graphs, harness
+from qconsensus import chains, consensus, graphs, harness, walks
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -105,3 +105,15 @@ def test_bench_ab_records_each_timed_part_of_a_case(bench_ab, capsys):
     assert record["after"]["median"] == pytest.approx(4.0)
     assert [record["parts"][p]["before"]["median"] for p in "ab"] == pytest.approx([1.0, 3.0])
     assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["parts", "a", "b"]
+
+
+def test_bench_ab_times_each_side_s_meeting_table(bench_ab):
+    ab, _ = bench_ab
+    assert "chains" in ab.WORKLOADS["exact"].modules
+    cases = {case.name: case for case in ab.exact_cases()}
+    assert [name for name in cases if name.startswith("meeting_table/")] == [
+        "meeting_table/line(33)", "meeting_table/lollipop(33)", "meeting_table/ER(33)"]
+    after = types.SimpleNamespace(graphs=graphs, walks=walks, chains=chains)
+    seconds, table = cases["meeting_table/line(33)"].run(after, 0)
+    assert seconds > 0
+    assert ab.same_table(table, chains.meeting_table(graphs.line_graph(33), "X"))
