@@ -27,11 +27,16 @@ machine and the revisions. Workloads:
   ``hitting_table`` on extremal lollipops, n = 50/200/481,
   ``resistance_matrix`` on line(100) and lollipop(80), ``meeting_table``
   for coupling X on line(33), lollipop(33) and ER(33) (``topology_spec``
-  with master seed MEETING_SEED), and ``complete_graph`` at n = 481/1001.
-  Tables must agree to TABLE_RTOL of each column's largest entry (small
-  entries of the O(n^3) tables carry more relative error on slow-mixing
-  graphs, see ``walks.hitting_table``), and graphs must have the same
-  adjacency.
+  with master seed MEETING_SEED), ``complete_graph`` at n = 481/1001, and
+  ``transition_matrix`` of each walk kind and ``hidden_vertex`` on the
+  relabelled lollipop(300) edge list of a ``bench/`` exact unit
+  (``Exact(0, ...).relabelled[0]``); each side builds its own graph from
+  that edge list before its timed ``transition_matrix`` call, and
+  ``hidden_vertex`` reads one biased hitting table. Tables must agree to
+  TABLE_RTOL of each column's largest entry (small entries of the O(n^3)
+  tables carry more relative error on slow-mixing graphs, see
+  ``walks.hitting_table``); walk matrices, hidden vertices and graphs'
+  adjacency must be equal.
 - ``walks`` (walks.py, 15 repeats): us/run of the four token samples of one
   ``bench/`` short-runs unit, on seeds 0, 1, ...: ``sample_hitting`` on
   star(5), 1 -> 2; ``sample_pair_meetings`` on line(9), 0 and 8, X and
@@ -98,7 +103,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
-from workloads import TRACE_STRIDE, Grid, ShortRuns, Traced  # noqa: E402
+from workloads import TRACE_STRIDE, Exact, Grid, ShortRuns, Traced  # noqa: E402
 
 from qconsensus import consensus, graphs, harness, walks  # noqa: E402
 from qconsensus.graphs import TopologySpec, build_graph, er_probability  # noqa: E402
@@ -222,9 +227,15 @@ def lollipop(n: int) -> graphs.Graph:
 
 
 def same_table(a, b) -> bool:
-    """Graphs have the same adjacency; tables agree to TABLE_RTOL of each column's largest entry."""
+    """Graphs have the same adjacency, walk matrices the same kind and entries, and
+    hidden vertices the same node; tables agree to TABLE_RTOL of each column's largest
+    entry."""
     if hasattr(a, "adjacency"):  # a Graph of either side's graphs module
         return a.adjacency == b.adjacency
+    if hasattr(a, "kind"):  # a WalkMatrix: both sides evaluate the same float expressions
+        return a.kind == b.kind and np.array_equal(a.p, b.p)
+    if isinstance(a, int):  # a hidden vertex
+        return a == b
     return bool(np.all(np.abs(a - b) <= TABLE_RTOL * np.maximum(1.0, np.abs(b).max(axis=0))))
 
 
@@ -246,6 +257,18 @@ def exact_cases() -> list[Case]:
     for n in (481, 1001):
         cases.append(Case(f"complete_graph({n})", "s/call",
                           lambda side, rep, n=n: timed(side.graphs.complete_graph, n)))
+    spec = bench_workload(Exact).relabelled[0]
+    name = f"relabelled lollipop({spec.n})"
+    for kind in ("biased", "simple", "natural"):
+        # each side's own graph, built before its timed call: from_edges hands csr its arrays
+        cases.append(Case(f"transition_matrix/{kind}/{name}", "s/call",
+                          lambda side, rep, kind=kind: timed(
+                              side.walks.transition_matrix,
+                              side.graphs.build_graph(side.graphs.TopologySpec(**vars(spec))),
+                              kind)))
+    table = walks.hitting_table(walks.transition_matrix(build_graph(spec), "biased"))
+    cases.append(Case(f"hidden_vertex/{name}", "s/call",
+                      lambda side, rep: timed(side.walks.hidden_vertex, table)))
     return cases
 
 

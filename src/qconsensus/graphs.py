@@ -10,8 +10,12 @@ program builds them. ``Graph(n, adjacency)`` checks the rows it is given
 with the Python walk ``_check_rows``, entries of any type included. The
 generators build valid rows by construction, and ``Graph.from_edges``
 checks each edge (``_check_edges``) before one sort of the keys u*n + v of
-both directions turns the edges into rows (``_rows``); both hand their rows
-to ``Graph._trusted``, which does not check them again. Every constructor
+both directions turns the edges into rows (``_sorted_neighbors``, then
+``_split_rows``); both hand their rows to ``Graph._trusted``, which does
+not check them again. ``from_edges`` also hands the sort's degrees and rows
+to ``csr``'s memo, so the graph's first ``csr`` call builds nothing; the
+generators leave the memo alone, since a sweep builds every size before its
+first run and the next build would evict the entry. Every constructor
 checks its parameters before it builds anything: n >= 1 with
 ``require_nodes``, and the lollipop's m and ER's p with the spec's rules,
 ``TopologySpec.validate``. A tick needs a neighbour at every node:
@@ -21,7 +25,6 @@ checks its parameters before it builds anything: n >= 1 with
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 from collections import deque
@@ -77,7 +80,10 @@ class Graph:
         edge in input order that does not is named.
         """
         require_nodes(n)
-        return cls._trusted(n, _rows(n, *_check_edges(n, edges)))
+        deg, nbr = _sorted_neighbors(n, *_check_edges(n, edges))
+        g = cls._trusted(n, _split_rows(deg, nbr))
+        _remember_csr(g, deg, nbr.astype(np.int64, copy=False))
+        return g
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -104,8 +110,9 @@ def _key_dtype(n: int):
     return np.int32 if n * n < 2**31 else np.int64
 
 
-def _rows(n: int, u: np.ndarray, v: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Sorted adjacency rows, of Python ints, of the undirected edges (u[k], v[k]).
+def _sorted_neighbors(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees, as int64, and the concatenated sorted rows, in the keys' dtype, of the
+    undirected edges (u[k], v[k]): one sort of the keys u*n + v of both directions.
 
     Every end must lie in 0..n-1 and no edge may be a loop; repeats merge.
     """
@@ -122,7 +129,18 @@ def _rows(n: int, u: np.ndarray, v: np.ndarray) -> tuple[tuple[int, ...], ...]:
     first = np.ones(2 * m, bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     src, nbr = np.divmod(keys[first], n)
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return np.bincount(src, minlength=n), nbr
+
+
+def _rows(n: int, u: np.ndarray, v: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency rows, of Python ints, of the undirected edges (u[k], v[k]),
+    under ``_sorted_neighbors``'s rules."""
+    return _split_rows(*_sorted_neighbors(n, u, v))
+
+
+def _split_rows(deg: np.ndarray, nbr: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Adjacency rows, of Python ints, of ``_sorted_neighbors``'s degrees and rows."""
+    ends = np.cumsum(deg).tolist()
     flat = tuple(nbr.tolist())
     return tuple(flat[a:b] for a, b in zip([0, *ends], ends))
 
@@ -329,22 +347,35 @@ def check_nodes(n: int, *nodes: int) -> None:
             raise ValueError(f"nodes must be in 0..{n - 1}")
 
 
-@functools.lru_cache(maxsize=1)
+_csr_memo: tuple = (None, None)  # (graph, csr arrays) of the most recent graph
+
+
 def csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degrees, row offsets and the concatenated adjacency rows, as read-only int64 arrays.
 
     The arrays of the most recent graph are memoised, keyed on the graph's
-    identity (``Graph`` hashes by identity), so the runs of one graph in a
-    sweep build them once. One entry only: a cache on each graph would keep
-    the arrays of every graph a caller holds alive. The arrays are shared by
-    every caller, hence read-only.
+    identity, so the runs of one graph in a sweep build them once. One entry
+    only: a cache on each graph would keep the arrays of every graph a caller
+    holds alive. ``Graph.from_edges`` fills the entry with the arrays its
+    sort already made; every other graph's are built here from its rows. The
+    arrays are shared by every caller, hence read-only.
     """
+    memo_g, arrays = _csr_memo
+    if memo_g is g:
+        return arrays
     deg = np.fromiter(map(len, g.adjacency), np.int64, g.n)
-    off = np.cumsum(deg) - deg
     flat = np.fromiter(chain.from_iterable(g.adjacency), np.int64, int(deg.sum()))
-    for a in (deg, off, flat):
+    return _remember_csr(g, deg, flat)
+
+
+def _remember_csr(g: Graph, deg: np.ndarray, flat: np.ndarray) -> tuple:
+    """Make ``g``'s int64 degrees and rows, and their offsets, read-only and csr's one entry."""
+    global _csr_memo
+    arrays = deg, np.cumsum(deg) - deg, flat
+    for a in arrays:
         a.flags.writeable = False
-    return deg, off, flat
+    _csr_memo = g, arrays
+    return arrays
 
 
 def tick_edges(g: Graph, rng, k: int) -> tuple[np.ndarray, np.ndarray]:

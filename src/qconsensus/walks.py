@@ -16,6 +16,10 @@ ties hitting times to effective resistance: commute(x, y) = n * r'(x, y).
 edge_weights(g) is that matrix, and the electric functions take it and
 reject the other kinds.
 
+transition_matrix writes P's entries straight from ``graphs.csr``; the
+samplers' ``_Moves`` tables add the reverse index and running sums that only
+sampling reads.
+
 Exact tables cost O(n^3) each: all-pairs hitting times come from one
 fundamental matrix and all-pairs resistances from one Laplacian
 pseudo-inverse. The per-target solves, hitting_times and
@@ -69,10 +73,14 @@ class WalkMatrix:
     def __post_init__(self):
         if self.kind not in WALK_KINDS:
             raise ValueError(f"unknown walk kind {self.kind!r}")
-        if float(self.p.min()) < 0.0 or float(self.p.max()) > 1.0:
+        p = np.asarray(self.p, dtype=float)
+        object.__setattr__(self, "p", p)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise ValueError(f"a transition matrix must be square, got shape {p.shape}")
+        # written as not (...) so that a NaN entry fails
+        if not (float(p.min()) >= 0.0 and float(p.max()) <= 1.0):
             raise ValueError("transition probabilities must lie in [0, 1]")
-        rows = self.p.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
+        if not float(np.max(np.abs(p.sum(axis=1) - 1.0))) <= ROW_SUM_TOL:
             raise ValueError("rows of a transition matrix must sum to 1")
 
     @property
@@ -97,21 +105,23 @@ class HittingTable:
 
 
 def transition_matrix(g: Graph, kind: str) -> WalkMatrix:
-    """The walk matrix of one kind, built from the CSR move tables."""
+    """The walk matrix of one kind, built from the graph's CSR arrays."""
     n = g.n
     if n < 2:
         raise ValueError("walk matrices require at least 2 nodes")
-    moves = _Moves(g)
+    require_neighbors(g)
+    deg, _, nbr = csr(g)
+    src = np.repeat(np.arange(n), deg)  # the row of each entry
     p = np.zeros((n, n))
     if kind == "biased":
         # p_uv and p_vu add the same two terms, so the matrix is exactly
         # symmetric and its stationary law is uniform.
-        p.flat[moves.key] = moves.p
+        p[src, nbr] = (1.0 / deg[src] + 1.0 / deg[nbr]) / n
         # exact value is >= 0; clamp float-summation roundup
         np.fill_diagonal(p, np.maximum(0.0, 1.0 - p.sum(axis=1)))
     else:
-        deg = np.repeat(moves.deg, moves.deg)  # the degree of each entry's row
-        p.flat[moves.key] = 1.0 / (deg if kind == "simple" else n * deg)
+        row_deg = deg[src]
+        p[src, nbr] = 1.0 / (row_deg if kind == "simple" else n * row_deg)
         if kind == "natural":
             np.fill_diagonal(p, 1.0 - 1.0 / n)
     return WalkMatrix(kind, p)
@@ -316,19 +326,17 @@ def hitting_bounds_from(g: Graph, x: int) -> list[HittingBound]:
 
 
 def hidden_vertex(h: HittingTable) -> int:
-    """Smallest node t with h[t][v] <= h[v][t] for every v (within tolerance).
+    """Smallest node t with h[t][v] <= h[v][t] + HIDDEN_TOL * max(1, max h) for every
+    v: a table's rounding grows with its largest entry.
 
     Such a node exists for every reversible walk; not finding one signals a
     numeric problem or a non-reversible input table.
     """
-    n = h.n
-    worst = float("inf")
-    for t in range(n):
-        violation = float(np.max(h.h[t, :] - h.h[:, t]))
-        if violation <= HIDDEN_TOL:
-            return t
-        worst = min(worst, violation)
-    raise SolverError(f"no hidden vertex found; smallest violation {worst:.6g}")
+    violation = (h.h - h.h.T).max(axis=1)  # node t's largest h[t][v] - h[v][t]
+    hidden = np.flatnonzero(violation <= HIDDEN_TOL * max(1.0, float(h.h.max())))
+    if len(hidden):
+        return int(hidden[0])
+    raise SolverError(f"no hidden vertex found; smallest violation {float(violation.min()):.6g}")
 
 
 def potential(h: HittingTable, t: int, x: int, y: int) -> float:
@@ -357,7 +365,8 @@ def potential(h: HittingTable, t: int, x: int, y: int) -> float:
 
 
 class _Moves:
-    """CSR move tables, O(E) arrays: entry k of row u is the edge (u, nbr[k]).
+    """The token samplers' CSR move tables, O(E) arrays: entry k of row u is the edge
+    (u, nbr[k]). ``transition_matrix`` reads ``graphs.csr`` directly and builds none.
 
     ``key`` is sorted, ``p[k]`` is p_uv, ``rev[k]`` is the entry of (v, u),
     and entry k owns [start[k], start[k + 1]) of the running sum of p, so a

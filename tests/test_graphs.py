@@ -485,6 +485,19 @@ def test_csr_memo_returns_each_graphs_own_read_only_arrays():
     same_rows = star_graph(5)  # equal adjacency, another graph: its own entry
     assert csr(same_rows) is not csr(g1)
 
+    # from_edges hands its sort's arrays to the memo: the first call builds nothing
+    g3 = Graph.from_edges(7, [(5, 1), (0, 1), (6, 2), (1, 2), (3, 4), (2, 4), (1, 0)])
+    handed = graphs._csr_memo
+    arrays = csr(g3)
+    assert handed[0] is g3 and arrays is handed[1]
+    assert [a.tolist() for a in arrays] == list(_csr_lists(g3))
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in arrays)
+    assert csr(g3) is arrays
+    Graph.from_edges(3, [(0, 1), (1, 2)])  # the next graph evicts g3's entry
+    rebuilt = csr(g3)
+    assert rebuilt is not arrays
+    assert [a.tolist() for a in rebuilt] == list(_csr_lists(g3))
+
 
 @given(connected_graphs(), st.integers(0, 300), st.integers(0, 2**32 - 1),
        st.sampled_from([np.random.PCG64, np.random.MT19937]))

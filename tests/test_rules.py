@@ -74,6 +74,13 @@ RULES = {
         lambda: walks.transition_matrix(STAR5, "lazy"),
         lambda: walks.WalkMatrix("lazy", STAR5_WALK.p),
     ],
+    "transition probabilities must lie in [0, 1]": [
+        lambda: walks.WalkMatrix("biased", [[0.5, float("nan")], [0.5, 0.5]]),
+        lambda: walks.WalkMatrix("simple", np.array([[1.5, -0.5], [0.5, 0.5]])),
+    ],
+    "a transition matrix must be square, got shape (2, 3)": [
+        lambda: walks.WalkMatrix("biased", np.full((2, 3), 1.0 / 3.0)),
+    ],
     "max_ticks must be >= 0, got -1": [
         lambda: run_to_convergence("binary", STAR5, BinaryState([2, 2, 2, -2, -2]),
                                    np.random.default_rng(0), -1),

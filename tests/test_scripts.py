@@ -7,6 +7,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qconsensus import chains, consensus, graphs, harness, walks
@@ -117,3 +118,29 @@ def test_bench_ab_times_each_side_s_meeting_table(bench_ab):
     seconds, table = cases["meeting_table/line(33)"].run(after, 0)
     assert seconds > 0
     assert ab.same_table(table, chains.meeting_table(graphs.line_graph(33), "X"))
+
+
+def test_bench_ab_times_each_side_s_walk_matrices_and_hidden_vertex(bench_ab, tmp_path):
+    ab, workloads = bench_ab
+    spec = workloads.Exact(0, tmp_path).relabelled[0]
+    name = f"relabelled lollipop({spec.n})"
+    cases = {case.name: case for case in ab.exact_cases()}
+    kinds = ("biased", "simple", "natural")
+    assert [n for n in cases if n.startswith(("transition_matrix/", "hidden_vertex/"))] == [
+        *(f"transition_matrix/{kind}/{name}" for kind in kinds), f"hidden_vertex/{name}"]
+    after = types.SimpleNamespace(graphs=graphs, walks=walks, chains=chains)
+    g = graphs.build_graph(spec)
+    for kind in kinds:
+        seconds, m = cases[f"transition_matrix/{kind}/{name}"].run(after, 0)
+        assert seconds > 0
+        want = walks.transition_matrix(g, kind)
+        assert ab.same_table(m, want)
+        # walk matrices compare bit for bit, not to TABLE_RTOL
+        nudged = walks.WalkMatrix(kind, want.p.copy())
+        nudged.p[0, 0] = np.nextafter(nudged.p[0, 0], 2.0)
+        assert not ab.same_table(m, nudged)
+    seconds, hidden = cases[f"hidden_vertex/{name}"].run(after, 0)
+    assert seconds > 0
+    biased = walks.hitting_table(walks.transition_matrix(g, "biased"))
+    assert hidden == walks.hidden_vertex(biased)
+    assert ab.same_table(hidden, hidden) and not ab.same_table(hidden, hidden + 1)

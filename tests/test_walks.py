@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qconsensus.checks import (
     MC_SIGMAS,
@@ -108,6 +110,26 @@ def test_edge_weights_equal_a_per_edge_loop(g):
         assert m.kind == kind
         assert np.array_equal(m.p, _per_edge_loop(g, kind))
     assert np.array_equal(edge_weights(g).p, _per_edge_loop(g, "biased"))
+
+
+@given(connected_graphs(max_n=12))
+@settings(max_examples=30, deadline=None)
+def test_walk_matrices_equal_a_per_edge_loop_whoever_built_the_csr(g):
+    # from_edges hands csr its arrays; Graph(...) rows, and a from_edges graph
+    # whose entry the next graph evicted, have them built from the rows.
+    edges = g.edges()
+    evicted = Graph.from_edges(g.n, edges)
+    from_rows = Graph(g.n, g.adjacency)
+    handed = Graph.from_edges(g.n, edges[::-1])  # built last: csr's entry is its own
+    for h in (handed, from_rows, evicted):
+        for kind in ("simple", "natural", "biased"):
+            assert np.array_equal(transition_matrix(h, kind).p, _per_edge_loop(g, kind))
+
+
+def test_walk_matrices_of_a_relabelled_lollipop_edge_list_equal_a_per_edge_loop():
+    g = _relabelled_lollipop(60, 5)
+    for kind in ("simple", "natural", "biased"):
+        assert np.array_equal(transition_matrix(g, kind).p, _per_edge_loop(g, kind))
 
 
 def test_star_hub_self_weight_is_zero():
@@ -527,6 +549,64 @@ def test_hidden_vertex_error_reports_violation():
     bad = HittingTable("biased", np.array([[0, 2, 1], [1, 0, 9], [3, 2, 0]], dtype=float))
     with pytest.raises(SolverError, match="violation"):
         hidden_vertex(bad)
+
+
+def _hidden_vertex_loop(table):
+    """hidden_vertex one t at a time: the smallest t whose largest h[t][v] - h[v][t] is
+    within HIDDEN_TOL of max(1, max h); else SolverError naming the smallest violation."""
+    tol = walks.HIDDEN_TOL * max(1.0, float(table.h.max()))
+    worst = float("inf")
+    for t in range(table.n):
+        violation = float(np.max(table.h[t, :] - table.h[:, t]))
+        if violation <= tol:
+            return t
+        worst = min(worst, violation)
+    raise SolverError(f"no hidden vertex found; smallest violation {worst:.6g}")
+
+
+def _assert_hidden_vertex_matches_the_loop(table):
+    try:
+        expected = _hidden_vertex_loop(table)
+    except SolverError as exc:
+        with pytest.raises(SolverError, match=f"^{re.escape(str(exc))}$"):
+            hidden_vertex(table)
+    else:
+        assert hidden_vertex(table) == expected
+
+
+@given(connected_graphs(max_n=10), st.sampled_from(walks.WALK_KINDS))
+@settings(max_examples=40, deadline=None)
+def test_hidden_vertex_matches_a_per_node_loop_on_walk_tables(g, kind):
+    _assert_hidden_vertex_matches_the_loop(hitting_table(transition_matrix(g, kind)))
+
+
+@given(st.integers(2, 7).flatmap(lambda n: hnp.arrays(np.float64, (n, n), elements=st.one_of(
+    st.integers(0, 9).map(float), st.floats(0.0, 1e8)))))
+@settings(max_examples=150, deadline=None)
+def test_hidden_vertex_matches_a_per_node_loop_on_any_table(h):
+    np.fill_diagonal(h, 0.0)
+    _assert_hidden_vertex_matches_the_loop(walks.HittingTable("biased", h))
+
+
+def test_a_non_reversible_table_raises_its_smallest_violation():
+    # h[t][v] - h[v][t] peaks at 4e6, 2e6 and 3e6 in rows 0, 1 and 2; every
+    # one is far past the tolerance, 1e-9 of max h
+    h = np.array([[0.0, 5e6, 1e6], [1e6, 0.0, 3e6], [4e6, 1e6, 0.0]])
+    table = walks.HittingTable("biased", h)
+    with pytest.raises(SolverError, match=r"^no hidden vertex found; smallest violation 2e\+06$"):
+        hidden_vertex(table)
+    _assert_hidden_vertex_matches_the_loop(table)
+
+
+@pytest.mark.parametrize("g, hidden", [
+    (line_graph(241), 0),  # an absolute 1e-9 gave node 240, though node 0 is hidden
+    (star_graph(481), 1),  # every leaf is hidden; an absolute 1e-9 gave node 480
+    (complete_graph(301), 0),  # every node is hidden; an absolute 1e-9 gave node 1
+], ids=["line(241)", "star(481)", "complete(301)"])
+def test_hidden_vertex_tolerance_scales_with_the_largest_entry(g, hidden):
+    table = hitting_table(transition_matrix(g, "biased"))
+    assert hidden_vertex(table) == hidden
+    _assert_hidden_vertex_matches_the_loop(table)
 
 
 # ------------------------------------------------------------------ potential
